@@ -20,7 +20,8 @@ from .ferrers import (EmbeddedPartition, FerrersFrame, StaircasePath,
                       underlying_distribution)
 from .flags import (Flag, FlagCode, TypeVector, codistance, flag_distance,
                     flag_from_matrix, max_distance, min_distance,
-                    projected_code, projected_distance, projection)
+                    projected_code, projected_distance, projection,
+                    random_full_flag_code)
 from .gfq_linalg import (MatGFq, PrimeField, Subspace, dim_intersection,
                          dim_sum, grassmannian, injection_distance, rref,
                          subspace_distance, subspace_from_rows)

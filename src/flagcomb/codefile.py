@@ -22,28 +22,28 @@ import json
 
 from .errors import FlagcombError, InvalidFlag, ParseError
 from .flags import Flag, FlagCode, TypeVector, flag_from_matrix
+from .gfq_linalg import is_prime
 
 
 def _parse_type(token: str | list, n: int) -> TypeVector:
-    if token == "full":
-        return TypeVector.full(n)
-    if isinstance(token, list):
-        dims = tuple(int(t) for t in token)
-    else:
-        dims = tuple(int(t) for t in token.split(","))
     try:
-        return TypeVector(n, dims)
-    except ValueError as exc:
+        if token == "full":
+            return TypeVector.full(n)
+        dims = token.split(",") if isinstance(token, str) else token
+        return TypeVector(n, tuple(int(t) for t in dims))
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad type vector {token!r}: {exc}") from exc
 
 
 def _build_flags(q: int, n: int, tv: TypeVector,
                  blocks: list[list[list[int]]]) -> FlagCode:
+    if not is_prime(q):
+        raise ParseError(f"q = {q} is not prime")
     flags: list[Flag] = []
     for idx, rows in enumerate(blocks, start=1):
         try:
             flags.append(flag_from_matrix(q, n, tv, rows))
-        except FlagcombError as exc:
+        except (FlagcombError, ValueError) as exc:   # ValueError: ragged rows
             raise InvalidFlag(idx, str(exc)) from exc
     if not flags:
         raise ParseError("no flags in file")
@@ -61,12 +61,12 @@ def _parse_json(text: str) -> FlagCode:
     try:
         doc = json.loads(text)
         q, n = int(doc["q"]), int(doc["n"])
-        raw_flags = doc["flags"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        blocks = [[[int(e) for e in row] for row in rows]
+                  for rows in doc["flags"]]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ParseError(f"bad JSON code file: {exc}") from exc
-    tv = _parse_type(doc.get("type", "full"), n)
-    blocks = [[[int(e) for e in row] for row in rows] for rows in raw_flags]
-    return _build_flags(q, n, tv, blocks)
+    return _build_flags(q, n, _parse_type(doc.get("type", "full"), n), blocks)
 
 
 def _parse_text(text: str) -> FlagCode:

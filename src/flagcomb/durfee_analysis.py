@@ -12,7 +12,7 @@ warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
@@ -20,7 +20,7 @@ from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
 from .ferrers import EmbeddedPartition, partition_of_staircase, staircase_class
 from .flags import (FlagCode, codistance, max_distance, min_distance,
                     projected_code, projected_distance)
-from .support_paths import paths_of_code
+from .support_paths import DistancePath, paths_of_code
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,30 @@ def black_dots_in_rectangle(a: int, b: int, n: int) -> int:
     return a * b // 2
 
 
+def _subdiagrams(gamma: frozenset[DistancePath]) -> frozenset[EmbeddedPartition]:
+    """F(C) from Γ(C): the partitions of every staircase over every path."""
+    return frozenset(partition_of_staircase(s)
+                     for p in gamma for s in staircase_class(p))
+
+
 def ferrers_subdiagrams_of_code(c: FlagCode) -> frozenset[EmbeddedPartition]:
     """F(C): the partitions of every staircase over every path of Γ(C)."""
-    if not c.is_full:
-        raise NotFullFlag("Ferrers subdiagrams are defined for full codes")
-    out = set()
-    for p in paths_of_code(c):
-        for s in staircase_class(p):
-            out.add(partition_of_staircase(s))
-    return frozenset(out)
+    return _subdiagrams(paths_of_code(c))
+
+
+def _durfee_sets(subdiagrams: frozenset[EmbeddedPartition],
+                 n: int) -> dict[int, tuple[int, ...]]:
+    """D_k, k ascending, from F(C): the rectangle sizes at i = (n - k)/2."""
+    if not subdiagrams:
+        return {}
+    out = {}
+    for i in range(n // 2, 0, -1):
+        rows = _rect_values_at_dimension(subdiagrams, n, i)
+        if rows[0] > i:
+            raise ConsistencyError(f"rectangle with {rows[0]} rows exceeds "
+                                   f"the bound for k={n - 2 * i}")
+        out[n - 2 * i] = rows
+    return out
 
 
 def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
@@ -89,21 +104,7 @@ def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
     Values are the distinct rectangle row counts, sorted descending.  A
     singleton code has no flag pairs and yields an empty map.
     """
-    if not c.is_full:
-        raise NotFullFlag("Durfee sets are defined for full codes")
-    subdiagrams = ferrers_subdiagrams_of_code(c)
-    if not subdiagrams:
-        return {}
-    n = c.n
-    out = {}
-    for k in range(n % 2, n - 1, 2):
-        rows = {durfee_rectangle(p, k).rows for p in subdiagrams}
-        for r in rows:
-            if r > (n - k) // 2:
-                raise ConsistencyError(
-                    f"rectangle with {r} rows exceeds the bound for k={k}")
-        out[k] = tuple(sorted(rows, reverse=True))
-    return out
+    return _durfee_sets(ferrers_subdiagrams_of_code(c), c.n)
 
 
 def check_separability(dbar: int, n: int, i: int) -> bool:
@@ -148,26 +149,27 @@ def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
     vals = _rect_values_at_dimension(ferrers_subdiagrams_of_code(c), n, i)
-    derived = _projected_from_rect_values(vals, min(i, n - i), len(c))
+    direct = (len(projected_code(c, i)), projected_distance(c, i))
+    return _checked_projected(vals, n, i, len(c), direct)
 
-    direct_card = len(projected_code(c, i))
-    direct = (direct_card == len(c), projected_distance(c, i))
-    if derived != direct:
+
+def _checked_projected(vals: tuple[int, ...], n: int, i: int, size: int,
+                       direct: tuple[int, int]) -> tuple[bool, int]:
+    """rectangle_to_projected from the rectangle sizes *vals*; the direct
+    (|C_i|, d_I(C_i)) must agree, else ConsistencyError."""
+    i_eff = min(i, n - i)
+    if vals[0] < i_eff:
+        derived = (True, i_eff - vals[0])
+    elif len(vals) == 1:
+        # every pair shares the i-th subspace: C_i is a singleton
+        derived = (size == 1, 0)
+    else:
+        derived = (False, i_eff - vals[1])
+    if derived != (direct[0] == size, direct[1]):
         raise ConsistencyError(
             f"dimension {i}: rectangles {vals} give {derived}, "
             f"direct computation gives {direct}")
     return derived
-
-
-def _projected_from_rect_values(vals: tuple[int, ...], i_eff: int,
-                                size: int) -> tuple[bool, int]:
-    r1 = vals[0]
-    if r1 < i_eff:
-        return True, i_eff - r1
-    if len(vals) == 1:
-        # every pair shares the i-th subspace: C_i is a singleton
-        return size == 1, 0
-    return False, i_eff - vals[1]
 
 
 def bound_from_codistance(dbar: int, n: int, i: int, r: int) -> bool:
@@ -200,10 +202,6 @@ def flag_distance_bounds(n: int, i: int, cardinality_equal: bool,
     return d_i * d_i, dn - ((rest + 1) // 2)
 
 
-def _max_path_deltas(n: int) -> tuple[int, ...]:
-    return tuple(min(i, n - i) for i in range(n + 1))
-
-
 def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
     """Does C attain d_f(C) = D^n?
 
@@ -215,12 +213,18 @@ def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
         raise NotFullFlag("optimum-distance check needs a full code")
     if len(c) < 2:
         raise SingletonCode("need at least two flags")
-    n = c.n
+    gamma = paths_of_code(c)
+    return _optimum_conditions(codistance(c), gamma, _subdiagrams(gamma), c.n)
+
+
+def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
+                        subdiagrams: frozenset[EmbeddedPartition],
+                        n: int) -> tuple[bool, dict[str, bool]]:
     conds = {
-        "codistance_zero": codistance(c) == 0,
-        "unique_max_path": {p.deltas for p in paths_of_code(c)}
-                           == {_max_path_deltas(n)},
-        "ferrers_set": ferrers_subdiagrams_of_code(c)
+        "codistance_zero": dbar == 0,
+        "unique_max_path": {p.deltas for p in gamma}
+                           == {tuple(min(i, n - i) for i in range(n + 1))},
+        "ferrers_set": subdiagrams
                        == ({EmbeddedPartition(n, ())} if n % 2 == 0 else
                            {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))}),
     }
@@ -269,18 +273,15 @@ def analyze(c: FlagCode) -> CodeAnalysis:
         return CodeAnalysis(c.q, n, size, d_f, dbar, projected, {}, {},
                             {}, {}, None, True)
 
-    subdiagrams = ferrers_subdiagrams_of_code(c)
-    durfee = durfee_sets_of_code(c)
+    gamma = paths_of_code(c)
+    subdiagrams = _subdiagrams(gamma)
+    durfee = _durfee_sets(subdiagrams, n)
 
     derived = {}
     for i in range(1, n):
-        vals = _rect_values_at_dimension(subdiagrams, n, i)
-        derived[i] = _projected_from_rect_values(vals, min(i, n - i), size)
-        direct = (projected[i][0] == size, projected[i][1])
-        if derived[i] != direct:
-            raise ConsistencyError(
-                f"dimension {i}: rectangle-derived {derived[i]} != direct "
-                f"{direct} (rect values {vals}, D_k {durfee})")
+        vals = (durfee[n - 2 * i] if 2 * i <= n
+                else _rect_values_at_dimension(subdiagrams, n, i))
+        derived[i] = _checked_projected(vals, n, i, size, projected[i])
 
     separability = {}
     for i in range(1, n // 2 + 1):
@@ -302,9 +303,7 @@ def analyze(c: FlagCode) -> CodeAnalysis:
             raise ConsistencyError(
                 f"d_f = {d_f} outside [{lo}, {hi}] at dimension {i}")
 
-    optimum, _ = is_optimum_distance(c)
-    if optimum != (dbar == 0):
-        raise ConsistencyError("optimum verdict inconsistent with codistance")
+    optimum, _ = _optimum_conditions(dbar, gamma, subdiagrams, n)
 
     return CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived, durfee,
                         separability, bounds, optimum, False)

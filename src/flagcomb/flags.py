@@ -106,23 +106,18 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     if m.n_rows < t_last:
         raise RankDeficient(t_last, f"only {m.n_rows} rows for type {type_.dims}")
 
+    stop = n if type_.is_full and m.n_rows >= n else t_last
     space = RowSpace(q, n)
     subspaces = []
     targets = set(type_.dims)
-    for idx, row in enumerate(m.entries, start=1):
+    for idx, row in enumerate(m.entries[:stop], start=1):
         space.add(row)
         if idx in targets:
             if space.rank < idx:
                 raise RankDeficient(idx)
             subspaces.append(Subspace(q, n, space.basis()))
-        if idx == t_last:
-            break
-    if type_.is_full and m.n_rows >= n:
-        full = RowSpace(q, n)
-        for row in m.entries[:n]:
-            full.add(row)
-        if full.rank < n:
-            raise RankDeficient(n, "full-flag generator is singular")
+    if space.rank < stop:
+        raise RankDeficient(n, "full-flag generator is singular")
 
     flag = Flag(q, n, type_, m, tuple(subspaces))
     _recheck_nesting(flag)
@@ -130,7 +125,10 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
 
 
 def _recheck_nesting(flag: Flag) -> None:
-    """Direct containment check F_1 ⊊ F_2 ⊊ ... (belt and braces)."""
+    """Direct containment check F_1 ⊊ F_2 ⊊ ... on the canonical bases.
+
+    Prefix spans nest by construction; this is kept as the only check of
+    that at construction time, independent of the sweep that built them."""
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
         if small.dim >= big.dim:
             raise RankDeficient(big.dim, "dimensions do not strictly increase")
@@ -192,7 +190,7 @@ def max_distance(n: int) -> int:
 class FlagCode:
     """A set of flags of a common type, deduplicated at construction."""
 
-    __slots__ = ("q", "n", "type", "flags")
+    __slots__ = ("q", "n", "type", "flags", "_profiles")
 
     def __init__(self, flags: Iterable[Flag]):
         unique: dict[Flag, None] = {}
@@ -209,6 +207,7 @@ class FlagCode:
         self.n = first.n
         self.type = first.type
         self.flags: tuple[Flag, ...] = tuple(unique)
+        self._profiles: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self):
         return len(self.flags)
@@ -221,12 +220,16 @@ class FlagCode:
         return self.type.is_full
 
 
-def pair_profiles(c: FlagCode) -> Iterator[tuple[int, ...]]:
-    """Distance profiles of all unordered pairs of distinct flags."""
-    flags = c.flags
-    for a in range(len(flags)):
-        for b in range(a + 1, len(flags)):
-            yield pair_distance_profile(flags[a], flags[b])
+def pair_profiles(c: FlagCode) -> tuple[tuple[int, ...], ...]:
+    """Distance profiles of all unordered pairs of distinct flags, in the
+    order (0,1), (0,2), ..., (1,2), ...; a code is immutable, so they are
+    computed on first use and kept."""
+    if c._profiles is None:
+        flags = c.flags
+        c._profiles = tuple(pair_distance_profile(flags[a], flags[b])
+                            for a in range(len(flags))
+                            for b in range(a + 1, len(flags)))
+    return c._profiles
 
 
 def min_distance(c: FlagCode) -> int:

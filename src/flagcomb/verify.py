@@ -280,19 +280,15 @@ def _check_code_theorems(rng, n_max, qs, trials):
             continue
         # rectangle law, both directions, stated set-wise
         subdiagrams = ferrers_subdiagrams_of_code(c)
-        profiles = list(pair_profiles(c))
-        for i in range(1, n // 2 + 1):
-            k = n - 2 * i
-            rect = {durfee_rectangle(p, k).rows for p in subdiagrams}
-            direct = {i - prof[i - 1] for prof in profiles}
+        for i in range(1, n):
+            if 2 * i <= n:
+                rect = {durfee_rectangle(p, n - 2 * i).rows for p in subdiagrams}
+            else:
+                rect = {durfee_rectangle_transposed(p, 2 * i - n)
+                        for p in subdiagrams}
+            direct = {min(i, n - i) - prof[i - 1] for prof in pair_profiles(c)}
             if rect != direct:
                 fails.append(f"rectangle law fails n={n} q={q} i={i}")
-        for i in range(n // 2 + 1, n):
-            k = 2 * i - n
-            rect = {durfee_rectangle_transposed(p, k) for p in subdiagrams}
-            direct = {(n - i) - prof[i - 1] for prof in profiles}
-            if rect != direct:
-                fails.append(f"transposed rectangle law fails n={n} q={q} i={i}")
     return cases, fails
 
 

@@ -172,6 +172,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    '{"q": 2, "n": 3, "flags": 5}',                                # not a list
+    "4 2 full\n\n1 0\n0 1\n",                                      # q not prime
+    '{"q": 2, "n": 3, "type": "1,x", "flags": [[[1, 0, 0]]]}',     # bad dim
+    '{"q": 2, "n": 3, "type": 5, "flags": [[[1, 0, 0]]]}',         # bad type
+    "2 1 full\n\n1\n",                                             # n < 2
+    "2 3 full\n\n1 0 0\n0 1\n0 0 1\n",                              # ragged rows
+])
+def test_cli_bad_code_file_exits_2(tmp_path, capsys, text):
+    assert main(["analyze", _code_file(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_force_overrides_cap(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"max_n_combinatorics": 5}')

@@ -1,16 +1,19 @@
 import pytest
 
-from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, analyze,
-                      black_dots_in_rectangle, bound_from_codistance,
+from flagcomb import durfee_analysis, flags
+from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, TypeVector,
+                      analyze, black_dots_in_rectangle, bound_from_codistance,
                       check_separability, codistance, durfee_rectangle,
                       durfee_sets_of_code, enumerate_embedded_partitions,
                       ferrers_subdiagrams_of_code, flag_distance_bounds,
-                      is_optimum_distance, max_distance, min_distance,
-                      paths_of_code, projected_code, projected_distance,
-                      rectangle_to_projected, splitting_value)
+                      flag_from_matrix, is_optimum_distance, max_distance,
+                      min_distance, paths_of_code, projected_code,
+                      projected_distance, rectangle_to_projected,
+                      splitting_value)
 from flagcomb.durfee_analysis import durfee_rectangle_transposed
-from flagcomb.errors import (IndexOutOfRange, NotFullFlag, OffsetOutOfRange,
-                             RectangleOutsideFrame, SingletonCode)
+from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
+                             OffsetOutOfRange, RectangleOutsideFrame,
+                             SingletonCode)
 from flagcomb.flags import random_full_flag, random_full_flag_code
 
 from conftest import reversed_flag, standard_flag
@@ -179,3 +182,54 @@ def test_derived_matches_direct_when_separable(rng):
                 for j in range(i, n - i + 1):
                     assert len(projected_code(c, j)) == len(c)
     assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# One pass over the pairs: analyze() profiles each pair once and expands
+# each path of Γ(C) once, and still runs every direct cross-check.
+# ---------------------------------------------------------------------------
+
+# Five coordinate flags on F_2^6; row r of a generator is e_{w(r)}.
+FIVE_PERMS = [(1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1), (6, 1, 2, 3, 4, 5),
+              (2, 1, 4, 3, 6, 5), (1, 3, 4, 2, 5, 6)]
+
+
+def _five_flag_code():
+    return FlagCode([flag_from_matrix(2, 6, TypeVector.full(6),
+                                      [[int(col == w - 1) for col in range(6)]
+                                       for w in perm])
+                     for perm in FIVE_PERMS])
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_analyze_profiles_each_pair_once(monkeypatch):
+    c = _five_flag_code()
+    assert len(c) == 5
+    profiled = _record_calls(monkeypatch, flags, "pair_distance_profile")
+    expanded = _record_calls(monkeypatch, durfee_analysis, "staircase_class")
+    analyze(c)
+    assert len(profiled) == 10
+    gamma = paths_of_code(c)
+    assert len(expanded) == len(gamma)
+    assert {args[0] for args in expanded} == gamma
+
+
+@pytest.mark.parametrize("bad_i", range(1, 6))
+def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
+    c = _five_flag_code()
+    direct = durfee_analysis.projected_distance
+    monkeypatch.setattr(durfee_analysis, "projected_distance",
+                        lambda code, i: direct(code, i) + (i == bad_i))
+    with pytest.raises(ConsistencyError, match=f"dimension {bad_i}: "):
+        analyze(c)
