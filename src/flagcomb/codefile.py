@@ -35,18 +35,33 @@ def _parse_type(token: str | list, n: int) -> TypeVector:
         raise ParseError(f"bad type vector {token!r}: {exc}") from exc
 
 
-def _build_flags(q: int, n: int, tv: TypeVector,
+def _build_flags(q: int, n: int, type_token: str | list,
                  blocks: list[list[list[int]]]) -> FlagCode:
-    if not is_prime(q):
+    """Validate the header against the rows, then build the flags.
+
+    q and n come from the file, so both are bounded before anything is
+    allocated for them: q by the range in which is_prime is exact, n by
+    the rows themselves, since every row must have n entries.
+    """
+    try:
+        prime = is_prime(q)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if not prime:
         raise ParseError(f"q = {q} is not prime")
+    if not blocks:
+        raise ParseError("no flags in file")
+    for idx, rows in enumerate(blocks, start=1):
+        for row in rows:
+            if len(row) != n:
+                raise InvalidFlag(idx, f"expected {n} columns, got {len(row)}")
+    tv = _parse_type(type_token, n)
     flags: list[Flag] = []
     for idx, rows in enumerate(blocks, start=1):
         try:
             flags.append(flag_from_matrix(q, n, tv, rows))
-        except (FlagcombError, ValueError) as exc:   # ValueError: ragged rows
+        except FlagcombError as exc:
             raise InvalidFlag(idx, str(exc)) from exc
-    if not flags:
-        raise ParseError("no flags in file")
     return FlagCode(flags)
 
 
@@ -66,7 +81,7 @@ def _parse_json(text: str) -> FlagCode:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise ParseError(f"bad JSON code file: {exc}") from exc
-    return _build_flags(q, n, _parse_type(doc.get("type", "full"), n), blocks)
+    return _build_flags(q, n, doc.get("type", "full"), blocks)
 
 
 def _parse_text(text: str) -> FlagCode:
@@ -89,7 +104,6 @@ def _parse_text(text: str) -> FlagCode:
         q, n = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ParseError(f"bad header numbers in {header!r}") from exc
-    tv = _parse_type(parts[2], n)
 
     blocks: list[list[list[int]]] = []
     current: list[list[int]] = []
@@ -105,7 +119,7 @@ def _parse_text(text: str) -> FlagCode:
             raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
     if current:
         blocks.append(current)
-    return _build_flags(q, n, tv, blocks)
+    return _build_flags(q, n, parts[2], blocks)
 
 
 def serialize_code(c: FlagCode) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 ENV_VAR = "FLAGCOMB_CONFIG"
 
@@ -25,16 +25,24 @@ class Config:
 
 
 def load_config(path: str | None = None) -> Config:
-    """Load limits from *path*, the env var, or fall back to defaults."""
+    """Load limits from *path*, the env var, or fall back to defaults.
+
+    The file must hold a JSON object whose keys are Config fields and whose
+    values are non-negative ints; anything else raises ValueError.
+    """
     if path is None:
         path = os.environ.get(ENV_VAR)
     if not path:
         return Config()
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return Config(
-        max_n_combinatorics=int(raw.get("max_n_combinatorics",
-                                        DEFAULT_MAX_N_COMBINATORICS)),
-        max_n_flag_exhaustive=int(raw.get("max_n_flag_exhaustive",
-                                          DEFAULT_MAX_N_FLAG_EXHAUSTIVE)),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path}: expected a JSON object")
+    known = {f.name for f in fields(Config)}
+    for key, value in raw.items():
+        if key not in known:
+            raise ValueError(f"config {path}: unknown key {key!r}")
+        if type(value) is not int or value < 0:
+            raise ValueError(f"config {path}: {key} must be a non-negative "
+                             f"int, got {value!r}")
+    return Config(**raw)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (MatGFq, RowSpace, Subspace, injection_distance,
+from .gfq_linalg import (MatGFq, RowSpace, Subspace, _seeded_dim_sum,
                          is_prime)
 
 
@@ -52,6 +52,24 @@ class TypeVector:
         return len(self.dims)
 
 
+# str.translate tables from a row's digit string to its GF(3) bit-planes
+_ONES = str.maketrans("2", "0")
+_TWOS = str.maketrans("12", "01")
+
+
+def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple | None:
+    """Rows packed for the bit-level profile sweeps, column 0 in the top
+    bit: for q = 2 one int per row; for q = 3 a (ones, twos) pair of
+    bit-planes per row; None for larger q, which keeps the list kernel."""
+    if q == 2:
+        return tuple(int("".join(map(str, r)), 2) for r in rows)
+    if q == 3:
+        digits = ["".join(map(str, r)) for r in rows]
+        return tuple((int(d.translate(_ONES), 2), int(d.translate(_TWOS), 2))
+                     for d in digits)
+    return None
+
+
 class Flag:
     """A nested sequence of subspaces of F_q^n of a given type.
 
@@ -59,7 +77,7 @@ class Flag:
     caller already validated nesting.
     """
 
-    __slots__ = ("q", "n", "type", "generator", "subspaces", "_key")
+    __slots__ = ("q", "n", "type", "generator", "subspaces", "_packed", "_key")
 
     def __init__(self, q: int, n: int, type_: TypeVector,
                  generator: MatGFq, subspaces: tuple[Subspace, ...]):
@@ -68,6 +86,7 @@ class Flag:
         self.type = type_
         self.generator = generator
         self.subspaces = subspaces
+        self._packed = _pack(q, generator.entries)
         self._key = (q, n, type_.dims, tuple(s.basis for s in subspaces))
 
     def __eq__(self, other):
@@ -132,9 +151,7 @@ def _recheck_nesting(flag: Flag) -> None:
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
         if small.dim >= big.dim:
             raise RankDeficient(big.dim, "dimensions do not strictly increase")
-        outer = RowSpace(flag.q, flag.n)
-        for row in big.basis:
-            outer.add(row)
+        outer = RowSpace.from_rref(flag.q, flag.n, big.basis)
         for row in small.basis:
             if not outer.contains(row):
                 raise RankDeficient(big.dim, "subspaces are not nested")
@@ -158,9 +175,19 @@ def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
 
     One incremental elimination sweep over the stacked generator prefixes:
     at prefix t, dim(F_t + G_t) is the running rank, and for equal dims
-    d_I = dim(F_t + G_t) - t.
+    d_I = dim(F_t + G_t) - t.  q = 2 and q = 3 sweep the packed rows;
+    larger q sweeps the reference list kernel.
     """
     _check_same_type(f, g)
+    if f.q == 2:
+        return _profile_gf2(f, g)
+    if f.q == 3:
+        return _profile_gf3(f, g)
+    return _profile_rows(f, g)
+
+
+def _profile_rows(f: Flag, g: Flag) -> tuple[int, ...]:
+    """The profile sweep on the reference list kernel (RowSpace.add)."""
     space = RowSpace(f.q, f.n)
     frows = f.generator.entries
     grows = g.generator.entries
@@ -171,6 +198,61 @@ def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
             space.add(frows[k])
             space.add(grows[k])
         out.append(space.rank - t)
+        prev = t
+    return tuple(out)
+
+
+def _profile_gf2(f: Flag, g: Flag) -> tuple[int, ...]:
+    """The profile sweep over GF(2) rows packed as ints: XOR elimination,
+    each pivot row stored under its bit_length."""
+    pivots = [0] * (f.n + 1)
+    fp, gp = f._packed, g._packed
+    rank = prev = 0
+    out = []
+    for t in f.type.dims:
+        for k in range(prev, t):
+            for x in (fp[k], gp[k]):
+                while x:
+                    b = x.bit_length()
+                    p = pivots[b]
+                    if not p:
+                        pivots[b] = x
+                        rank += 1
+                        break
+                    x ^= p
+        out.append(rank - t)
+        prev = t
+    return tuple(out)
+
+
+def _profile_gf3(f: Flag, g: Flag) -> tuple[int, ...]:
+    """The profile sweep over GF(3) rows bitsliced into (ones, twos)
+    planes.  Negation swaps the planes; x + y and x - y are each three
+    ORs and three XORs (Kawahara, Aoki & Takagi, 2008).  Pivot rows are
+    stored with leading entry 1 under the bit_length of ones | twos."""
+    pivots: list[tuple[int, int] | None] = [None] * (f.n + 1)
+    fp, gp = f._packed, g._packed
+    rank = prev = 0
+    out = []
+    for t in f.type.dims:
+        for k in range(prev, t):
+            for lo, hi in (fp[k], gp[k]):
+                while lo | hi:
+                    b = (lo | hi).bit_length()
+                    p = pivots[b]
+                    lead_one = lo >> (b - 1)
+                    if p is None:
+                        pivots[b] = (lo, hi) if lead_one else (hi, lo)
+                        rank += 1
+                        break
+                    plo, phi = p
+                    if lead_one:        # x - p
+                        s = (lo | plo) ^ (hi | phi)
+                        lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+                    else:               # x + p
+                        s = (lo | phi) ^ (hi | plo)
+                        lo, hi = (hi | phi) ^ s, (lo | plo) ^ s
+        out.append(rank - t)
         prev = t
     return tuple(out)
 
@@ -257,12 +339,22 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
 
 
 def projected_distance(c: FlagCode, i: int) -> int:
-    """Minimum injection distance of C_i; 0 if C_i is a singleton."""
+    """Minimum injection distance of C_i; 0 if C_i is a singleton.
+
+    Computed directly from the canonical bases on the list kernel: each U
+    is seeded once from its stored RREF and every later V is reduced
+    against it, so this never shares code with the profile sweeps.
+    """
     subs = projected_code(c, i)
     if len(subs) < 2:
         return 0
-    return min(injection_distance(u, v)
-               for a, u in enumerate(subs) for v in subs[a + 1:])
+    best = c.n
+    for a, u in enumerate(subs[:-1]):
+        seeded = RowSpace.from_rref(c.q, c.n, u.basis)
+        for v in subs[a + 1:]:
+            # d_I = max(dim) - dim(U ∩ V) = dim(U + V) - min(dim)
+            best = min(best, _seeded_dim_sum(seeded, v) - min(u.dim, v.dim))
+    return best
 
 
 # ---------------------------------------------------------------------------

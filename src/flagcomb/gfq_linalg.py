@@ -18,15 +18,43 @@ from .errors import AmbientMismatch, ColumnCountMismatch
 Row = tuple[int, ...]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below psi_13, the least number that is a strong pseudoprime to all of them
+# (Sorenson & Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(q: int) -> bool:
-    """Primality by trial division (q is tiny in this library)."""
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for q < MR_EXACT_BELOW (about 3.3e24); a larger q raises
+    ValueError, since the test would no longer be a proof.
+    """
     if q < 2:
         return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
+    for p in _MR_BASES:
+        if q % p == 0:
+            return q == p
+    if q < 43 * 43:
+        return True
+    if q >= MR_EXACT_BELOW:
+        raise ValueError(f"q = {q} is too large: primality is decided "
+                         f"only below {MR_EXACT_BELOW}")
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -85,8 +113,10 @@ class MatGFq:
 # avoid object overhead.
 # ---------------------------------------------------------------------------
 
-def _reduce_row(row: list[int], pivots: list[tuple[int, Row]], q: int) -> list[int]:
-    """Reduce *row* against the pivot rows (pivot col, row) in place."""
+def _reduce_row(row: Sequence[int], pivots: list[tuple[int, Row]],
+                q: int) -> Sequence[int]:
+    """*row* reduced against the pivot rows (pivot col, row); the input is
+    returned as it is when no pivot column of it is nonzero."""
     for col, prow in pivots:
         c = row[col]
         if c:
@@ -104,6 +134,28 @@ class RowSpace:
         self.n = n
         # list of (pivot column, row tuple), sorted by pivot column
         self.pivots: list[tuple[int, Row]] = []
+
+    @classmethod
+    def from_rref(cls, q: int, n: int, basis: Sequence[Row]) -> "RowSpace":
+        """A RowSpace seeded from a basis that is already canonical RREF.
+
+        Only checks the form, with no elimination: every row has n entries
+        and a leading 1, the pivots strictly increase, and each pivot
+        column is zero in every other row.  Raises ValueError otherwise.
+        """
+        space = cls(q, n)
+        prev = -1
+        for row in basis:
+            col = row.index(1) if len(row) == n and 1 in row else -1
+            if col <= prev or any(row[:col]):
+                raise ValueError(f"basis is not in canonical RREF: {basis}")
+            space.pivots.append((col, tuple(row)))
+            prev = col
+        columns = list(zip(*basis))
+        for col, _ in space.pivots:
+            if columns[col].count(0) != len(basis) - 1:
+                raise ValueError(f"basis is not in canonical RREF: {basis}")
+        return space
 
     def add(self, row: Sequence[int]) -> bool:
         """Add a row; return True iff the rank grew."""
@@ -198,15 +250,21 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
 
 
-def dim_sum(u: Subspace, v: Subspace) -> int:
-    """dim(U + V), as the rank of the stacked bases."""
-    _check_compatible(u, v)
-    space = RowSpace(u.q, u.ambient_n)
-    for row in u.basis:
-        space.add(row)
+def _seeded_dim_sum(space: RowSpace, v: Subspace) -> int:
+    """dim(U + V) for U seeded in *space*: dim U plus the rank of V's rows
+    reduced against U's pivots.  The residuals are zero at every pivot
+    column of U, so their span meets U only in 0."""
+    q = space.q
+    residuals = RowSpace(q, space.n)
     for row in v.basis:
-        space.add(row)
-    return space.rank
+        residuals.add(_reduce_row(row, space.pivots, q))
+    return space.rank + residuals.rank
+
+
+def dim_sum(u: Subspace, v: Subspace) -> int:
+    """dim(U + V), reducing V's basis against U's stored RREF."""
+    _check_compatible(u, v)
+    return _seeded_dim_sum(RowSpace.from_rref(u.q, u.ambient_n, u.basis), v)
 
 
 def dim_intersection(u: Subspace, v: Subspace) -> int:

@@ -194,3 +194,40 @@ def test_cli_force_overrides_cap(tmp_path, monkeypatch, capsys):
     assert main(["paths", "6", "--force"]) == 0
     captured = capsys.readouterr()
     assert "warning" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "2305843009213693951 2 full\n",                 # q = 2^61 - 1, prime
+    f"{2 ** 89 - 1} 2 full\n\n1 0\n0 1\n",          # q past the exact range
+    "2 100000000 full\n",                           # huge n, no rows
+    "2 100000000 full\n\n1 0\n0 1\n",               # huge n, short rows
+    '{"q": 2, "n": 100000000, "flags": [[[1, 0], [0, 1]]]}',
+])
+def test_cli_header_bounded_before_allocation(tmp_path, capsys, text):
+    """q and n are checked against the rows before any allocation or
+    primality search that grows with them."""
+    assert main(["analyze", _code_file(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    "[1]",
+    '"max_n_combinatorics"',
+    '{"max_n_combinatorix": 3}',
+    '{"max_n_combinatorics": -5}',
+    '{"max_n_combinatorics": "7"}',
+    '{"max_n_combinatorics": 7.5}',
+    '{"max_n_flag_exhaustive": true}',
+    '{"max_n_combinatorics": null}',
+    "{not json",
+])
+def test_cli_bad_config_exits_1(tmp_path, monkeypatch, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    monkeypatch.setenv(ENV_VAR, str(cfg))
+    with pytest.raises(ValueError):
+        load_config()
+    assert main(["paths", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,15 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flagcomb.flags as flags_module
 from flagcomb import (FlagCode, TypeVector, codistance, flag_distance,
                       flag_from_matrix, injection_distance, max_distance,
                       min_distance, projected_code, projected_distance,
                       projection)
-from flagcomb.errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
-                             TypeMismatch)
-from flagcomb.flags import (pair_distance_profile, random_full_flag,
+from flagcomb.durfee_analysis import analyze
+from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
+                             RankDeficient, TypeMismatch)
+from flagcomb.flags import (_profile_gf2, _profile_gf3, _profile_rows,
+                            pair_distance_profile, random_full_flag,
                             random_full_flag_code, random_invertible_matrix)
+from flagcomb.gfq_linalg import RowSpace
 
 from conftest import reversed_flag, standard_flag
 
@@ -147,3 +153,86 @@ def test_random_generators(rng):
     assert rref(m)[1] == 5
     c = random_full_flag_code(2, 4, 5, rng)
     assert len(c) == 5 and c.is_full
+
+
+# ---------------------------------------------------------------------------
+# Packed profile sweeps against the list kernel, and the kernels' independence
+# ---------------------------------------------------------------------------
+
+def _completion(q, n, prefix, rng):
+    """An invertible generator whose first rows are *prefix*."""
+    space = RowSpace(q, n)
+    rows = [tuple(r) for r in prefix]
+    for r in rows:
+        assert space.add(r)
+    while len(rows) < n:
+        row = tuple(rng.randrange(q) for _ in range(n))
+        if space.add(row):
+            rows.append(row)
+    return rows
+
+
+@st.composite
+def _flag_pairs(draw):
+    """A pair of flags of one random type, from one of four families."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    dims = draw(st.lists(st.integers(1, n - 1), min_size=1, unique=True))
+    kind = draw(st.sampled_from(("random", "permutation", "shared", "scaled")))
+    f_rows = _completion(q, n, [], rng)
+    if kind == "random":
+        g_rows = _completion(q, n, [], rng)
+    elif kind == "permutation":
+        perms = [draw(st.permutations(range(n))) for _ in range(2)]
+        f_rows, g_rows = ([tuple(int(c == p) for c in range(n)) for p in perm]
+                          for perm in perms)
+    elif kind == "shared":
+        g_rows = _completion(q, n, f_rows[:draw(st.integers(0, n))], rng)
+    else:  # rows scaled by q - 1; from f itself, g is the same flag as f
+        source = f_rows if draw(st.booleans()) else _completion(q, n, [], rng)
+        g_rows = [tuple((q - 1) * e % q for e in r) for r in source]
+    tv = TypeVector(n, tuple(sorted(dims)))
+    return (flag_from_matrix(q, n, tv, f_rows),
+            flag_from_matrix(q, n, tv, g_rows))
+
+
+@given(_flag_pairs())
+@settings(max_examples=300, deadline=None)
+def test_packed_sweep_equals_list_kernel(pair):
+    f, g = pair
+    packed = _profile_gf2 if f.q == 2 else _profile_gf3
+    reference = _profile_rows(f, g)
+    assert packed(f, g) == reference
+    assert packed(g, f) == reference
+    assert pair_distance_profile(f, g) == reference
+
+
+def _raise(*_args):
+    raise AssertionError("the direct side called a packed sweep")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_direct_side_never_calls_packed_sweep(monkeypatch, q):
+    code = random_full_flag_code(q, 7, 5, random.Random(q))
+    gens = [fl.generator for fl in code]
+    expected = [(projected_code(code, i), projected_distance(code, i))
+                for i in range(1, 7)]
+    monkeypatch.setattr(flags_module, "_profile_gf2", _raise)
+    monkeypatch.setattr(flags_module, "_profile_gf3", _raise)
+    rebuilt = FlagCode(flag_from_matrix(q, 7, TypeVector.full(7), m)
+                       for m in gens)
+    assert [(projected_code(rebuilt, i), projected_distance(rebuilt, i))
+            for i in range(1, 7)] == expected
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_wrong_packed_profile_is_caught(monkeypatch, q):
+    """Every pair reported at the maximal distance D^n: the theorem-derived
+    projected parameters then disagree with the direct ones."""
+    code = random_full_flag_code(q, 6, 4, random.Random(5))
+    maximal = tuple(min(i, 6 - i) for i in range(1, 6))
+    monkeypatch.setattr(flags_module, f"_profile_gf{q}",
+                        lambda f, g: maximal)
+    with pytest.raises(ConsistencyError):
+        analyze(FlagCode(code.flags))

@@ -9,7 +9,7 @@ from flagcomb import (MatGFq, PrimeField, Subspace, dim_intersection, dim_sum,
                       grassmannian, injection_distance, rref,
                       subspace_distance, subspace_from_rows)
 from flagcomb.errors import AmbientMismatch, ColumnCountMismatch
-from flagcomb.gfq_linalg import RowSpace, is_prime, rref_rows
+from flagcomb.gfq_linalg import MR_EXACT_BELOW, RowSpace, is_prime, rref_rows
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +197,67 @@ def test_subspace_distance_doubles_injection_at_equal_dims():
     subs = list(grassmannian(3, 4, 2))
     for u, v in itertools.combinations(subs, 2):
         assert subspace_distance(u, v) == 2 * injection_distance(u, v)
+
+
+# ---------------------------------------------------------------------------
+# Primality, seeded row spaces and the residual dim_sum
+# ---------------------------------------------------------------------------
+
+def _trial_division_is_prime(q):
+    return q >= 2 and all(q % d for d in range(2, int(q ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for q in range(-3, 5000):
+        assert is_prime(q) == _trial_division_is_prime(q), q
+
+
+@pytest.mark.parametrize("q,expected", [
+    (2 ** 61 - 1, True),                      # Mersenne prime
+    (2 ** 31 - 1, True),
+    (561, False),                             # Carmichael number
+    (3215031751, False),                      # strong pseudoprime to 2..7
+    (318665857834031151167461, False),        # ... to the first 12 primes
+])
+def test_is_prime_large_values(q, expected):
+    assert is_prime(q) is expected
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    with pytest.raises(ValueError):
+        is_prime(MR_EXACT_BELOW)
+    with pytest.raises(ValueError):
+        is_prime(2 ** 89 - 1)
+
+
+def test_rowspace_from_rref_matches_incremental_build():
+    for s in grassmannian(3, 4, 2):
+        seeded = RowSpace.from_rref(3, 4, s.basis)
+        assert seeded.basis() == s.basis and seeded.rank == 2
+    assert RowSpace.from_rref(2, 3, ()).rank == 0
+
+
+@pytest.mark.parametrize("basis", [
+    ((0, 1, 0), (1, 0, 0)),      # pivots not increasing
+    ((2, 0, 0),),                # leading entry not 1
+    ((1, 1, 0), (0, 1, 0)),      # pivot column not cleared above
+    ((1, 0, 0), (1, 1, 0)),      # pivot column not cleared below
+    ((0, 0, 0),),                # zero row
+    ((1, 0),),                   # wrong width
+    ((0, 2, 1), (0, 0, 1)),      # nonzero entry before the leading 1
+])
+def test_rowspace_from_rref_rejects_non_canonical(basis):
+    with pytest.raises(ValueError):
+        RowSpace.from_rref(3, 3, basis)
+
+
+def _stacked_rank(u, v):
+    """dim(U + V) by eliminating every row of both bases from scratch."""
+    return rref_rows(u.basis + v.basis, u.q)[1]
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+def test_dim_sum_residuals_equal_stacked_rank(q, n):
+    subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
+    for u, v in itertools.product(subs, repeat=2):
+        assert dim_sum(u, v) == _stacked_rank(u, v)
