@@ -12,6 +12,7 @@ warning.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,14 +84,42 @@ def ferrers_subdiagrams_of_code(c: FlagCode) -> frozenset[EmbeddedPartition]:
     return _subdiagrams(paths_of_code(c))
 
 
-def _durfee_sets(subdiagrams: frozenset[EmbeddedPartition],
+def _rect_sizes(p: EmbeddedPartition) -> tuple[int, ...]:
+    """The rectangle size of p at every dimension i = 1..n-1, in one pass.
+
+    With k = 2i - n it is the largest t with t - λ_t <= k for i <= n/2 (as
+    durfee_rectangle(p, -k) reads it) and max(0, T - k) for the largest such
+    T above n/2 (as durfee_rectangle_transposed(p, k) reads it).  t - λ_t
+    strictly increases with t, so the largest such t is a count: a bisection.
+    """
+    n = p.n
+    offsets = [t - lam for t, lam in enumerate(p.parts, start=1)]
+    return tuple(bisect_right(offsets, k) if k <= 0
+                 else max(0, bisect_right(offsets, k) - k)
+                 for k in range(2 - n, n - 1, 2))
+
+
+def _rect_table(subdiagrams: frozenset[EmbeddedPartition]
+                ) -> dict[int, tuple[int, ...]]:
+    """Dimension i -> the distinct rectangle sizes over F(C), descending.
+
+    Row counts of (n-2i)-rectangles for i <= n/2; column counts of
+    transposed (2i-n)-rectangles for higher dimensions.  Empty for an
+    empty F(C).
+    """
+    vectors = {_rect_sizes(p) for p in subdiagrams}
+    return {i: tuple(sorted(set(sizes), reverse=True))
+            for i, sizes in enumerate(zip(*vectors), start=1)}
+
+
+def _durfee_sets(table: dict[int, tuple[int, ...]],
                  n: int) -> dict[int, tuple[int, ...]]:
-    """D_k, k ascending, from F(C): the rectangle sizes at i = (n - k)/2."""
-    if not subdiagrams:
+    """D_k, k ascending, from the rectangle table: the sizes at i = (n - k)/2."""
+    if not table:
         return {}
     out = {}
     for i in range(n // 2, 0, -1):
-        rows = _rect_values_at_dimension(subdiagrams, n, i)
+        rows = table[i]
         if rows[0] > i:
             raise ConsistencyError(f"rectangle with {rows[0]} rows exceeds "
                                    f"the bound for k={n - 2 * i}")
@@ -104,7 +133,7 @@ def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
     Values are the distinct rectangle row counts, sorted descending.  A
     singleton code has no flag pairs and yields an empty map.
     """
-    return _durfee_sets(ferrers_subdiagrams_of_code(c), c.n)
+    return _durfee_sets(_rect_table(ferrers_subdiagrams_of_code(c)), c.n)
 
 
 def check_separability(dbar: int, n: int, i: int) -> bool:
@@ -115,20 +144,6 @@ def check_separability(dbar: int, n: int, i: int) -> bool:
     if not 1 <= i <= n // 2:
         raise IndexOutOfRange(f"i={i} not in [1, {n // 2}]")
     return dbar < (i * (n - i) + 1) // 2
-
-
-def _rect_values_at_dimension(subdiagrams: frozenset[EmbeddedPartition],
-                              n: int, i: int) -> tuple[int, ...]:
-    """Distinct rectangle sizes relevant to dimension i, sorted descending.
-
-    Row counts of (n-2i)-rectangles for i <= n/2; column counts of
-    transposed (2i-n)-rectangles for higher dimensions.
-    """
-    if i <= n // 2:
-        vals = {durfee_rectangle(p, n - 2 * i).rows for p in subdiagrams}
-    else:
-        vals = {durfee_rectangle_transposed(p, 2 * i - n) for p in subdiagrams}
-    return tuple(sorted(vals, reverse=True))
 
 
 def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
@@ -148,7 +163,7 @@ def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
     n = c.n
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
-    vals = _rect_values_at_dimension(ferrers_subdiagrams_of_code(c), n, i)
+    vals = _rect_table(ferrers_subdiagrams_of_code(c))[i]
     direct = (len(projected_code(c, i)), projected_distance(c, i))
     return _checked_projected(vals, n, i, len(c), direct)
 
@@ -275,13 +290,12 @@ def analyze(c: FlagCode) -> CodeAnalysis:
 
     gamma = paths_of_code(c)
     subdiagrams = _subdiagrams(gamma)
-    durfee = _durfee_sets(subdiagrams, n)
+    table = _rect_table(subdiagrams)
+    durfee = _durfee_sets(table, n)
 
     derived = {}
     for i in range(1, n):
-        vals = (durfee[n - 2 * i] if 2 * i <= n
-                else _rect_values_at_dimension(subdiagrams, n, i))
-        derived[i] = _checked_projected(vals, n, i, size, projected[i])
+        derived[i] = _checked_projected(table[i], n, i, size, projected[i])
 
     separability = {}
     for i in range(1, n // 2 + 1):

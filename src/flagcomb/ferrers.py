@@ -247,32 +247,35 @@ def staircase_class(p: DistancePath) -> list[StaircasePath]:
     Between consecutive path vertices the intermediate red dot is forced,
     except on positive-height plateaus where the staircase may turn
     right-down or down-right — hence exactly 2^(positive plateaus) members.
-    """
-    n = p.n
-    blacks = [(i + p.deltas[i] - n, n + p.deltas[i] - i) for i in range(n + 1)]
-    step_options: list[list[tuple[int, int]]] = []
-    for (u, v), (u2, v2) in zip(blacks, blacks[1:]):
-        if v2 == v:                      # ascent: δ grows
-            step_options.append([(u + 1, v)])
-        elif v2 == v - 2:                # descent: δ drops
-            step_options.append([(u, v - 1)])
-        elif (u + v) == 0:               # plateau at height 0: forced
-            step_options.append([(u + 1, v)])
-        else:                            # positive plateau: two resolutions
-            step_options.append([(u + 1, v), (u, v - 1)])
 
-    out = []
-    for reds in product(*step_options):
-        dots = sorted(set(blacks) | set(reds), key=lambda d: (-d[1], d[0]))
-        max_u = {}
-        for u, v in dots:
-            max_u[v] = max(max_u.get(v, u), u)
-        profile = []
-        for i in range(1, n):
-            v = n + 1 - i
-            profile.append(min(-max_u[v], v - 1))
-        out.append(StaircasePath(n, tuple(profile)))
-    return out
+    Row i of a profile is min(-u, v - 1) for the rightmost dot u at height
+    v = n + 1 - i.  A red dot (u, v) or (u, v - 1) after the black dot (u, v)
+    sets a rightmost dot only on a descent (the black dot next is (u, v - 2))
+    and on a positive plateau's right-down turn: after an ascent the next
+    black dot (u + 2, v) is further right, after a down-right turn the next
+    black dot (u + 1, v - 1) is, and on a plateau with δ = 0 the bound
+    v - 1 = -(u + 1) hides the turn.  So one base profile comes from the black dots and the
+    descents, and each positive plateau only offers its own row the value
+    -(u + 1).  Distinct plateaus sit at distinct heights, so the class is
+    the product of the rows' options, right-down first.
+    """
+    n, d = p.n, p.deltas
+    # the dots come right and down, so the last one at a height is rightmost
+    top: dict[int, int] = {}            # height v -> rightmost dot u
+    turns: list[tuple[int, int]] = []   # right-down dots of positive plateaus
+    for i in range(n + 1):
+        u, v = i + d[i] - n, n + d[i] - i
+        top[v] = u
+        if i == n:
+            break
+        if d[i + 1] < d[i]:              # descent: forced down-right
+            top[v - 1] = u
+        elif d[i + 1] == d[i] > 0:       # positive plateau: two resolutions
+            turns.append((u + 1, v))
+    rows = [(min(-top[n + 1 - i], n - i),) for i in range(1, n)]
+    for u, v in turns:
+        rows[n - v] = (-u,) + rows[n - v]
+    return [StaircasePath(n, profile) for profile in product(*rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
@@ -379,7 +380,15 @@ def random_full_flag(q: int, n: int, rng: random.Random) -> Flag:
 
 def random_full_flag_code(q: int, n: int, size: int,
                           rng: random.Random) -> FlagCode:
-    """A full flag code with exactly *size* distinct flags."""
+    """A full flag code with exactly *size* distinct flags.
+
+    F_q^n has prod_{i=1}^{n} (q^i - 1)/(q - 1) full flags; a larger *size*
+    raises ValueError.
+    """
+    available = prod((q ** i - 1) // (q - 1) for i in range(1, n + 1))
+    if size > available:
+        raise ValueError(f"F_{q}^{n} has {available} full flags, "
+                         f"not {size}")
     unique: dict[Flag, None] = {}
     while len(unique) < size:
         unique.setdefault(random_full_flag(q, n, rng))

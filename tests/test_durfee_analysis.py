@@ -9,7 +9,8 @@ from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, TypeVector,
                       flag_from_matrix, is_optimum_distance, max_distance,
                       min_distance, paths_of_code, projected_code,
                       projected_distance, rectangle_to_projected,
-                      splitting_value)
+                      enumerate_paths, partition_of_staircase,
+                      splitting_value, staircase_class)
 from flagcomb.durfee_analysis import durfee_rectangle_transposed
 from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              OffsetOutOfRange, RectangleOutsideFrame,
@@ -182,6 +183,43 @@ def test_derived_matches_direct_when_separable(rng):
                 for j in range(i, n - i + 1):
                     assert len(projected_code(c, j)) == len(c)
     assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# The one-pass rectangle sizes against the reference kernels
+# ---------------------------------------------------------------------------
+
+def _reference_sizes(p):
+    n = p.n
+    return tuple(durfee_rectangle(p, n - 2 * i).rows if 2 * i <= n
+                 else durfee_rectangle_transposed(p, 2 * i - n)
+                 for i in range(1, n))
+
+
+def test_rect_sizes_match_reference_kernels():
+    for n in range(2, 11):
+        for p in enumerate_embedded_partitions(n):
+            assert durfee_analysis._rect_sizes(p) == _reference_sizes(p)
+
+
+def test_rect_table_sorts_distinct_sizes_per_dimension():
+    parts = [EmbeddedPartition(6, ()), EmbeddedPartition(6, (3, 2)),
+             EmbeddedPartition(6, (5, 4, 3, 2, 1)), EmbeddedPartition(6, (1,))]
+    table = durfee_analysis._rect_table(frozenset(parts))
+    for i in range(1, 6):
+        assert table[i] == tuple(sorted({_reference_sizes(p)[i - 1]
+                                         for p in parts}, reverse=True))
+    assert durfee_analysis._rect_table(frozenset()) == {}
+
+
+def test_staircase_class_rectangle_law():
+    """Every staircase of Σ(Γ) has rectangle size min(i, n-i) - δ_i at every
+    dimension i: the law a derivation of D_k(C) from the paths rests on."""
+    for n in range(2, 11):
+        for p in enumerate_paths(n):
+            law = tuple(min(i, n - i) - p.deltas[i] for i in range(1, n))
+            for s in staircase_class(p):
+                assert _reference_sizes(partition_of_staircase(s)) == law
 
 
 # ---------------------------------------------------------------------------

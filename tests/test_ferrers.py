@@ -204,6 +204,40 @@ def test_staircase_class_sizes():
         assert total == catalan(n)
 
 
+def _staircase_class_by_dots(p):
+    """Σ(Γ) built member by member: add one red dot per step of the path,
+    sort the dots and read each row off the rightmost dot at its height."""
+    n = p.n
+    blacks = [(i + p.deltas[i] - n, n + p.deltas[i] - i) for i in range(n + 1)]
+    step_options = []
+    for (u, v), (u2, v2) in zip(blacks, blacks[1:]):
+        if v2 == v:                      # ascent
+            step_options.append([(u + 1, v)])
+        elif v2 == v - 2:                # descent
+            step_options.append([(u, v - 1)])
+        elif u + v == 0:                 # plateau at height 0
+            step_options.append([(u + 1, v)])
+        else:                            # positive plateau
+            step_options.append([(u + 1, v), (u, v - 1)])
+    out = []
+    for reds in itertools.product(*step_options):
+        dots = sorted(set(blacks) | set(reds), key=lambda d: (-d[1], d[0]))
+        max_u = {}
+        for u, v in dots:
+            max_u[v] = max(max_u.get(v, u), u)
+        out.append(tuple(min(-max_u[n + 1 - i], n - i) for i in range(1, n)))
+    return out
+
+
+def test_staircase_class_matches_dot_construction():
+    """The plateau-row product gives the same members in the same order."""
+    for n in range(2, 11):
+        for p in enumerate_paths(n):
+            cls = staircase_class(p)
+            assert all(isinstance(s, StaircasePath) for s in cls)
+            assert [s.profile for s in cls] == _staircase_class_by_dots(p)
+
+
 # ---------------------------------------------------------------------------
 # Distance-equivalence
 # ---------------------------------------------------------------------------

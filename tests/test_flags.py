@@ -155,6 +155,16 @@ def test_random_generators(rng):
     assert len(c) == 5 and c.is_full
 
 
+@pytest.mark.parametrize("q, n, available", [(2, 2, 3), (2, 3, 21), (3, 2, 4)])
+def test_random_code_size_is_bounded_by_the_full_flags(rng, q, n, available):
+    """F_q^n has prod (q^i - 1)/(q - 1) full flags: asking for all of them
+    returns them all, asking for one more raises instead of spinning."""
+    c = random_full_flag_code(q, n, available, rng)
+    assert len(set(c)) == available
+    with pytest.raises(ValueError, match=f"has {available} full flags"):
+        random_full_flag_code(q, n, available + 1, rng)
+
+
 # ---------------------------------------------------------------------------
 # Packed profile sweeps against the list kernel, and the kernels' independence
 # ---------------------------------------------------------------------------
