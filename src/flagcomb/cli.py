@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import config
@@ -17,14 +18,13 @@ from .codefile import parse_code, serialize_code, serialize_code_json
 from .durfee_analysis import analyze
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
-from .ferrers import (enumerate_embedded_partitions, splitting_value,
+from .ferrers import (bijection_table, enumerate_embedded_partitions,
                       underlying_distribution)
 from .flags import max_distance, min_distance, projected_code, \
     projected_distance
 from .render import RenderSpec, render
-from .support_paths import (DistancePath, enumerate_paths, path_codistance,
-                            path_distance, path_from_flag_pair, pick_area,
-                            realize_path)
+from .support_paths import (DistancePath, enumerate_paths, path_distance,
+                            path_from_flag_pair, pick_area, realize_path)
 from .verify import run_verification
 
 
@@ -54,7 +54,11 @@ def _cap(n: int, cap: int, force: bool, what: str) -> int:
 
 def cmd_analyze(args) -> int:
     with open(args.codefile, "r", encoding="utf-8") as fh:
-        code = parse_code(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"code file is not UTF-8: {exc}") from exc
+    code = parse_code(text)
     if code.is_full:
         report = analyze(code)
         if args.json:
@@ -103,9 +107,8 @@ def cmd_paths(args) -> int:
     cfg = config.load_config()
     cap = _cap(args.n, cfg.max_n_combinatorics, args.force, "path enumeration")
     paths = enumerate_paths(args.n, args.distance, max_n=cap)
-    by_d: dict[int, int] = {}
-    for p in paths:
-        by_d[path_distance(p)] = by_d.get(path_distance(p), 0) + 1
+    distances = [path_distance(p) for p in paths]
+    by_d = Counter(distances)
     print(f"distance paths on S({args.n})"
           + (f" with d={args.distance}" if args.distance is not None else ""))
     print("d  count")
@@ -113,9 +116,8 @@ def cmd_paths(args) -> int:
         print(f"{d:<2} {by_d[d]}")
     if args.list:
         print("deltas  d  area")
-        for p in paths:
-            print(f"{','.join(map(str, p.deltas))}  {path_distance(p)}  "
-                  f"{pick_area(p)}")
+        for p, d in zip(paths, distances):
+            print(f"{','.join(map(str, p.deltas))}  {d}  {pick_area(p)}")
     print(f"total {len(paths)}")
     return 0
 
@@ -124,21 +126,14 @@ def cmd_bijection(args) -> int:
     cfg = config.load_config()
     _cap(args.n, min(cfg.max_n_combinatorics, 12), args.force, "bijection table")
     n = args.n
-    dn = max_distance(n)
-    splittings: dict[int, set] = {u: set() for u in range(dn + 1)}
-    for part in enumerate_embedded_partitions(n, max_n=n):
-        u = splitting_value(part)
-        splittings[u].add(underlying_distribution(part).stripped)
-    mismatch = False
-    print(f"n={n}: paths of distance d vs splittings of codistance {dn}-d")
+    table = bijection_table(n, max_n=n)
+    print(f"n={n}: paths of distance d vs splittings of codistance "
+          f"{max_distance(n)}-d")
     print("d   #paths  #splittings  match")
-    for d in range(dn + 1):
-        n_paths = len(enumerate_paths(n, d, max_n=n))
-        n_split = len(splittings[dn - d])
+    for d, n_paths, n_split in table:
         tag = "yes" if n_paths == n_split else "NO"
-        mismatch |= n_paths != n_split
         print(f"{d:<3} {n_paths:<7} {n_split:<12} {tag}")
-    if mismatch:
+    if any(n_paths != n_split for _, n_paths, n_split in table):
         raise ConsistencyError("bijection table mismatch")
     return 0
 
@@ -198,7 +193,7 @@ def cmd_partitions(args) -> int:
         for p in parts:
             dist = underlying_distribution(p)
             label = ",".join(map(str, p.parts)) if p.parts else "null"
-            print(f"({label})  u={splitting_value(p)}  "
+            print(f"({label})  u={sum(dist.counts)}  "
                   f"U=({','.join(map(str, dist.counts))})")
     print(f"total {len(parts)}")
     return 0
@@ -290,3 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -15,6 +15,7 @@ u = -v and u = -v + 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -24,7 +25,7 @@ from .errors import (CellOutsideFrame, ConsistencyError,
                      EnumerationLimitExceeded, FrameMismatch, NotAPartition,
                      NotEmbedded)
 from .flags import max_distance
-from .support_paths import DistancePath, path_codistance
+from .support_paths import DistancePath, enumerate_paths, path_distance
 
 BLACK = "black"
 RED = "red"
@@ -288,21 +289,11 @@ def _criterion_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
         lam, mu = mu, lam
     m, mm = len(lam), len(mu)
     n = a.n
-    if mm == m:
-        pass
-    elif mm == m + 1 and (m + n) % 2 == 1 and mu[-1] == 1:
-        pass
-    else:
+    if not (mm == m or (mm == m + 1 and (m + n) % 2 == 1 and mu[-1] == 1)):
         return False
-    for i in range(1, m + 1):
-        x, y = lam[i - 1], mu[i - 1]
-        if (n + i) % 2 == 1:
-            if (x + 1) // 2 != (y + 1) // 2:
-                return False
-        else:
-            if x // 2 != y // 2:
-                return False
-    return True
+    # row by row, the same number of black cells
+    return all(_row_black_count(n, i, x) == _row_black_count(n, i, y)
+               for i, (x, y) in enumerate(zip(lam, mu), start=1))
 
 
 def distance_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
@@ -326,26 +317,40 @@ def distance_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
 def enumerate_embedded_partitions(
         n: int, splitting_filter: Optional[int] = None, *,
         max_n: Optional[int] = None) -> list[EmbeddedPartition]:
-    """All embedded partitions of FF(n) (null included), lexicographic."""
+    """All embedded partitions of FF(n) (null included), lexicographic;
+    with splitting_filter=u, only those of splitting value u."""
     if max_n is None:
         max_n = config.load_config().max_n_combinatorics
     if n > max_n:
         raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
     out: list[EmbeddedPartition] = []
 
-    def gen(prefix: list[int], bound: int, row: int) -> None:
+    def gen(prefix: list[int], bound: int, row: int, value: int) -> None:
         p = EmbeddedPartition(n, tuple(prefix))
-        if splitting_filter is None or splitting_value(p) == splitting_filter:
+        if splitting_filter is None or value == splitting_filter:
             out.append(p)
         if row > n - 1:
             return
         for v in range(1, min(bound, n - row) + 1):
             prefix.append(v)
-            gen(prefix, v, row + 1)
+            gen(prefix, v, row + 1, value + _row_black_count(n, row, v))
             prefix.pop()
 
-    gen([], n - 1, 1)
+    gen([], n - 1, 1, 0)
     return out
+
+
+def splittings_by_value(n: int, *, max_n: Optional[int] = None
+                        ) -> dict[int, frozenset[UnderlyingDistribution]]:
+    """The distinct splittings of FF(n) by value u, in one pass: each is
+    the distribution of the first partition that has it, trailing zeros
+    included."""
+    groups: dict[int, dict[tuple[int, ...], UnderlyingDistribution]] = {
+        u: {} for u in range(max_distance(n) + 1)}
+    for p in enumerate_embedded_partitions(n, max_n=max_n):
+        dist = underlying_distribution(p)
+        groups[sum(dist.counts)].setdefault(dist.stripped, dist)
+    return {u: frozenset(g.values()) for u, g in groups.items()}
 
 
 def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution]:
@@ -356,6 +361,18 @@ def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution
     """
     if not 0 <= u <= max_distance(n):
         raise ValueError(f"u={u} not in [0, {max_distance(n)}]")
-    return frozenset(underlying_distribution(p)
-                     for p in enumerate_embedded_partitions(n)
-                     if splitting_value(p) == u)
+    return splittings_by_value(n)[u]
+
+
+def bijection_table(n: int, *, max_n: Optional[int] = None
+                    ) -> list[tuple[int, int, int]]:
+    """(d, #paths of distance d, #splittings of D^n - d) for d in [0, D^n].
+
+    The two counts come from independent enumerations, the distance paths
+    on S(n) and the embedded partitions of FF(n); the paper's bijection
+    says that they agree row by row.
+    """
+    dn = max_distance(n)
+    splittings = splittings_by_value(n, max_n=max_n)
+    paths = Counter(path_distance(p) for p in enumerate_paths(n, max_n=max_n))
+    return [(d, paths[d], len(splittings[dn - d])) for d in range(dn + 1)]

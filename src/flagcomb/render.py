@@ -8,7 +8,7 @@ ASCII legend: 'x' crossed (zero-distance) point, 'o' black circle point,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidSpec
 from .ferrers import BLACK, EmbeddedPartition, cell_color, staircase_of_partition
@@ -31,15 +31,11 @@ class RenderSpec:
 # ASCII targets
 # ---------------------------------------------------------------------------
 
-def _support_char(n: int, i: int, delta: int) -> str:
-    return "x" if delta == 0 else "o"
-
-
 def ascii_support(n: int) -> str:
     lines = []
     for delta in range(n // 2, -1, -1):
-        row = [(_support_char(n, i, delta) if delta <= min(i, n - i) else " ")
-               for i in range(n + 1)]
+        mark = "x" if delta == 0 else "o"
+        row = [mark if delta <= min(i, n - i) else " " for i in range(n + 1)]
         lines.append(" ".join(row).rstrip())
     return "\n".join(lines)
 
@@ -65,15 +61,15 @@ def ascii_enriched(n: int) -> str:
     return "\n".join(lines)
 
 
+def _frame_row(n: int, i: int) -> str:
+    """Row i of FF(n), left to right: 'o' black, '*' red (j counts from
+    the right)."""
+    return "".join("o" if cell_color(n, i, j) == BLACK else "*"
+                   for j in range(n - i, 0, -1))
+
+
 def ascii_frame(n: int) -> str:
-    lines = []
-    for i in range(1, n):
-        cells = []
-        for left in range(1, n - i + 1):
-            j = (n - i) - left + 1  # position counted from the right
-            cells.append("o" if cell_color(n, i, j) == BLACK else "*")
-        lines.append(" " * (i - 1) + "".join(cells))
-    return "\n".join(lines)
+    return "\n".join(" " * (i - 1) + _frame_row(n, i) for i in range(1, n))
 
 
 def ascii_path(p: DistancePath) -> str:
@@ -99,14 +95,9 @@ def ascii_staircase(part: EmbeddedPartition) -> str:
     profile = staircase_of_partition(part).profile
     lines = []
     for i in range(1, n):
-        lam = profile[i - 1]
-        cells = []
-        for left in range(1, n - i + 1):
-            j = (n - i) - left + 1
-            cells.append("o" if cell_color(n, i, j) == BLACK else "*")
-        cut = len(cells) - lam
-        lines.append(" " * (i - 1) + "".join(cells[:cut]) + "|"
-                     + "".join(cells[cut:]))
+        row = _frame_row(n, i)
+        cut = len(row) - profile[i - 1]
+        lines.append(" " * (i - 1) + row[:cut] + "|" + row[cut:])
     return "\n".join(lines)
 
 
@@ -178,10 +169,9 @@ def svg_support(n: int, enriched: bool = False,
 def _frame_dots(n: int) -> list[tuple[int, int, str, bool]]:
     dots = []
     for i in range(1, n):
-        for left in range(1, n - i + 1):
-            j = (n - i) - left + 1
-            color = "#000000" if cell_color(n, i, j) == BLACK else "#cc0000"
-            # x grows rightwards, right-justified at column n-1
+        # x grows rightwards, right-justified at column n-1
+        for left, mark in enumerate(_frame_row(n, i), start=1):
+            color = "#000000" if mark == "o" else "#cc0000"
             dots.append(((i - 1) + left, i, color, False))
     return dots
 

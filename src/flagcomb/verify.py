@@ -12,20 +12,18 @@ from typing import Callable, Sequence
 from .durfee_analysis import (analyze, black_dots_in_rectangle,
                               durfee_rectangle, durfee_rectangle_transposed,
                               ferrers_subdiagrams_of_code)
-from .ferrers import (BLACK, EmbeddedPartition, black_cells, cell_color,
+from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       distance_equivalent, enumerate_embedded_partitions,
                       partition_of_staircase, skeleton_of_staircase,
-                      splitting_value, splittings_of_codistance,
-                      staircase_class, staircase_of_partition,
-                      underlying_distribution)
-from .flags import (FlagCode, max_distance, pair_profiles, random_full_flag,
-                    random_full_flag_code, random_invertible_matrix)
-from .gfq_linalg import (MatGFq, Subspace, grassmannian, injection_distance,
-                         rref, subspace_from_rows, subspace_distance)
-from .support_paths import (DistancePath, enumerate_paths,
-                            path_from_flag_pair, path_codistance,
-                            path_distance, pick_area, plateau_count,
-                            realize_path, validate_path)
+                      splitting_value, staircase_class,
+                      staircase_of_partition)
+from .flags import (max_distance, pair_profiles, random_full_flag,
+                    random_full_flag_code)
+from .gfq_linalg import (MatGFq, grassmannian, injection_distance, rref,
+                         subspace_from_rows, subspace_distance)
+from .support_paths import (enumerate_paths, path_from_flag_pair,
+                            path_codistance, path_distance, pick_area,
+                            plateau_count, realize_path, validate_path)
 
 Check = Callable[[random.Random, int, Sequence[int], int],
                  tuple[int, list[str]]]
@@ -137,8 +135,9 @@ def _check_enumerated_paths(rng, n_max, qs, trials):
 def _check_realize(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, min(n_max, 6) + 1):
+        paths = enumerate_paths(n)
         for q in qs:
-            for p in enumerate_paths(n):
+            for p in paths:
                 cases += 1
                 f, g = realize_path(p, q)
                 if path_from_flag_pair(f, g) != p:
@@ -211,18 +210,9 @@ def _check_equivalence_criterion(rng, n_max, qs, trials):
 def _check_bijection(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 9):
-        dn = max_distance(n)
-        by_value = {u: 0 for u in range(dn + 1)}
-        seen = {u: set() for u in range(dn + 1)}
-        for part in enumerate_embedded_partitions(n):
-            u = splitting_value(part)
-            dist = underlying_distribution(part)
-            if dist.stripped not in seen[u]:
-                seen[u].add(dist.stripped)
-                by_value[u] += 1
-        for d in range(dn + 1):
+        for d, n_paths, n_split in bijection_table(n):
             cases += 1
-            if len(enumerate_paths(n, d)) != by_value[dn - d]:
+            if n_paths != n_split:
                 fails.append(f"bijection fails at n={n}, d={d}")
     return cases, fails
 

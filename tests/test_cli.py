@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from flagcomb import DistancePath, EmbeddedPartition
+import flagcomb
+from flagcomb import DistancePath, EmbeddedPartition, verify
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -144,6 +149,65 @@ def test_cli_bijection(capsys):
     assert "NO" not in out
 
 
+def _patch_everywhere(monkeypatch, name, make):
+    """Rebind flagcomb.<name> to make(original) in every flagcomb module
+    that holds it."""
+    original = getattr(flagcomb, name)
+    replacement = make(original)
+    for key, module in list(sys.modules.items()):
+        if (key.partition(".")[0] == "flagcomb"
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+
+    def make(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
+
+    _patch_everywhere(monkeypatch, name, make)
+    return calls
+
+
+def _bijection_check_only(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", [
+        c for c in verify.CHECKS if c[0] == "path_splitting_bijection"])
+
+
+def test_bijection_enumerates_paths_and_partitions_once(monkeypatch, capsys):
+    paths = _count_calls(monkeypatch, "enumerate_paths")
+    parts = _count_calls(monkeypatch, "enumerate_embedded_partitions")
+    assert main(["bijection", "8"]) == 0
+    assert "NO" not in capsys.readouterr().out
+    assert (len(paths), len(parts)) == (1, 1)
+
+
+def test_verify_bijection_enumerates_paths_once_per_n(monkeypatch):
+    paths = _count_calls(monkeypatch, "enumerate_paths")
+    _bijection_check_only(monkeypatch)
+    report, ok = verify.run_verification()
+    assert ok, report
+    assert [args[0] for args in paths] == list(range(2, 9))
+
+
+def test_bijection_mismatch_is_a_consistency_failure(monkeypatch, capsys):
+    # drop the zero path, the first one enumerated
+    _patch_everywhere(monkeypatch, "enumerate_paths",
+                      lambda real: lambda *a, **k: real(*a, **k)[1:])
+    assert main(["bijection", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "0   0       1            NO" in captured.out
+    assert "bijection table mismatch" in captured.err
+    _bijection_check_only(monkeypatch)
+    report, ok = verify.run_verification()
+    assert not ok
+    assert "FAIL path_splitting_bijection" in report
+
+
 def test_cli_realize_roundtrip(capsys):
     assert main(["realize", "2", "0,1,1,0"]) == 0
     text = capsys.readouterr().out
@@ -169,7 +233,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["realize", "2", "0,2,0,0"]) == 1
     assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
     assert main(["analyze", _code_file(tmp_path, "garbage")]) == 2
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(tmp_path / "binary.txt")]) == 2
     capsys.readouterr()
+
+
+def test_python_m_cli_runs_main(tmp_path):
+    src = Path(flagcomb.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagcomb.cli", "analyze",
+         str(tmp_path / "missing.txt")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("text", [

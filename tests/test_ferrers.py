@@ -142,6 +142,38 @@ def test_splittings_of_codistance_endpoints():
         splittings_of_codistance(6, max_distance(6) + 1)
 
 
+def _first_seen_splittings(n):
+    """u -> the black-cell counts per row of the first partition (in
+    enumeration order) of each distinct black diagram, from cell colors."""
+    first = {}
+    for p in enumerate_embedded_partitions(n):
+        counts = tuple(sum(cell_color(n, i, j) == BLACK
+                           for j in range(1, lam + 1))
+                       for i, lam in enumerate(p.parts, start=1))
+        diagram = counts
+        while diagram and diagram[-1] == 0:
+            diagram = diagram[:-1]
+        first.setdefault(sum(counts), {}).setdefault(diagram, counts)
+    return first
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_splittings_keep_first_seen_representatives(n):
+    """.counts, not the distributions: equality ignores trailing zeros."""
+    first = _first_seen_splittings(n)
+    for u in range(max_distance(n) + 1):
+        got = sorted(d.counts for d in splittings_of_codistance(n, u))
+        assert got == sorted(first.get(u, {}).values())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_splitting_filter_matches_unfiltered_enumeration(n):
+    everything = enumerate_embedded_partitions(n)
+    for u in range(max_distance(n) + 2):
+        assert enumerate_embedded_partitions(n, u) == [
+            p for p in everything if splitting_value(p) == u]
+
+
 # ---------------------------------------------------------------------------
 # Staircases
 # ---------------------------------------------------------------------------
