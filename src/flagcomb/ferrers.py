@@ -326,6 +326,8 @@ def enumerate_embedded_partitions(
     out: list[EmbeddedPartition] = []
 
     def gen(prefix: list[int], bound: int, row: int, value: int) -> None:
+        if splitting_filter is not None and value > splitting_filter:
+            return      # the value never decreases down the recursion
         p = EmbeddedPartition(n, tuple(prefix))
         if splitting_filter is None or value == splitting_filter:
             out.append(p)

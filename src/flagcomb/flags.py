@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (MatGFq, RowSpace, Subspace, _seeded_dim_sum,
+from .gfq_linalg import (MatGFq, RowSpace, Subspace, _residual_rank,
                          is_prime)
 
 
@@ -342,19 +342,22 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
 def projected_distance(c: FlagCode, i: int) -> int:
     """Minimum injection distance of C_i; 0 if C_i is a singleton.
 
-    Computed directly from the canonical bases on the list kernel: each U
-    is seeded once from its stored RREF and every later V is reduced
-    against it, so this never shares code with the profile sweeps.
+    Computed directly on the list kernel, sharing no code with the profile
+    sweeps: each U is seeded once from its stored RREF, and d_I(U, V) is the
+    rank of V's basis reduced against it, as C_i has one dimension.  That
+    rank only grows row by row, so a pair stopped at the running minimum
+    cannot lower it; distinct subspaces have d_I >= 1, so 1 ends the search.
     """
     subs = projected_code(c, i)
     if len(subs) < 2:
         return 0
     best = c.n
     for a, u in enumerate(subs[:-1]):
-        seeded = RowSpace.from_rref(c.q, c.n, u.basis)
+        pivots = RowSpace.from_rref(c.q, c.n, u.basis).pivots
         for v in subs[a + 1:]:
-            # d_I = max(dim) - dim(U ∩ V) = dim(U + V) - min(dim)
-            best = min(best, _seeded_dim_sum(seeded, v) - min(u.dim, v.dim))
+            best = min(best, _residual_rank(pivots, v.basis, c.q, cap=best))
+            if best == 1:
+                return 1
     return best
 
 

@@ -192,15 +192,12 @@ class RowSpace:
 
 def rref_rows(rows: Iterable[Sequence[int]], q: int) -> tuple[tuple[Row, ...], int]:
     """RREF of raw rows: (nonzero rows of the RREF, rank)."""
-    n = None
-    space = None
-    for row in rows:
-        if space is None:
-            n = len(row)
-            space = RowSpace(q, n)
-        space.add(row)
-    if space is None:
+    rows = list(rows)
+    if not rows:
         return (), 0
+    space = RowSpace(q, len(rows[0]))
+    for row in rows:
+        space.add(row)
     return space.basis(), space.rank
 
 
@@ -250,21 +247,34 @@ def _check_compatible(u: Subspace, v: Subspace) -> None:
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
 
 
-def _seeded_dim_sum(space: RowSpace, v: Subspace) -> int:
-    """dim(U + V) for U seeded in *space*: dim U plus the rank of V's rows
-    reduced against U's pivots.  The residuals are zero at every pivot
-    column of U, so their span meets U only in 0."""
-    q = space.q
-    residuals = RowSpace(q, space.n)
-    for row in v.basis:
-        residuals.add(_reduce_row(row, space.pivots, q))
-    return space.rank + residuals.rank
+def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
+                   q: int, cap: int | None = None) -> int:
+    """dim(U + span(rows)) - dim U for U given by its RREF *pivots*: the rank
+    of the rows reduced against U, by forward elimination only (own pivots
+    keyed by leading column, scaled to a leading 1, no back-substitution).
+    Stops once the rank reaches *cap*."""
+    own: dict[int, Sequence[int]] = {}
+    for row in rows:
+        if len(own) == cap:
+            break
+        r = _reduce_row(row, pivots, q)
+        for col in range(len(r)):
+            c = r[col]
+            if c:
+                p = own.get(col)
+                if p is None:
+                    inv = pow(c, q - 2, q)
+                    own[col] = [e * inv % q for e in r]
+                    break
+                r = [(a - c * b) % q for a, b in zip(r, p)]
+    return len(own)
 
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
     """dim(U + V), reducing V's basis against U's stored RREF."""
     _check_compatible(u, v)
-    return _seeded_dim_sum(RowSpace.from_rref(u.q, u.ambient_n, u.basis), v)
+    seeded = RowSpace.from_rref(u.q, u.ambient_n, u.basis)
+    return u.dim + _residual_rank(seeded.pivots, v.basis, u.q)
 
 
 def dim_intersection(u: Subspace, v: Subspace) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcomb.ferrers as ferrers_module
 from flagcomb import (DistancePath, EmbeddedPartition, FerrersFrame,
                       StaircasePath, UnderlyingDistribution, cell_color,
                       distance_equivalent, enumerate_embedded_partitions,
@@ -318,3 +319,23 @@ def test_equivalent_partitions_share_distribution(n, data):
     for b in enumerate_embedded_partitions(n):
         same = distance_equivalent(a, b)
         assert same == (underlying_distribution(a) == underlying_distribution(b))
+
+
+def test_splitting_filter_prunes_subtrees_past_u(monkeypatch):
+    """The carried value never decreases down the recursion, so the walk
+    for u = 0 builds only a few nodes, not all Catalan(11) of them."""
+    built = []
+    original = ferrers_module.EmbeddedPartition
+
+    def counted(n, parts):
+        built.append(parts)
+        return original(n, parts)
+
+    monkeypatch.setattr(ferrers_module, "EmbeddedPartition", counted)
+    everything = enumerate_embedded_partitions(11, max_n=11)
+    assert len(built) == len(everything) == catalan(11)
+    built.clear()
+    kept = enumerate_embedded_partitions(11, 0, max_n=11)
+    assert kept == [p for p in everything if splitting_value(p) == 0]
+    assert len(kept) == 2
+    assert len(built) < 100
