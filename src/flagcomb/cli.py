@@ -20,8 +20,7 @@ from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
 from .ferrers import (bijection_table, enumerate_embedded_partitions,
                       underlying_distribution)
-from .flags import max_distance, min_distance, projected_code, \
-    projected_distance
+from .flags import max_distance, min_distance, projected_parameters
 from .render import RenderSpec, render
 from .support_paths import (DistancePath, enumerate_paths, path_distance,
                             path_from_flag_pair, pick_area, realize_path)
@@ -96,8 +95,7 @@ def cmd_analyze(args) -> int:
     print(f"|C| = {len(code)}")
     print(f"d_f = {min_distance(code)}")
     for idx, t in enumerate(code.type.dims, start=1):
-        card = len(projected_code(code, idx))
-        di = projected_distance(code, idx)
+        card, di = projected_parameters(code, idx)
         print(f"  i={idx} (dim {t}): |C_i|={card}, d_I(C_i)={di}")
     print("combinatorial sections skipped: full flags only")
     return 0

@@ -4,23 +4,25 @@ For a full flag code C, every distance path of Γ(C) expands (through its
 staircase class) into Ferrers subdiagrams of FF(n); their maximal corner
 rectangles whose column count exceeds the row count by k = n - 2i encode,
 dimension by dimension, whether flags of C share i-th subspaces and what
-the minimum injection distance of the projected code C_i is.  Everything
-derived here from rectangles is cross-checked against directly computed
-projected parameters — a mismatch is a hard ConsistencyError, never a
-warning.
+the minimum injection distance of the projected code C_i is; the class law
+reads their sizes off the paths.  Everything derived here from rectangles
+is cross-checked against directly computed projected parameters — a
+mismatch is a hard ConsistencyError, never a warning.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      OffsetOutOfRange, RectangleOutsideFrame, SingletonCode)
-from .ferrers import EmbeddedPartition, partition_of_staircase, staircase_class
+from .ferrers import (EmbeddedPartition, StaircasePath, _class_rows,
+                      partition_of_staircase, staircase_class)
 from .flags import (FlagCode, codistance, max_distance, min_distance,
-                    projected_code, projected_distance)
+                    projected_parameters)
 from .support_paths import DistancePath, paths_of_code
 
 
@@ -73,15 +75,11 @@ def black_dots_in_rectangle(a: int, b: int, n: int) -> int:
     return a * b // 2
 
 
-def _subdiagrams(gamma: frozenset[DistancePath]) -> frozenset[EmbeddedPartition]:
-    """F(C) from Γ(C): the partitions of every staircase over every path."""
-    return frozenset(partition_of_staircase(s)
-                     for p in gamma for s in staircase_class(p))
-
-
 def ferrers_subdiagrams_of_code(c: FlagCode) -> frozenset[EmbeddedPartition]:
-    """F(C): the partitions of every staircase over every path of Γ(C)."""
-    return _subdiagrams(paths_of_code(c))
+    """F(C): the partitions of every staircase over every path of Γ(C), the
+    full expansion that the class law (_law_table) stands in for."""
+    return frozenset(partition_of_staircase(s)
+                     for p in paths_of_code(c) for s in staircase_class(p))
 
 
 def _rect_sizes(p: EmbeddedPartition) -> tuple[int, ...]:
@@ -107,9 +105,30 @@ def _rect_table(subdiagrams: frozenset[EmbeddedPartition]
     transposed (2i-n)-rectangles for higher dimensions.  Empty for an
     empty F(C).
     """
-    vectors = {_rect_sizes(p) for p in subdiagrams}
+    return _by_dimension({_rect_sizes(p) for p in subdiagrams})
+
+
+def _by_dimension(vectors: set[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     return {i: tuple(sorted(set(sizes), reverse=True))
             for i, sizes in enumerate(zip(*vectors), start=1)}
+
+
+def _class_law(p: DistancePath) -> tuple[int, ...]:
+    """The rectangle sizes of every staircase of Σ(p): min(i, n-i) - δ_i."""
+    return tuple(min(i, p.n - i) - p.deltas[i] for i in range(1, p.n))
+
+
+def _law_table(gamma: frozenset[DistancePath]) -> dict[int, tuple[int, ...]]:
+    """_rect_table(F(C)) read off Γ(C) by the class law, in O(|Γ(C)| n).
+    The first and the last staircase of each class (every plateau turned
+    right-down, every one down-right) must obey it, else ConsistencyError."""
+    for p in gamma:
+        n, law, rows = p.n, _class_law(p), _class_rows(p)
+        for s in {tuple(r[0] for r in rows), tuple(r[-1] for r in rows)}:
+            if _rect_sizes(partition_of_staircase(StaircasePath(n, s))) != law:
+                raise ConsistencyError(f"staircase {s} of path {p.deltas} "
+                                       f"breaks the class law {law}")
+    return _by_dimension({_class_law(p) for p in gamma})
 
 
 def _durfee_sets(table: dict[int, tuple[int, ...]],
@@ -133,7 +152,7 @@ def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
     Values are the distinct rectangle row counts, sorted descending.  A
     singleton code has no flag pairs and yields an empty map.
     """
-    return _durfee_sets(_rect_table(ferrers_subdiagrams_of_code(c)), c.n)
+    return _durfee_sets(_law_table(paths_of_code(c)), c.n)
 
 
 def check_separability(dbar: int, n: int, i: int) -> bool:
@@ -163,9 +182,8 @@ def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
     n = c.n
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
-    vals = _rect_table(ferrers_subdiagrams_of_code(c))[i]
-    direct = (len(projected_code(c, i)), projected_distance(c, i))
-    return _checked_projected(vals, n, i, len(c), direct)
+    vals = _law_table(paths_of_code(c))[i]
+    return _checked_projected(vals, n, i, len(c), projected_parameters(c, i))
 
 
 def _checked_projected(vals: tuple[int, ...], n: int, i: int, size: int,
@@ -228,20 +246,20 @@ def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
         raise NotFullFlag("optimum-distance check needs a full code")
     if len(c) < 2:
         raise SingletonCode("need at least two flags")
-    gamma = paths_of_code(c)
-    return _optimum_conditions(codistance(c), gamma, _subdiagrams(gamma), c.n)
+    return _optimum_conditions(codistance(c), paths_of_code(c), c.n)
 
 
 def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
-                        subdiagrams: frozenset[EmbeddedPartition],
                         n: int) -> tuple[bool, dict[str, bool]]:
+    f_opt = ({EmbeddedPartition(n, ())} if n % 2 == 0 else
+             {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))})
     conds = {
         "codistance_zero": dbar == 0,
         "unique_max_path": {p.deltas for p in gamma}
                            == {tuple(min(i, n - i) for i in range(n + 1))},
-        "ferrers_set": subdiagrams
-                       == ({EmbeddedPartition(n, ())} if n % 2 == 0 else
-                           {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))}),
+        # F(C) ⊆ f_opt, walked lazily: only the maximum path's class meets it
+        "ferrers_set": all(partition_of_staircase(StaircasePath(n, s)) in f_opt
+                           for p in gamma for s in product(*_class_rows(p))),
     }
     votes = set(conds.values())
     if len(votes) > 1:
@@ -280,22 +298,18 @@ def analyze(c: FlagCode) -> CodeAnalysis:
     d_f = min_distance(c)
     dbar = codistance(c)
 
-    projected = {}
-    for i in range(1, n):
-        projected[i] = (len(projected_code(c, i)), projected_distance(c, i))
+    projected = {i: projected_parameters(c, i) for i in range(1, n)}
 
     if size < 2:
         return CodeAnalysis(c.q, n, size, d_f, dbar, projected, {}, {},
                             {}, {}, None, True)
 
     gamma = paths_of_code(c)
-    subdiagrams = _subdiagrams(gamma)
-    table = _rect_table(subdiagrams)
+    table = _law_table(gamma)
     durfee = _durfee_sets(table, n)
 
-    derived = {}
-    for i in range(1, n):
-        derived[i] = _checked_projected(table[i], n, i, size, projected[i])
+    derived = {i: _checked_projected(table[i], n, i, size, projected[i])
+               for i in range(1, n)}
 
     separability = {}
     for i in range(1, n // 2 + 1):
@@ -317,7 +331,7 @@ def analyze(c: FlagCode) -> CodeAnalysis:
             raise ConsistencyError(
                 f"d_f = {d_f} outside [{lo}, {hi}] at dimension {i}")
 
-    optimum, _ = _optimum_conditions(dbar, gamma, subdiagrams, n)
+    optimum, _ = _optimum_conditions(dbar, gamma, n)
 
     return CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived, durfee,
                         separability, bounds, optimum, False)

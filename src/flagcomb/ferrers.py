@@ -243,7 +243,12 @@ def skeleton_of_staircase(s: StaircasePath) -> DistancePath:
 
 
 def staircase_class(p: DistancePath) -> list[StaircasePath]:
-    """Σ(Γ): every staircase whose skeleton is p.
+    """Σ(Γ): every staircase whose skeleton is p."""
+    return [StaircasePath(p.n, s) for s in product(*_class_rows(p))]
+
+
+def _class_rows(p: DistancePath) -> list[tuple[int, ...]]:
+    """The options of each profile row over the staircases of Σ(Γ).
 
     Between consecutive path vertices the intermediate red dot is forced,
     except on positive-height plateaus where the staircase may turn
@@ -276,7 +281,7 @@ def staircase_class(p: DistancePath) -> list[StaircasePath]:
     rows = [(min(-top[n + 1 - i], n - i),) for i in range(1, n)]
     for u, v in turns:
         rows[n - v] = (-u,) + rows[n - v]
-    return [StaircasePath(n, profile) for profile in product(*rows)]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -339,8 +339,8 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
     return tuple(seen)
 
 
-def projected_distance(c: FlagCode, i: int) -> int:
-    """Minimum injection distance of C_i; 0 if C_i is a singleton.
+def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
+    """(|C_i|, d_I(C_i)) from one build of C_i; d_I is 0 for a singleton.
 
     Computed directly on the list kernel, sharing no code with the profile
     sweeps: each U is seeded once from its stored RREF, and d_I(U, V) is the
@@ -349,16 +349,19 @@ def projected_distance(c: FlagCode, i: int) -> int:
     cannot lower it; distinct subspaces have d_I >= 1, so 1 ends the search.
     """
     subs = projected_code(c, i)
-    if len(subs) < 2:
-        return 0
-    best = c.n
+    best = c.n if len(subs) > 1 else 0
     for a, u in enumerate(subs[:-1]):
         pivots = RowSpace.from_rref(c.q, c.n, u.basis).pivots
         for v in subs[a + 1:]:
             best = min(best, _residual_rank(pivots, v.basis, c.q, cap=best))
             if best == 1:
-                return 1
-    return best
+                return len(subs), 1
+    return len(subs), best
+
+
+def projected_distance(c: FlagCode, i: int) -> int:
+    """Minimum injection distance of C_i; 0 if C_i is a singleton."""
+    return projected_parameters(c, i)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -142,19 +142,18 @@ class RowSpace:
         Only checks the form, with no elimination: every row has n entries
         and a leading 1, the pivots strictly increase, and each pivot
         column is zero in every other row.  Raises ValueError otherwise.
+        The rows below a pivot are zero in its column by their leading
+        zeros, so only that column of the rows above is read.
         """
         space = cls(q, n)
         prev = -1
         for row in basis:
             col = row.index(1) if len(row) == n and 1 in row else -1
-            if col <= prev or any(row[:col]):
+            if (col <= prev or any(row[:col])
+                    or any([r[col] for _, r in space.pivots])):
                 raise ValueError(f"basis is not in canonical RREF: {basis}")
             space.pivots.append((col, tuple(row)))
             prev = col
-        columns = list(zip(*basis))
-        for col, _ in space.pivots:
-            if columns[col].count(0) != len(basis) - 1:
-                raise ValueError(f"basis is not in canonical RREF: {basis}")
         return space
 
     def add(self, row: Sequence[int]) -> bool:

@@ -269,6 +269,7 @@ def _check_code_theorems(rng, n_max, qs, trials):
             fails.append(f"analyze failed (n={n}, q={q}): {exc}")
             continue
         # rectangle law, both directions, stated set-wise
+        # (the only comparison of the law with a code's whole F(C))
         subdiagrams = ferrers_subdiagrams_of_code(c)
         for i in range(1, n):
             if 2 * i <= n:

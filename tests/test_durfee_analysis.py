@@ -223,8 +223,9 @@ def test_staircase_class_rectangle_law():
 
 
 # ---------------------------------------------------------------------------
-# One pass over the pairs: analyze() profiles each pair once and expands
-# each path of Γ(C) once, and still runs every direct cross-check.
+# One pass over the pairs: analyze() profiles each pair once, reads the
+# Durfee table off Γ(C) without expanding a staircase class, and still runs
+# every direct cross-check.
 # ---------------------------------------------------------------------------
 
 # Five coordinate flags on F_2^6; row r of a generator is e_{w(r)}.
@@ -258,16 +259,15 @@ def test_analyze_profiles_each_pair_once(monkeypatch):
     expanded = _record_calls(monkeypatch, durfee_analysis, "staircase_class")
     analyze(c)
     assert len(profiled) == 10
-    gamma = paths_of_code(c)
-    assert len(expanded) == len(gamma)
-    assert {args[0] for args in expanded} == gamma
+    assert expanded == []
 
 
 @pytest.mark.parametrize("bad_i", range(1, 6))
 def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
     c = _five_flag_code()
-    direct = durfee_analysis.projected_distance
-    monkeypatch.setattr(durfee_analysis, "projected_distance",
-                        lambda code, i: direct(code, i) + (i == bad_i))
+    direct = durfee_analysis.projected_parameters
+    monkeypatch.setattr(durfee_analysis, "projected_parameters",
+                        lambda code, i: (direct(code, i)[0],
+                                         direct(code, i)[1] + (i == bad_i)))
     with pytest.raises(ConsistencyError, match=f"dimension {bad_i}: "):
         analyze(c)

@@ -261,3 +261,38 @@ def test_dim_sum_residuals_equal_stacked_rank(q, n):
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     for u, v in itertools.product(subs, repeat=2):
         assert dim_sum(u, v) == _stacked_rank(u, v)
+
+
+# ---------------------------------------------------------------------------
+# RowSpace.from_rref checks each pivot column on its own
+# ---------------------------------------------------------------------------
+
+def _transposing_check(n, basis):
+    """The form check as it read with the whole basis transposed."""
+    prev = -1
+    cols = []
+    for row in basis:
+        col = row.index(1) if len(row) == n and 1 in row else -1
+        if col <= prev or any(row[:col]):
+            return False
+        cols.append(col)
+        prev = col
+    columns = list(zip(*basis))
+    return all(columns[col].count(0) == len(basis) - 1 for col in cols)
+
+
+def test_from_rref_accepts_and_rejects_as_the_transposing_check():
+    rng = random.Random(3)
+    accepted = 0
+    for _ in range(3000):
+        n, k = rng.randint(1, 4), rng.randint(0, 3)
+        basis = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                      for _ in range(k))
+        try:
+            RowSpace.from_rref(3, n, basis)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == _transposing_check(n, basis), basis
+        accepted += ok
+    assert accepted > 100

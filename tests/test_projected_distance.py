@@ -1,5 +1,6 @@
-"""The direct side: projected_distance against an exhaustive reference, and
-the early exits that bound it (the running-minimum cap and the floor 1)."""
+"""The direct side: projected_distance against an exhaustive reference, the
+early exits that bound it (the running-minimum cap and the floor 1), and
+one build of each projected code per caller."""
 
 import itertools
 import random
@@ -8,8 +9,9 @@ from math import comb
 import pytest
 
 import flagcomb.flags as flags_module
-from flagcomb import (FlagCode, TypeVector, flag_from_matrix, grassmannian,
-                      projected_code, projected_distance)
+from flagcomb import (FlagCode, TypeVector, analyze, cli, durfee_analysis,
+                      flag_from_matrix, grassmannian, projected_code,
+                      projected_distance, rectangle_to_projected)
 from flagcomb.flags import random_full_flag_code, random_invertible_matrix
 from flagcomb.gfq_linalg import RowSpace, _residual_rank, rref_rows
 
@@ -123,3 +125,42 @@ def test_middle_dimension_ranks_every_pair(monkeypatch):
     calls = _count_ranked_pairs(monkeypatch)
     assert projected_distance(code, i) == expected
     assert len(calls) == comb(size, 2)
+
+
+# ---------------------------------------------------------------------------
+# Each projected code is built once per (code, i)
+# ---------------------------------------------------------------------------
+
+def _count_projected_codes(monkeypatch):
+    """Count projected_code calls through every module that binds it."""
+    calls = []
+    original = flags_module.projected_code
+
+    def counted(c, i):
+        calls.append(i)
+        return original(c, i)
+
+    for module in (flags_module, durfee_analysis, cli):
+        if hasattr(module, "projected_code"):
+            monkeypatch.setattr(module, "projected_code", counted)
+    return calls
+
+
+def test_analyze_builds_each_projected_code_once(monkeypatch):
+    code = random_full_flag_code(3, 7, 5, random.Random(11))
+    calls = _count_projected_codes(monkeypatch)
+    analyze(code)
+    assert sorted(calls) == list(range(1, code.n))
+    calls.clear()
+    rectangle_to_projected(code, 2)
+    assert calls == [2]
+
+
+def test_general_type_branch_builds_each_projected_code_once(
+        monkeypatch, tmp_path, type_135_text, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text(type_135_text)
+    calls = _count_projected_codes(monkeypatch)
+    assert cli.main(["analyze", str(path)]) == 0
+    assert calls == [1, 2, 3]
+    assert "|C_i|=3, d_I(C_i)=1" in capsys.readouterr().out
