@@ -2,7 +2,7 @@
 
 The defaults keep every exhaustive sweep at desk scale.  A JSON file
 pointed to by the FLAGCOMB_CONFIG environment variable may override them,
-e.g. {"max_n_combinatorics": 16, "max_n_flag_exhaustive": 9}.
+e.g. {"max_n_combinatorics": 16}.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from dataclasses import dataclass, fields
 ENV_VAR = "FLAGCOMB_CONFIG"
 
 DEFAULT_MAX_N_COMBINATORICS = 14   # paths / partitions / frames
-DEFAULT_MAX_N_FLAG_EXHAUSTIVE = 8  # flag-level exhaustive sweeps
-DEFAULT_FLAG_FIELDS = (2, 3)
 
 
 @dataclass(frozen=True)
 class Config:
     max_n_combinatorics: int = DEFAULT_MAX_N_COMBINATORICS
-    max_n_flag_exhaustive: int = DEFAULT_MAX_N_FLAG_EXHAUSTIVE
 
 
 def load_config(path: str | None = None) -> Config:

@@ -16,7 +16,7 @@ u = -v and u = -v + 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -125,35 +125,34 @@ class UnderlyingDistribution:
 
     n: int
     counts: tuple[int, ...]
+    stripped: tuple[int, ...] = field(init=False, repr=False)
 
-    @property
-    def stripped(self) -> tuple[int, ...]:
-        c = list(self.counts)
-        while c and c[-1] == 0:
-            c.pop()
-        return tuple(c)
+    def __post_init__(self):
+        c, end = self.counts, len(self.counts)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "stripped", tuple(c[:end]))
 
     def __eq__(self, other):
         return (isinstance(other, UnderlyingDistribution)
-                and (self.n, self.stripped) == (other.n, other.stripped))
+                and self.n == other.n and self.stripped == other.stripped)
 
     def __hash__(self):
-        return hash((self.n, self.stripped))
+        return hash(self.stripped)
 
 
 def _row_black_count(n: int, i: int, lam: int) -> int:
     # positions j in [1, lam] with n+i+j even: ceil for n+i odd, floor else
-    if (n + i) % 2:
-        return (lam + 1) // 2
-    return lam // 2
+    return (lam + (n + i) % 2) // 2
 
 
 def underlying_distribution(p: EmbeddedPartition) -> UnderlyingDistribution:
     """Black cells per row: ceil(λ_i/2) and floor(λ_i/2) alternating,
     starting with ceil for n even and floor for n odd."""
-    counts = tuple(_row_black_count(p.n, i, lam)
+    n = p.n  # _row_black_count inlined: this runs once per partition
+    counts = tuple((lam + (n + i) % 2) // 2
                    for i, lam in enumerate(p.parts, start=1))
-    return UnderlyingDistribution(p.n, counts)
+    return UnderlyingDistribution(n, counts)
 
 
 def splitting_value(p: EmbeddedPartition) -> int:
@@ -352,12 +351,12 @@ def splittings_by_value(n: int, *, max_n: Optional[int] = None
     """The distinct splittings of FF(n) by value u, in one pass: each is
     the distribution of the first partition that has it, trailing zeros
     included."""
-    groups: dict[int, dict[tuple[int, ...], UnderlyingDistribution]] = {
-        u: {} for u in range(max_distance(n) + 1)}
+    groups: dict[int, set[UnderlyingDistribution]] = {
+        u: set() for u in range(max_distance(n) + 1)}
     for p in enumerate_embedded_partitions(n, max_n=max_n):
         dist = underlying_distribution(p)
-        groups[sum(dist.counts)].setdefault(dist.stripped, dist)
-    return {u: frozenset(g.values()) for u, g in groups.items()}
+        groups[sum(dist.counts)].add(dist)
+    return {u: frozenset(g) for u, g in groups.items()}
 
 
 def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution]:

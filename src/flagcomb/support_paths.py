@@ -8,6 +8,7 @@ bounded by min(i, n-i).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -171,52 +172,57 @@ def enumerate_paths(n: int, distance_filter: Optional[int] = None, *,
     return out
 
 
-def _find_permutation(deltas: Sequence[int], n: int) -> Optional[list[int]]:
+def _find_permutation(deltas: Sequence[int], n: int) -> list[int]:
     """Lexicographically first permutation w with the intersection profile
-    |{j <= i : w(j) <= i}| = i - δ_i for every i."""
-    targets = [i - deltas[i] for i in range(n + 1)]
-    w: list[int] = []
-    used = [False] * (n + 1)
+    |{j <= i : w(j) <= i}| = i - δ_i for every i.
 
-    def feasible(i: int) -> bool:
-        # counts of already-placed values <= k must stay reachable for all k
-        for k in range(i, n + 1):
-            cnt = sum(1 for v in w if v <= k)
-            if cnt > targets[k] or targets[k] - cnt > k - i:
-                return False
-        return True
+    After step k, a row j <= k is open if w(j) > k and a column v <= k is
+    open if no row <= k takes it; there are δ_k of each.  Open rows can
+    only take values > k, and open columns only go to rows > k.  Step k
+    adds row k and column k, and the count grows by 1 - (δ_k - δ_{k-1}):
 
-    def place(i: int) -> bool:
-        if i > n:
-            return True
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            w.append(v)
-            used[v] = True
-            cnt = sum(1 for x in w if x <= i)
-            if cnt == targets[i] and feasible(i):
-                if place(i + 1):
-                    return True
-            w.pop()
-            used[v] = False
-        return False
+    - δ rises (grows by 0): both stay open;
+    - δ falls (by 2): an open row takes k and row k takes an open column;
+    - δ level, rows open (by 1): the earliest open row takes k and row k
+      opens; w(k) = k, or row k taking a column, would leave that earlier
+      row a value above k;
+    - δ level at 0 (by 1): w(k) = k is the only choice.
 
-    return w if place(1) else None
+    Each step gives the earliest undecided row the least value it can
+    still take; the queues are FIFO, so earliest is least.  Every step
+    leaves both queues at length δ_k, so on a valid path no pop fails and
+    nothing is undone: w is built in O(n).
+    """
+    w = [0] * (n + 1)
+    rows: deque[int] = deque()
+    cols: deque[int] = deque()
+    for k in range(1, n + 1):
+        step = deltas[k] - deltas[k - 1]
+        if step > 0:
+            rows.append(k)
+            cols.append(k)
+        elif step < 0:
+            w[rows.popleft()] = k
+            w[k] = cols.popleft()
+        elif rows:
+            w[rows.popleft()] = k
+            rows.append(k)
+        else:
+            w[k] = k
+    return w[1:]
 
 
 def realize_path(p: DistancePath, q: int) -> tuple[Flag, Flag]:
     """Two full coordinate flags whose distance path is exactly p.
 
     The first flag is the standard coordinate flag; the second uses basis
-    order e_{w(1)}, ..., e_{w(n)} for the first permutation w (in
-    lexicographic order) matching the intersection profile.  The result is
-    verified by a path round-trip before it is returned.
+    order e_{w(1)}, ..., e_{w(n)} for the lex-first permutation w matching
+    the intersection profile, built without search in O(n).  The result is
+    checked by an independent round trip, path_from_flag_pair, before it
+    is returned.
     """
     n = p.n
     w = _find_permutation(p.deltas, n)
-    if w is None:
-        raise RealizationNotFound(f"no permutation realizes {p.deltas}")
     identity = [[1 if c == r else 0 for c in range(n)] for r in range(n)]
     permuted = [[1 if c == w[r] - 1 else 0 for c in range(n)] for r in range(n)]
     full = TypeVector.full(n)

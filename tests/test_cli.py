@@ -103,7 +103,6 @@ def test_render_rejects_bad_specs():
 def test_config_defaults_and_env_override(tmp_path, monkeypatch):
     cfg = load_config()
     assert cfg.max_n_combinatorics == 14
-    assert cfg.max_n_flag_exhaustive == 8
     path = tmp_path / "cfg.json"
     path.write_text('{"max_n_combinatorics": 10}')
     monkeypatch.setenv(ENV_VAR, str(path))

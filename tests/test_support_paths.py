@@ -13,7 +13,7 @@ from flagcomb import (DistancePath, DistanceSupport, FlagCode, enumerate_paths,
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
                              InvalidPath, NotFullFlag)
 from flagcomb.flags import random_full_flag
-from flagcomb.support_paths import first_violation
+from flagcomb.support_paths import _find_permutation, first_violation
 
 from conftest import reversed_flag, standard_flag
 
@@ -188,6 +188,80 @@ def test_realize_roundtrip_all_paths_n5(q):
     for p in enumerate_paths(5):
         f, g = realize_path(p, q)
         assert path_from_flag_pair(f, g) == p
+
+
+def _search_permutation(deltas, n):
+    """The backtracking search that realize_path once used: the reference
+    for the lex-first permutation."""
+    targets = [i - deltas[i] for i in range(n + 1)]
+    w = []
+    used = [False] * (n + 1)
+
+    def feasible(i):
+        for k in range(i, n + 1):
+            cnt = sum(1 for v in w if v <= k)
+            if cnt > targets[k] or targets[k] - cnt > k - i:
+                return False
+        return True
+
+    def place(i):
+        if i > n:
+            return True
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            w.append(v)
+            used[v] = True
+            cnt = sum(1 for x in w if x <= i)
+            if cnt == targets[i] and feasible(i) and place(i + 1):
+                return True
+            w.pop()
+            used[v] = False
+        return False
+
+    return w if place(1) else None
+
+
+def _random_path(n, rng):
+    """A uniform step at each dimension among those that stay on S(n)."""
+    deltas = [0]
+    for i in range(1, n + 1):
+        d = deltas[-1]
+        deltas.append(rng.randint(max(0, d - 1), min(d + 1, i, n - i)))
+    return DistancePath(n, tuple(deltas))
+
+
+def test_find_permutation_matches_search_exhaustive():
+    for n in range(2, 11):
+        for p in enumerate_paths(n):
+            assert _find_permutation(p.deltas, n) == \
+                _search_permutation(p.deltas, n), p.deltas
+
+
+def test_find_permutation_matches_search_random():
+    rng = random.Random(20)
+    for _ in range(150):
+        p = _random_path(rng.randint(12, 20), rng)
+        assert _find_permutation(p.deltas, p.n) == \
+            _search_permutation(p.deltas, p.n), p.deltas
+
+
+@pytest.mark.parametrize("n", [30, 60, 100])
+def test_find_permutation_rank_profile(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        p = _random_path(n, rng)
+        w = _find_permutation(p.deltas, n)
+        assert sorted(w) == list(range(1, n + 1))
+        for i in range(n + 1):
+            assert sum(1 for v in w[:i] if v <= i) == i - p.deltas[i]
+
+
+def test_realize_deep_path_n24():
+    p = DistancePath(24, (0, 1, 2, 3, 4, 5, 6, 5, 5, 6, 5, 6, 7, 7, 8, 7, 7,
+                          6, 6, 5, 4, 3, 2, 1, 0))
+    f, g = realize_path(p, 2)
+    assert path_from_flag_pair(f, g) == p
 
 
 def test_paths_of_code(rng):
