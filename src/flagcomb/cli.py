@@ -162,7 +162,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    qs = tuple(int(t) for t in args.q.split(","))
+    try:
+        qs = tuple(int(t) for t in args.q.split(","))
+    except ValueError:
+        raise ValueError(f"--q must be ints like 2,3, got {args.q!r}") from None
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     report, ok = run_verification(n_max=args.n_max, qs=qs,
                                   trials=args.trials, seed=args.seed)
     print(report)

@@ -318,45 +318,63 @@ def distance_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
     return by_criterion
 
 
+def _grow(p: EmbeddedPartition, v: int) -> EmbeddedPartition:
+    """EmbeddedPartition(p.n, p.parts + (v,)), or the error type it raises:
+    p is valid, so only the new part v in row len(p.parts) + 1 is checked."""
+    parts = p.parts + (v,)
+    if v <= 0 or len(parts) > 1 and v > parts[-2]:
+        raise NotAPartition(f"part {v} cannot follow {p.parts}")
+    if v > p.n - len(parts):
+        raise NotEmbedded(f"{parts} does not fit in FF({p.n})")
+    child = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
+    child.__dict__.update(n=p.n, parts=parts)
+    return child
+
+
+def _walk(n: int, u: Optional[int], max_n: Optional[int]) -> Iterator[tuple]:
+    """(p, underlying_distribution(p).counts, their sum) for each embedded
+    partition p of FF(n) of splitting value u (any if None), lexicographic;
+    each grown from its parent by one row, none past u (values only grow)."""
+    if max_n is None:
+        max_n = config.load_config().max_n_combinatorics
+    if n > max_n:
+        raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    stack = [(EmbeddedPartition(n, ()), (), 0)]
+    while stack:
+        p, counts, value = node = stack.pop()
+        if u is None or value == u:
+            yield node
+        row = len(counts) + 1
+        odd = (n + row) % 2     # _row_black_count(n, row, v) inlined
+        # v = 1 goes on the stack last, so the walk is lexicographic
+        for v in range(min(p.parts[-1], n - row) if counts else n - 1, 0, -1):
+            c = (v + odd) // 2
+            if u is None or value + c <= u:
+                stack.append((_grow(p, v), counts + (c,), value + c))
+
+
 def enumerate_embedded_partitions(
         n: int, splitting_filter: Optional[int] = None, *,
         max_n: Optional[int] = None) -> list[EmbeddedPartition]:
     """All embedded partitions of FF(n) (null included), lexicographic;
     with splitting_filter=u, only those of splitting value u."""
-    if max_n is None:
-        max_n = config.load_config().max_n_combinatorics
-    if n > max_n:
-        raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
-    out: list[EmbeddedPartition] = []
-
-    def gen(prefix: list[int], bound: int, row: int, value: int) -> None:
-        if splitting_filter is not None and value > splitting_filter:
-            return      # the value never decreases down the recursion
-        p = EmbeddedPartition(n, tuple(prefix))
-        if splitting_filter is None or value == splitting_filter:
-            out.append(p)
-        if row > n - 1:
-            return
-        for v in range(1, min(bound, n - row) + 1):
-            prefix.append(v)
-            gen(prefix, v, row + 1, value + _row_black_count(n, row, v))
-            prefix.pop()
-
-    gen([], n - 1, 1, 0)
-    return out
+    return [p for p, _, _ in _walk(n, splitting_filter, max_n)]
 
 
 def splittings_by_value(n: int, *, max_n: Optional[int] = None
                         ) -> dict[int, frozenset[UnderlyingDistribution]]:
-    """The distinct splittings of FF(n) by value u, in one pass: each is
-    the distribution of the first partition that has it, trailing zeros
-    included."""
-    groups: dict[int, set[UnderlyingDistribution]] = {
-        u: set() for u in range(max_distance(n) + 1)}
-    for p in enumerate_embedded_partitions(n, max_n=max_n):
-        dist = underlying_distribution(p)
-        groups[sum(dist.counts)].add(dist)
-    return {u: frozenset(g) for u, g in groups.items()}
+    """The distinct splittings of FF(n) by value u, in one walk: each is
+    the distribution of the first partition that has it."""
+    groups = {u: set() for u in range(max_distance(n) + 1)}
+    for _, counts, value in _walk(n, None, max_n):
+        # a last count 0 repeats the splitting of the parent, which came
+        # first; the counts of every other node are already stripped
+        if not counts or counts[-1]:
+            groups[value].add(counts)
+    return {u: frozenset(UnderlyingDistribution(n, c) for c in g)
+            for u, g in groups.items()}
 
 
 def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution]:

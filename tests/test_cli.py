@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import DistancePath, EmbeddedPartition, verify
+from flagcomb import DistancePath, EmbeddedPartition, ferrers, verify
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -177,12 +177,32 @@ def _bijection_check_only(monkeypatch):
         c for c in verify.CHECKS if c[0] == "path_splitting_bijection"])
 
 
+def _count_ferrers_calls(monkeypatch, name):
+    """Count the calls of flagcomb.ferrers.<name>, private names included."""
+    calls = []
+    original = getattr(ferrers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ferrers, name, counted)
+    return calls
+
+
 def test_bijection_enumerates_paths_and_partitions_once(monkeypatch, capsys):
     paths = _count_calls(monkeypatch, "enumerate_paths")
-    parts = _count_calls(monkeypatch, "enumerate_embedded_partitions")
+    walks = _count_ferrers_calls(monkeypatch, "_walk")
     assert main(["bijection", "8"]) == 0
     assert "NO" not in capsys.readouterr().out
-    assert (len(paths), len(parts)) == (1, 1)
+    assert (len(paths), len(walks)) == (1, 1)
+
+
+def test_bijection_builds_one_distribution_per_splitting(monkeypatch, capsys):
+    built = _count_ferrers_calls(monkeypatch, "UnderlyingDistribution")
+    assert main(["bijection", "10"]) == 0
+    assert "NO" not in capsys.readouterr().out
+    assert len(built) == 2188   # Motzkin(10) splittings, of Catalan(10) nodes
 
 
 def test_verify_bijection_enumerates_paths_once_per_n(monkeypatch):
@@ -230,11 +250,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["paths", "99"]) == 1       # over the cap, no --force
     assert main(["realize", "2", "0,2,0,0"]) == 1
+    assert main(["partitions", "1"]) == 1   # FF(1) is no frame
+    assert main(["partitions", "0"]) == 1
+    assert capsys.readouterr().err.endswith("error: need n >= 2, got 0\n")
     assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
     assert main(["analyze", _code_file(tmp_path, "garbage")]) == 2
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
     assert main(["analyze", str(tmp_path / "binary.txt")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-max", "1"], ["--trials", "-4"], ["--q", ","], ["--q", "2,"],
+    ["--q", "2,x"],
+])
+def test_verify_rejects_bad_arguments(argv, capsys):
+    assert main(["verify", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]} must be ")
+    assert err.count("\n") == 1
 
 
 def test_python_m_cli_runs_main(tmp_path):

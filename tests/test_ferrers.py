@@ -16,7 +16,8 @@ from flagcomb import (DistancePath, EmbeddedPartition, FerrersFrame,
                       staircase_of_partition, underlying_distribution)
 from flagcomb.errors import (CellOutsideFrame, EnumerationLimitExceeded,
                              FrameMismatch, NotAPartition, NotEmbedded)
-from flagcomb.ferrers import BLACK, RED, black_cells, trace_staircase
+from flagcomb.ferrers import (BLACK, RED, black_cells, splittings_by_value,
+                              trace_staircase)
 
 
 def catalan(n):
@@ -322,20 +323,100 @@ def test_equivalent_partitions_share_distribution(n, data):
 
 
 def test_splitting_filter_prunes_subtrees_past_u(monkeypatch):
-    """The carried value never decreases down the recursion, so the walk
-    for u = 0 builds only a few nodes, not all Catalan(11) of them."""
-    built = []
-    original = ferrers_module.EmbeddedPartition
+    """The carried value never decreases down the walk, so the walk for
+    u = 0 grows only a few nodes, not all Catalan(11) of them."""
+    grown = []
+    original = ferrers_module._grow
 
-    def counted(n, parts):
-        built.append(parts)
-        return original(n, parts)
+    def counted(p, v):
+        grown.append(p.parts + (v,))
+        return original(p, v)
 
-    monkeypatch.setattr(ferrers_module, "EmbeddedPartition", counted)
+    monkeypatch.setattr(ferrers_module, "_grow", counted)
     everything = enumerate_embedded_partitions(11, max_n=11)
-    assert len(built) == len(everything) == catalan(11)
-    built.clear()
+    assert len(grown) + 1 == len(everything) == catalan(11)   # + the root
+    grown.clear()
     kept = enumerate_embedded_partitions(11, 0, max_n=11)
     assert kept == [p for p in everything if splitting_value(p) == 0]
     assert len(kept) == 2
-    assert len(built) < 100
+    assert len(grown) + 1 < 100
+
+
+# ---------------------------------------------------------------------------
+# The grown walk against the walk that builds every node from scratch
+# ---------------------------------------------------------------------------
+
+def _reference_walk(n):
+    """Every embedded partition of FF(n), lexicographic, each node built
+    by the full constructor (is_embedded on all its parts)."""
+    out = []
+
+    def gen(prefix, bound, row):
+        out.append(EmbeddedPartition(n, tuple(prefix)))
+        if row > n - 1:
+            return
+        for v in range(1, min(bound, n - row) + 1):
+            prefix.append(v)
+            gen(prefix, v, row + 1)
+            prefix.pop()
+
+    gen([], n - 1, 1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_grown_walk_matches_reference(n):
+    reference = _reference_walk(n)
+    nodes = list(ferrers_module._walk(n, None, n))
+    assert [p for p, _, _ in nodes] == reference
+    for (p, counts, value), q in zip(nodes, reference):
+        assert type(p) is EmbeddedPartition and hash(p) == hash(q)
+        assert counts == underlying_distribution(q).counts
+        assert value == sum(counts)
+    by_u = {}
+    for q in reference:
+        by_u.setdefault(splitting_value(q), []).append(q)
+    for u in range(max_distance(n) + 2):
+        assert enumerate_embedded_partitions(n, u, max_n=n) == by_u.get(u, [])
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_splittings_by_value_matches_reference_grouping(n):
+    """The first distribution of each splitting, as a set keeps it."""
+    reference = {u: set() for u in range(max_distance(n) + 1)}
+    for q in _reference_walk(n):
+        dist = underlying_distribution(q)
+        reference[sum(dist.counts)].add(dist)
+    got = splittings_by_value(n, max_n=n)
+    assert got == reference
+    for u, dists in reference.items():
+        assert (sorted(d.counts for d in got[u])
+                == sorted(d.counts for d in dists))
+
+
+def _built(make):
+    try:
+        return make()
+    except (NotAPartition, NotEmbedded) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_grow_raises_exactly_when_the_constructor_raises(n):
+    for p in _reference_walk(n):
+        for v in range(-1, n + 1):
+            grown = _built(lambda: ferrers_module._grow(p, v))
+            built = _built(lambda: EmbeddedPartition(n, p.parts + (v,)))
+            assert grown == built, (p.parts, v)
+            if not isinstance(built, type):
+                assert type(grown) is EmbeddedPartition
+                assert hash(grown) == hash(built)
+                assert repr(grown) == repr(built)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_partition_layer_needs_n_at_least_2(n):
+    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+        enumerate_embedded_partitions(n)
+    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+        splittings_by_value(n)
