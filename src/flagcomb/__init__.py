@@ -22,9 +22,9 @@ from .flags import (Flag, FlagCode, TypeVector, codistance, flag_distance,
                     flag_from_matrix, max_distance, min_distance,
                     projected_code, projected_distance,
                     projected_parameters, projection, random_full_flag_code)
-from .gfq_linalg import (MatGFq, PrimeField, Subspace, dim_intersection,
-                         dim_sum, grassmannian, injection_distance, rref,
-                         subspace_distance, subspace_from_rows)
+from .gfq_linalg import (Subspace, dim_intersection, dim_sum, grassmannian,
+                         injection_distance, subspace_distance,
+                         subspace_from_rows)
 from .support_paths import (DistancePath, DistanceSupport, enumerate_paths,
                             path_codistance, path_distance,
                             path_from_flag_pair, paths_of_code, pick_area,

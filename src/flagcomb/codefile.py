@@ -22,7 +22,7 @@ import json
 
 from .errors import FlagcombError, InvalidFlag, ParseError
 from .flags import Flag, FlagCode, TypeVector, flag_from_matrix
-from .gfq_linalg import is_prime
+from .gfq_linalg import require_prime
 
 
 def _parse_type(token: str | list, n: int) -> TypeVector:
@@ -44,11 +44,9 @@ def _build_flags(q: int, n: int, type_token: str | list,
     the rows themselves, since every row must have n entries.
     """
     try:
-        prime = is_prime(q)
+        require_prime(q)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if not prime:
-        raise ParseError(f"q = {q} is not prime")
     if not blocks:
         raise ParseError("no flags in file")
     for idx, rows in enumerate(blocks, start=1):
@@ -129,7 +127,7 @@ def serialize_code(c: FlagCode) -> str:
     chunks = [f"{c.q} {c.n} {type_token}"]
     for fl in c:
         rows = "\n".join(" ".join(str(e) for e in row)
-                         for row in fl.generator.entries)
+                         for row in fl.generator)
         chunks.append(rows)
     return "\n\n".join(chunks) + "\n"
 
@@ -139,6 +137,6 @@ def serialize_code_json(c: FlagCode) -> str:
         "q": c.q,
         "n": c.n,
         "type": "full" if c.type.is_full else list(c.type.dims),
-        "flags": [[list(row) for row in fl.generator.entries] for fl in c],
+        "flags": [[list(row) for row in fl.generator] for fl in c],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (MatGFq, RowSpace, Subspace, _residual_rank,
-                         is_prime)
+from .gfq_linalg import (Row, RowSpace, Subspace, _residual_rank,
+                         require_prime)
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,13 @@ class Flag:
     __slots__ = ("q", "n", "type", "generator", "subspaces", "_packed", "_key")
 
     def __init__(self, q: int, n: int, type_: TypeVector,
-                 generator: MatGFq, subspaces: tuple[Subspace, ...]):
+                 generator: tuple[Row, ...], subspaces: tuple[Subspace, ...]):
         self.q = q
         self.n = n
         self.type = type_
         self.generator = generator
         self.subspaces = subspaces
-        self._packed = _pack(q, generator.entries)
+        self._packed = _pack(q, generator)
         self._key = (q, n, type_.dims, tuple(s.basis for s in subspaces))
 
     def __eq__(self, other):
@@ -105,32 +105,31 @@ class Flag:
 
 
 def flag_from_matrix(q: int, n: int, type_: TypeVector,
-                     m: MatGFq | Iterable[Iterable[int]]) -> Flag:
+                     rows: Iterable[Iterable[int]]) -> Flag:
     """Build a flag whose i-th subspace is the span of the first t_i rows.
 
+    Entries are reduced mod q, and every row must have n entries
+    (TypeMismatch otherwise); the reduced rows are the flag's generator.
     Raises RankDeficient(t_i) as soon as a prefix fails to reach rank t_i.
     For full flags given with n rows, the whole matrix must be invertible
     (RankDeficient(n) otherwise).
     """
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+    require_prime(q)
     if type_.n != n:
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
-    if not isinstance(m, MatGFq):
-        m = MatGFq.make(q, m)
-    if m.q != q:
-        raise TypeMismatch(f"matrix over F_{m.q}, flag over F_{q}")
-    if m.n_cols != n:
-        raise TypeMismatch(f"expected {n} columns, got {m.n_cols}")
+    rows = tuple(tuple(e % q for e in r) for r in rows)
+    for r in rows:
+        if len(r) != n:
+            raise TypeMismatch(f"expected {n} columns, got {len(r)}")
     t_last = type_.dims[-1]
-    if m.n_rows < t_last:
-        raise RankDeficient(t_last, f"only {m.n_rows} rows for type {type_.dims}")
+    if len(rows) < t_last:
+        raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
 
-    stop = n if type_.is_full and m.n_rows >= n else t_last
+    stop = n if type_.is_full and len(rows) >= n else t_last
     space = RowSpace(q, n)
     subspaces = []
     targets = set(type_.dims)
-    for idx, row in enumerate(m.entries[:stop], start=1):
+    for idx, row in enumerate(rows[:stop], start=1):
         space.add(row)
         if idx in targets:
             if space.rank < idx:
@@ -139,7 +138,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     if space.rank < stop:
         raise RankDeficient(n, "full-flag generator is singular")
 
-    flag = Flag(q, n, type_, m, tuple(subspaces))
+    flag = Flag(q, n, type_, rows, tuple(subspaces))
     _recheck_nesting(flag)
     return flag
 
@@ -190,8 +189,8 @@ def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
 def _profile_rows(f: Flag, g: Flag) -> tuple[int, ...]:
     """The profile sweep on the reference list kernel (RowSpace.add)."""
     space = RowSpace(f.q, f.n)
-    frows = f.generator.entries
-    grows = g.generator.entries
+    frows = f.generator
+    grows = g.generator
     out = []
     prev = 0
     for t in f.type.dims:
@@ -368,15 +367,17 @@ def projected_distance(c: FlagCode, i: int) -> int:
 # Random generators for the verification suites.
 # ---------------------------------------------------------------------------
 
-def random_invertible_matrix(q: int, n: int, rng: random.Random) -> MatGFq:
+def random_invertible_matrix(q: int, n: int,
+                             rng: random.Random) -> tuple[Row, ...]:
     """Uniform-ish invertible n x n matrix by row-wise rejection."""
+    require_prime(q)
     space = RowSpace(q, n)
     rows = []
     while len(rows) < n:
         row = [rng.randrange(q) for _ in range(n)]
         if space.add(row):
             rows.append(tuple(row))
-    return MatGFq(q, tuple(rows))
+    return tuple(rows)
 
 
 def random_full_flag(q: int, n: int, rng: random.Random) -> Flag:
@@ -391,6 +392,7 @@ def random_full_flag_code(q: int, n: int, size: int,
     F_q^n has prod_{i=1}^{n} (q^i - 1)/(q - 1) full flags; a larger *size*
     raises ValueError.
     """
+    require_prime(q)
     available = prod((q ** i - 1) // (q - 1) for i in range(1, n + 1))
     if size > available:
         raise ValueError(f"F_{q}^{n} has {available} full flags, "

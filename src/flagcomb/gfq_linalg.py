@@ -58,53 +58,11 @@ def is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_q; primality is checked at construction."""
-
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero element."""
-        if a % self.q == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
-
-@dataclass(frozen=True)
-class MatGFq:
-    """An immutable matrix over F_q with entries reduced to [0, q)."""
-
-    q: int
-    entries: tuple[Row, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        for r in self.entries:
-            for e in r:
-                if not 0 <= e < self.q:
-                    raise ValueError(f"entry {e} not reduced mod {self.q}")
-
-    @classmethod
-    def make(cls, q: int, rows: Iterable[Iterable[int]]) -> "MatGFq":
-        """Build a matrix, reducing every entry mod q."""
-        return cls(q, tuple(tuple(e % q for e in r) for r in rows))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+def require_prime(q: int) -> None:
+    """Raise ValueError unless q is prime, before anything is drawn or
+    allocated for F_q."""
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +147,6 @@ class RowSpace:
         return not any(r)
 
 
-def rref_rows(rows: Iterable[Sequence[int]], q: int) -> tuple[tuple[Row, ...], int]:
-    """RREF of raw rows: (nonzero rows of the RREF, rank)."""
-    rows = list(rows)
-    if not rows:
-        return (), 0
-    space = RowSpace(q, len(rows[0]))
-    for row in rows:
-        space.add(row)
-    return space.basis(), space.rank
-
-
-def rref(m: MatGFq) -> tuple[MatGFq, int]:
-    """The unique reduced row-echelon form of m and its rank.
-
-    The returned matrix has the same shape as m (zero rows kept at the
-    bottom); the row space is preserved.
-    """
-    basis, rank = rref_rows(m.entries, m.q)
-    zero = tuple([0] * m.n_cols)
-    padded = basis + tuple(zero for _ in range(m.n_rows - rank))
-    return MatGFq(m.q, padded), rank
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_q^n in canonical (RREF, zero rows stripped) form."""
@@ -226,18 +161,17 @@ class Subspace:
 
 
 def subspace_from_rows(q: int, n: int,
-                       rows: MatGFq | Iterable[Iterable[int]]) -> Subspace:
-    """Span of the given rows as a canonical Subspace of F_q^n."""
-    if isinstance(rows, MatGFq):
-        raw: Iterable[Iterable[int]] = rows.entries
-    else:
-        raw = rows
-    raw = [tuple(e % q for e in r) for r in raw]
-    for r in raw:
+                       rows: Iterable[Iterable[int]]) -> Subspace:
+    """Span of the given rows as a canonical Subspace of F_q^n: the one
+    path from raw rows to canonical form.  Every row must have n entries;
+    RowSpace.add reduces them mod q."""
+    space = RowSpace(q, n)
+    for r in rows:
+        r = list(r)
         if len(r) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
-    basis, _ = rref_rows(raw, q)
-    return Subspace(q, n, basis)
+        space.add(r)
+    return Subspace(q, n, space.basis())
 
 
 def _check_compatible(u: Subspace, v: Subspace) -> None:

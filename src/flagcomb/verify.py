@@ -19,7 +19,7 @@ from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       staircase_of_partition)
 from .flags import (max_distance, pair_profiles, random_full_flag,
                     random_full_flag_code)
-from .gfq_linalg import (MatGFq, grassmannian, injection_distance, rref,
+from .gfq_linalg import (grassmannian, injection_distance, require_prime,
                          subspace_from_rows, subspace_distance)
 from .support_paths import (enumerate_paths, path_from_flag_pair,
                             path_codistance, path_distance, pick_area,
@@ -35,25 +35,22 @@ def _check_rref(rng, n_max, qs, trials):
         q = rng.choice(list(qs))
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 6)
-        m = MatGFq.make(q, [[rng.randrange(q) for _ in range(cols)]
-                            for _ in range(rows)])
-        r1, rank1 = rref(m)
-        r2, rank2 = rref(r1)
+        m = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        u = subspace_from_rows(q, cols, m)
         cases += 1
-        if (r1, rank1) != (r2, rank2):
-            fails.append(f"rref not idempotent on {m.entries}")
+        if subspace_from_rows(q, cols, u.basis) != u:
+            fails.append(f"rref not idempotent on {m}")
         # canonical equality: random row combinations span a subspace
         mixed = []
         for _ in range(rows + 1):
             coeffs = [rng.randrange(q) for _ in range(rows)]
             mixed.append([sum(c * e for c, e in zip(coeffs, col)) % q
-                          for col in zip(*m.entries)])
-        u = subspace_from_rows(q, cols, m.entries)
+                          for col in zip(*m)])
         v = subspace_from_rows(q, cols, mixed)
         if v.dim == u.dim and u != v:
-            fails.append(f"same span, different canonical form: {m.entries}")
+            fails.append(f"same span, different canonical form: {m}")
         if v.dim > u.dim:
-            fails.append(f"row mix grew the span: {m.entries}")
+            fails.append(f"row mix grew the span: {m}")
     return cases, fails
 
 
@@ -119,7 +116,7 @@ def _check_random_pair_paths(rng, n_max, qs, trials):
 def _check_enumerated_paths(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, min(n_max + 2, 10) + 1):
-        for p in enumerate_paths(n):
+        for p in enumerate_paths(n, max_n=n):
             cases += 1
             if pick_area(p) != path_distance(p):
                 fails.append(f"pick != distance for {p.deltas}")
@@ -135,7 +132,7 @@ def _check_enumerated_paths(rng, n_max, qs, trials):
 def _check_realize(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, min(n_max, 6) + 1):
-        paths = enumerate_paths(n)
+        paths = enumerate_paths(n, max_n=n)
         for q in qs:
             for p in paths:
                 cases += 1
@@ -164,7 +161,7 @@ def _check_frame_colors(rng, n_max, qs, trials):
 def _check_partition_roundtrip(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 9):
-        for part in enumerate_embedded_partitions(n):
+        for part in enumerate_embedded_partitions(n, max_n=n):
             cases += 1
             if partition_of_staircase(staircase_of_partition(part)) != part:
                 fails.append(f"round-trip failed for {part.parts} n={n}")
@@ -175,7 +172,7 @@ def _check_class_law(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 9):
         total = 0
-        for p in enumerate_paths(n):
+        for p in enumerate_paths(n, max_n=n):
             cases += 1
             cls = staircase_class(p)
             if len(cls) != 2 ** plateau_count(p)[1]:
@@ -184,7 +181,7 @@ def _check_class_law(rng, n_max, qs, trials):
                 if skeleton_of_staircase(s) != p:
                     fails.append(f"skeleton mismatch in class of {p.deltas}")
             total += len(cls)
-        if total != len(enumerate_embedded_partitions(n)):
+        if total != len(enumerate_embedded_partitions(n, max_n=n)):
             fails.append(f"classes do not partition the universe for n={n}")
     return cases, fails
 
@@ -194,13 +191,13 @@ def _check_equivalence_criterion(rng, n_max, qs, trials):
     # raises on disagreement; exercising it is the test.
     cases, fails = 0, []
     for n in range(2, 7):
-        parts = enumerate_embedded_partitions(n)
+        parts = enumerate_embedded_partitions(n, max_n=n)
         for a in range(len(parts)):
             for b in range(a, len(parts)):
                 cases += 1
                 distance_equivalent(parts[a], parts[b])
     for n in (7, 8):
-        parts = enumerate_embedded_partitions(n)
+        parts = enumerate_embedded_partitions(n, max_n=n)
         for _ in range(min(trials, 1000)):
             cases += 1
             distance_equivalent(rng.choice(parts), rng.choice(parts))
@@ -210,7 +207,7 @@ def _check_equivalence_criterion(rng, n_max, qs, trials):
 def _check_bijection(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 9):
-        for d, n_paths, n_split in bijection_table(n):
+        for d, n_paths, n_split in bijection_table(n, max_n=n):
             cases += 1
             if n_paths != n_split:
                 fails.append(f"bijection fails at n={n}, d={d}")
@@ -220,7 +217,7 @@ def _check_bijection(rng, n_max, qs, trials):
 def _check_skeleton_invariance(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 8):
-        for part in enumerate_embedded_partitions(n):
+        for part in enumerate_embedded_partitions(n, max_n=n):
             cases += 1
             d = path_distance(skeleton_of_staircase(staircase_of_partition(part)))
             if max_distance(n) - splitting_value(part) != d:
@@ -304,7 +301,10 @@ CHECKS: list[tuple[str, Check]] = [
 
 def run_verification(n_max: int = 7, qs: Sequence[int] = (2, 3),
                      trials: int = 1000, seed: int = 0) -> tuple[str, bool]:
-    """Run every check; returns (report text, all passed)."""
+    """Run every check; returns (report text, all passed).  Every q is
+    checked before any check runs (ValueError if one is not prime)."""
+    for q in qs:
+        require_prime(q)
     lines = [f"verification: n_max={n_max} q={list(qs)} trials={trials} "
              f"seed={seed}"]
     ok = True

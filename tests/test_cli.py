@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import DistancePath, EmbeddedPartition, ferrers, verify
+from flagcomb import DistancePath, EmbeddedPartition, config, ferrers, verify
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -50,7 +50,7 @@ def test_parse_errors():
 
 def test_entries_reduced_mod_q():
     c = parse_code("3 2 1\n\n4 7\n")
-    assert c.flags[0].generator.entries == ((1, 1),)
+    assert c.flags[0].generator == ((1, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,35 @@ def test_verify_rejects_bad_arguments(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[0]} must be ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["0", "-3", "1", "4"])
+def test_verify_rejects_a_q_that_is_not_prime(q, capsys):
+    """q is checked before any check draws from it, so q <= 0 never
+    reaches randrange and q = 1 never reaches a rejection loop."""
+    assert main(["verify", "--q", q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q = {q} is not prime\n"
+
+
+def test_verify_reads_no_config(tmp_path, monkeypatch, capsys):
+    """verify's tables are its own constants: no enumeration in it reads
+    the config, so a low cap changes nothing."""
+    calls = []
+    real = config.load_config
+    monkeypatch.setattr(config, "load_config",
+                        lambda *a: calls.append(a) or real(*a))
+    argv = ["verify", "--n-max", "4", "--trials", "20"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert calls == []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_n_combinatorics": 5}')
+    monkeypatch.setenv(ENV_VAR, str(cfg))
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+    assert calls == []
 
 
 def test_python_m_cli_runs_main(tmp_path):

@@ -16,7 +16,7 @@ from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
 from flagcomb.flags import (_profile_gf2, _profile_gf3, _profile_rows,
                             pair_distance_profile, random_full_flag,
                             random_full_flag_code, random_invertible_matrix)
-from flagcomb.gfq_linalg import RowSpace
+from flagcomb.gfq_linalg import RowSpace, subspace_from_rows
 
 from conftest import reversed_flag, standard_flag
 
@@ -63,6 +63,23 @@ def test_flag_equality_by_subspaces_not_generators():
                          [[1, 0, 0], [1, 1, 0], [1, 1, 1]])
     assert a == b and hash(a) == hash(b)
     assert len(FlagCode([a, b])) == 1
+
+
+def test_wrong_width_later_row_rejected():
+    """Every row's width is checked, not only the first one's."""
+    with pytest.raises(TypeMismatch, match="expected 3 columns, got 2"):
+        flag_from_matrix(2, 3, TypeVector.full(3),
+                         [[1, 0, 0], [0, 1, 0], [0, 1]])
+    with pytest.raises(TypeMismatch, match="expected 3 columns, got 4"):
+        flag_from_matrix(2, 3, TypeVector(3, (1,)),
+                         [[1, 0, 0], [0, 1, 0, 0]])
+
+
+def test_generator_entries_reduced_mod_q():
+    f = flag_from_matrix(3, 3, TypeVector.full(3),
+                         [[4, -1, 0], [0, 7, 3], [-3, 0, 5]])
+    assert f.generator == ((1, 2, 0), (0, 1, 0), (0, 0, 2))
+    assert f == flag_from_matrix(3, 3, TypeVector.full(3), f.generator)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +166,18 @@ def test_projected_code_dedupes(rng):
 
 def test_random_generators(rng):
     m = random_invertible_matrix(3, 5, rng)
-    from flagcomb.gfq_linalg import rref
-    assert rref(m)[1] == 5
+    assert subspace_from_rows(3, 5, m).dim == 5
     c = random_full_flag_code(2, 4, 5, rng)
     assert len(c) == 5 and c.is_full
+
+
+def test_random_generators_check_q_first(rng):
+    """q is checked before any draw: at q = 1 the rejection loop never
+    ends and the count of full flags divides by zero."""
+    with pytest.raises(ValueError, match="q = 1 is not prime"):
+        random_full_flag(1, 3, rng)
+    with pytest.raises(ValueError, match="q = 1 is not prime"):
+        random_full_flag_code(1, 3, 2, rng)
 
 
 @pytest.mark.parametrize("q, n, available", [(2, 2, 3), (2, 3, 21), (3, 2, 4)])

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcomb import (MatGFq, PrimeField, Subspace, dim_intersection, dim_sum,
-                      grassmannian, injection_distance, rref,
-                      subspace_distance, subspace_from_rows)
+from flagcomb import (dim_intersection, dim_sum, grassmannian,
+                      injection_distance, subspace_distance, subspace_from_rows)
 from flagcomb.errors import AmbientMismatch, ColumnCountMismatch
-from flagcomb.gfq_linalg import MR_EXACT_BELOW, RowSpace, is_prime, rref_rows
+from flagcomb.gfq_linalg import (MR_EXACT_BELOW, RowSpace, is_prime,
+                                 require_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -24,32 +24,38 @@ def test_is_prime_small_values():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
 def test_inverse_exhaustive(q):
-    f = PrimeField(q)
+    """RowSpace.add scales a new row by the inverse of its leading entry."""
     for a in range(1, q):
-        assert (a * f.inv(a)) % q == 1
+        space = RowSpace(q, 2)
+        space.add([a, 1])
+        (row,) = space.basis()
+        assert row[0] == 1 and (a * row[1]) % q == 1
 
 
 def test_nonprime_field_rejected():
     for q in (0, 1, 4, 6, 9):
-        with pytest.raises(ValueError):
-            PrimeField(q)
-    with pytest.raises(ValueError):
-        MatGFq.make(4, [[1, 0]])
+        with pytest.raises(ValueError, match=f"q = {q} is not prime"):
+            require_prime(q)
+    for q in (2, 3, 13):
+        require_prime(q)
 
 
 def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
+    """An entry that is 0 mod q is never taken as a pivot to invert."""
+    space = RowSpace(5, 2)
+    assert space.add([0, 0]) is False
+    assert space.add([5, 10]) is False
+    assert space.add([5, 3]) is True
+    assert space.basis() == ((0, 1),)
 
 
 def test_matrix_entries_reduced():
-    m = MatGFq.make(3, [[4, -1], [9, 5]])
-    assert m.entries == ((1, 2), (0, 2))
-    assert (m.n_rows, m.n_cols) == (2, 2)
-    with pytest.raises(ValueError):
-        MatGFq(3, ((0, 1), (1,)))  # ragged
-    with pytest.raises(ValueError):
-        MatGFq(3, ((0, 5),))  # not reduced
+    """subspace_from_rows reduces entries mod q and checks every row's
+    width, not only the first."""
+    u = subspace_from_rows(3, 2, [[4, -1], [8, 7]])  # (1, 2) and 2(1, 2)
+    assert u.basis == ((1, 2),)
+    with pytest.raises(ColumnCountMismatch):
+        subspace_from_rows(3, 2, [[0, 1], [1]])  # ragged
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +82,9 @@ def _is_rref(rows, q):
 
 
 def test_rref_known_case():
-    m = MatGFq.make(2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    red, rank = rref(m)
-    assert rank == 2
-    assert red.entries == ((1, 0, 1), (0, 1, 1), (0, 0, 0))
+    u = subspace_from_rows(2, 3, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    assert u.dim == 2
+    assert u.basis == ((1, 0, 1), (0, 1, 1))
 
 
 def test_rref_idempotent_and_shape_preserving():
@@ -88,12 +93,11 @@ def test_rref_idempotent_and_shape_preserving():
         for _ in range(50):
             rows = [[rng.randrange(q) for _ in range(4)]
                     for _ in range(rng.randint(1, 5))]
-            m = MatGFq.make(q, rows)
-            red, rank = rref(m)
-            assert red.n_rows == m.n_rows and red.n_cols == m.n_cols
-            assert _is_rref(red.entries, q)
-            again, rank2 = rref(red)
-            assert again == red and rank2 == rank
+            u = subspace_from_rows(q, 4, rows)
+            assert u.dim <= len(rows)
+            assert all(len(r) == 4 for r in u.basis)
+            assert _is_rref(u.basis, q)
+            assert subspace_from_rows(q, 4, u.basis) == u
 
 
 @given(st.integers(0, 1).map(lambda i: (2, 3)[i]),
@@ -103,7 +107,7 @@ def test_rref_idempotent_and_shape_preserving():
 @settings(max_examples=200)
 def test_rref_invariant_under_row_operations(q, rows, rnd):
     """The RREF basis depends only on the row space."""
-    basis, rank = rref_rows(rows, q)
+    u = subspace_from_rows(q, 3, rows)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     # add a random multiple of another row to the first row
@@ -111,8 +115,8 @@ def test_rref_invariant_under_row_operations(q, rows, rnd):
         c = rnd.randrange(q)
         shuffled[0] = [(a + c * b) % q
                        for a, b in zip(shuffled[0], shuffled[1])]
-    basis2, rank2 = rref_rows(shuffled, q)
-    assert basis == basis2 and rank == rank2
+    v = subspace_from_rows(q, 3, shuffled)
+    assert u.basis == v.basis and u.dim == v.dim
 
 
 def test_rowspace_incremental_rank():
@@ -253,7 +257,7 @@ def test_rowspace_from_rref_rejects_non_canonical(basis):
 
 def _stacked_rank(u, v):
     """dim(U + V) by eliminating every row of both bases from scratch."""
-    return rref_rows(u.basis + v.basis, u.q)[1]
+    return subspace_from_rows(u.q, u.ambient_n, u.basis + v.basis).dim
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])

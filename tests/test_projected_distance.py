@@ -13,7 +13,7 @@ from flagcomb import (FlagCode, TypeVector, analyze, cli, durfee_analysis,
                       flag_from_matrix, grassmannian, projected_code,
                       projected_distance, rectangle_to_projected)
 from flagcomb.flags import random_full_flag_code, random_invertible_matrix
-from flagcomb.gfq_linalg import RowSpace, _residual_rank, rref_rows
+from flagcomb.gfq_linalg import RowSpace, _residual_rank, subspace_from_rows
 
 
 def _reference_projected_distance(code, i):
@@ -22,7 +22,8 @@ def _reference_projected_distance(code, i):
     subs = projected_code(code, i)
     if len(subs) < 2:
         return 0
-    return min(rref_rows(u.basis + v.basis, code.q)[1] - min(u.dim, v.dim)
+    return min(subspace_from_rows(code.q, code.n, u.basis + v.basis).dim
+               - min(u.dim, v.dim)
                for u, v in itertools.combinations(subs, 2))
 
 
@@ -76,8 +77,8 @@ def test_later_pair_closer_than_the_first():
                                      [_identity_row(4, k) for k in order])
                     for order in orders)
     u, v, w = projected_code(code, 2)
-    assert rref_rows(u.basis + v.basis, 2)[1] - 2 == 2
-    assert rref_rows(u.basis + w.basis, 2)[1] - 2 == 1
+    assert subspace_from_rows(2, 4, u.basis + v.basis).dim - 2 == 2
+    assert subspace_from_rows(2, 4, u.basis + w.basis).dim - 2 == 1
     assert projected_distance(code, 2) == 1
     _assert_matches_reference(code)
 
@@ -87,7 +88,7 @@ def test_residual_rank_stops_at_the_cap(q, n):
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     for u, v in itertools.product(subs, repeat=2):
         pivots = RowSpace.from_rref(q, n, u.basis).pivots
-        full = rref_rows(u.basis + v.basis, q)[1] - u.dim
+        full = subspace_from_rows(q, n, u.basis + v.basis).dim - u.dim
         assert _residual_rank(pivots, v.basis, q) == full
         for cap in range(1, n + 1):
             assert _residual_rank(pivots, v.basis, q, cap=cap) == min(full, cap)
