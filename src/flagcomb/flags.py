@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (Row, RowSpace, Subspace, _residual_rank,
-                         require_prime)
+from .gfq_linalg import (PACKED_Q, PackedSpace, Row, RowSpace, Subspace,
+                         require_prime, residual_rank, seeded_pivots)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     (TypeMismatch otherwise); the reduced rows are the flag's generator.
     Raises RankDeficient(t_i) as soon as a prefix fails to reach rank t_i.
     For full flags given with n rows, the whole matrix must be invertible
-    (RankDeficient(n) otherwise).
+    (RankDeficient(n) otherwise).  q = 2 and q = 3 row-reduce packed rows.
     """
     require_prime(q)
     if type_.n != n:
@@ -126,16 +126,16 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
         raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
 
     stop = n if type_.is_full and len(rows) >= n else t_last
-    space = RowSpace(q, n)
+    space = PackedSpace(q, n) if q in PACKED_Q else RowSpace(q, n)
     subspaces = []
     targets = set(type_.dims)
     for idx, row in enumerate(rows[:stop], start=1):
         space.add(row)
         if idx in targets:
-            if space.rank < idx:
+            if len(space.pivots) < idx:
                 raise RankDeficient(idx)
-            subspaces.append(Subspace(q, n, space.basis()))
-    if space.rank < stop:
+            subspaces.append(space.subspace())
+    if len(space.pivots) < stop:
         raise RankDeficient(n, "full-flag generator is singular")
 
     flag = Flag(q, n, type_, rows, tuple(subspaces))
@@ -147,14 +147,12 @@ def _recheck_nesting(flag: Flag) -> None:
     """Direct containment check F_1 ⊊ F_2 ⊊ ... on the canonical bases.
 
     Prefix spans nest by construction; this is kept as the only check of
-    that at construction time, independent of the sweep that built them."""
+    that at construction time: F_i leaves no residue on F_{i+1}'s pivots."""
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
         if small.dim >= big.dim:
             raise RankDeficient(big.dim, "dimensions do not strictly increase")
-        outer = RowSpace.from_rref(flag.q, flag.n, big.basis)
-        for row in small.basis:
-            if not outer.contains(row):
-                raise RankDeficient(big.dim, "subspaces are not nested")
+        if residual_rank(seeded_pivots(big), small, cap=1):
+            raise RankDeficient(big.dim, "subspaces are not nested")
 
 
 def projection(f: Flag, i: int) -> Subspace:
@@ -341,18 +339,18 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
 def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
     """(|C_i|, d_I(C_i)) from one build of C_i; d_I is 0 for a singleton.
 
-    Computed directly on the list kernel, sharing no code with the profile
-    sweeps: each U is seeded once from its stored RREF, and d_I(U, V) is the
-    rank of V's basis reduced against it, as C_i has one dimension.  That
+    Computed directly on the canonical bases, sharing no code with the
+    profile sweeps: U's pivots are seeded once, and d_I(U, V) is the rank
+    of V's basis reduced against them, as C_i has one dimension.  That
     rank only grows row by row, so a pair stopped at the running minimum
     cannot lower it; distinct subspaces have d_I >= 1, so 1 ends the search.
     """
     subs = projected_code(c, i)
     best = c.n if len(subs) > 1 else 0
     for a, u in enumerate(subs[:-1]):
-        pivots = RowSpace.from_rref(c.q, c.n, u.basis).pivots
+        pivots = seeded_pivots(u)
         for v in subs[a + 1:]:
-            best = min(best, _residual_rank(pivots, v.basis, c.q, cap=best))
+            best = min(best, residual_rank(pivots, v, cap=best))
             if best == 1:
                 return len(subs), 1
     return len(subs), best

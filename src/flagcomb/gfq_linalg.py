@@ -9,7 +9,7 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +66,8 @@ def require_prime(q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction.  The workers below operate on plain lists of int tuples so
-# the hot incremental paths (flag construction, pairwise distance profiles)
-# avoid object overhead.
+# Row reduction on lists of ints: the kernel for q >= 5, and the reference
+# the packed kernel below is tested against.
 # ---------------------------------------------------------------------------
 
 def _reduce_row(row: Sequence[int], pivots: list[tuple[int, Row]],
@@ -142,9 +141,8 @@ class RowSpace:
     def basis(self) -> tuple[Row, ...]:
         return tuple(row for _, row in self.pivots)
 
-    def contains(self, row: Sequence[int]) -> bool:
-        r = _reduce_row([e % self.q for e in row], self.pivots, self.q)
-        return not any(r)
+    def subspace(self) -> "Subspace":
+        return Subspace(self.q, self.n, self.basis())
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,8 @@ class Subspace:
     q: int
     ambient_n: int
     basis: tuple[Row, ...]
+    # for q = 2, 3: the basis as packed RREF pivots, when its builder kept them
+    packed: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -171,7 +171,7 @@ def subspace_from_rows(q: int, n: int,
         if len(r) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
         space.add(r)
-    return Subspace(q, n, space.basis())
+    return space.subspace()
 
 
 def _check_compatible(u: Subspace, v: Subspace) -> None:
@@ -206,8 +206,7 @@ def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
 def dim_sum(u: Subspace, v: Subspace) -> int:
     """dim(U + V), reducing V's basis against U's stored RREF."""
     _check_compatible(u, v)
-    seeded = RowSpace.from_rref(u.q, u.ambient_n, u.basis)
-    return u.dim + _residual_rank(seeded.pivots, v.basis, u.q)
+    return u.dim + residual_rank(seeded_pivots(u), v)
 
 
 def dim_intersection(u: Subspace, v: Subspace) -> int:
@@ -223,6 +222,121 @@ def injection_distance(u: Subspace, v: Subspace) -> int:
 def subspace_distance(u: Subspace, v: Subspace) -> int:
     """dim(U+V) - dim(U ∩ V); equals 2 * injection distance at equal dims."""
     return dim_sum(u, v) - dim_intersection(u, v)
+
+
+# ---------------------------------------------------------------------------
+# Packed kernel for q = 2, 3, column 0 in the top bit: an int per row for
+# q = 2, a (ones, twos) pair of bit-planes per row for q = 3.  A packed RREF
+# maps each pivot bit to its row, whose entry there is 1.  It shares no code
+# with the profile sweeps of flags, which the direct side cross-checks.
+# ---------------------------------------------------------------------------
+
+PACKED_Q = (2, 3)
+
+
+def _pack_row(q: int, row: Sequence[int]):
+    digits = "".join(map(str, row))
+    if q == 2:
+        return int(digits, 2)
+    return (int(digits.replace("2", "0"), 2),
+            int(digits.replace("1", "0").replace("2", "1"), 2))
+
+
+def _support(q: int, x) -> int:
+    return x if q == 2 else x[0] | x[1]
+
+
+def _clear(q: int, x, p, b: int):
+    """x minus the multiple of p that zeroes bit b of x (p is nonzero there):
+    for q = 3, x - p at equal entries and x + p at unequal ones, where -p
+    swaps the planes (Kawahara, Aoki & Takagi, 2008)."""
+    if q == 2:
+        return x ^ p
+    lo, hi = x
+    plo, phi = p if (lo & b) == (p[0] & b) else (p[1], p[0])
+    t = (lo | plo) ^ (hi | phi)
+    return (hi | plo) ^ t, (lo | phi) ^ t
+
+
+class PackedSpace:
+    """RowSpace on packed rows, for q = 2, 3."""
+
+    __slots__ = ("q", "n", "pivots", "_unpacked")
+
+    def __init__(self, q: int, n: int):
+        self.q = q
+        self.n = n
+        self.pivots: dict = {}
+        # packed row -> row tuple: most rows of F_i are rows of F_{i+1}
+        self._unpacked: dict = {}
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Add a row of entries in range(q); return True iff the rank grew."""
+        q, pivots = self.q, self.pivots
+        x = _pack_row(q, row)
+        for b, p in pivots.items():
+            if _support(q, x) & b:
+                x = _clear(q, x, p, b)
+        if not _support(q, x):
+            return False
+        b = 1 << (_support(q, x).bit_length() - 1)
+        if q == 3 and not x[0] & b:
+            x = (x[1], x[0])
+        for c, p in pivots.items():
+            if _support(q, p) & b:
+                pivots[c] = _clear(q, p, x, b)
+        pivots[b] = x
+        return True
+
+    def subspace(self) -> Subspace:
+        """The span so far, its basis unpacked in descending bit order."""
+        q, n, memo = self.q, self.n, self._unpacked
+        for x in self.pivots.values():
+            if x not in memo:   # for q = 3, plane digits add in base 10
+                memo[x] = tuple(map(int, format(x, f"0{n}b") if q == 2 else
+                                    format(int(format(x[0], "b"))
+                                           + 2 * int(format(x[1], "b")),
+                                           f"0{n}d")))
+        basis = tuple(memo[self.pivots[b]]
+                      for b in sorted(self.pivots, reverse=True))
+        return Subspace(q, n, basis, dict(self.pivots))
+
+
+def seeded_pivots(u: Subspace) -> dict | list:
+    """U's pivots, to rank residuals against: for q = 2, 3 its packed RREF,
+    the one its builder kept or else its basis packed; for larger q the
+    list kernel's, seeded from the basis."""
+    if u.q not in PACKED_Q:
+        return RowSpace.from_rref(u.q, u.ambient_n, u.basis).pivots
+    if u.packed is not None:
+        return u.packed
+    rows = [_pack_row(u.q, r) for r in u.basis]
+    return {1 << (_support(u.q, x).bit_length() - 1): x for x in rows}
+
+
+def residual_rank(pivots: dict | list, v: Subspace,
+                  cap: int | None = None) -> int:
+    """dim(U + V) - dim U for U's seeded_pivots; stops once it reaches *cap*.
+
+    Larger q run _residual_rank.  For q = 2, 3, U's pivots seed a forward
+    elimination of V's packed rows keyed by each row's top bit."""
+    q = v.q
+    if q not in PACKED_Q:
+        return _residual_rank(pivots, v.basis, q, cap)
+    own = dict(pivots)
+    for x in seeded_pivots(v).values():
+        if len(own) - len(pivots) == cap:
+            break
+        s = _support(q, x)
+        while s:
+            b = 1 << (s.bit_length() - 1)
+            p = own.get(b)
+            if p is None:
+                own[b] = x
+                break
+            x = _clear(q, x, p, b)
+            s = _support(q, x)
+    return len(own) - len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import config
 from .errors import (EnumerationLimitExceeded, IndexOutOfRange, InvalidPath,

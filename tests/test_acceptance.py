@@ -9,13 +9,13 @@ from collections import Counter
 import pytest
 
 from flagcomb import (DistancePath, EmbeddedPartition, analyze,
-                      black_dots_in_rectangle, bound_from_codistance,
-                      check_separability, enumerate_embedded_partitions,
-                      enumerate_paths, flag_distance_bounds,
-                      is_optimum_distance, max_distance, min_distance,
-                      path_codistance, path_distance, path_from_flag_pair,
-                      pick_area, projected_code, projected_distance,
-                      realize_path, rectangle_to_projected, splitting_value,
+                      black_dots_in_rectangle, check_separability,
+                      enumerate_embedded_partitions, enumerate_paths,
+                      flag_distance_bounds, is_optimum_distance,
+                      max_distance, min_distance, path_codistance,
+                      path_distance, path_from_flag_pair, pick_area,
+                      projected_code, projected_distance, realize_path,
+                      rectangle_to_projected, splitting_value,
                       staircase_class, underlying_distribution)
 from flagcomb.codefile import parse_code
 from flagcomb.flags import random_full_flag_code

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import DistancePath, EmbeddedPartition, config, ferrers, verify
+from flagcomb import DistancePath, config, ferrers, verify
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config

@@ -15,7 +15,7 @@ from flagcomb.durfee_analysis import durfee_rectangle_transposed
 from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              OffsetOutOfRange, RectangleOutsideFrame,
                              SingletonCode)
-from flagcomb.flags import random_full_flag, random_full_flag_code
+from flagcomb.flags import random_full_flag_code
 
 from conftest import reversed_flag, standard_flag
 

@@ -10,7 +10,7 @@ from flagcomb import (DistancePath, EmbeddedPartition, FerrersFrame,
                       StaircasePath, UnderlyingDistribution, cell_color,
                       distance_equivalent, enumerate_embedded_partitions,
                       enumerate_paths, is_embedded, max_distance,
-                      partition_of_staircase, path_codistance, path_distance,
+                      partition_of_staircase, path_codistance,
                       plateau_count, skeleton_of_staircase, splitting_value,
                       splittings_of_codistance, staircase_class,
                       staircase_of_partition, underlying_distribution)

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from flagcomb import (dim_intersection, dim_sum, grassmannian,
                       injection_distance, subspace_distance, subspace_from_rows)
-from flagcomb.errors import AmbientMismatch, ColumnCountMismatch
-from flagcomb.gfq_linalg import (MR_EXACT_BELOW, RowSpace, is_prime,
-                                 require_prime)
+from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
+                             RankDeficient)
+from flagcomb.flags import (Flag, TypeVector, _recheck_nesting,
+                            flag_from_matrix, random_invertible_matrix)
+from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PackedSpace, RowSpace,
+                                 Subspace, _residual_rank, is_prime,
+                                 require_prime, residual_rank, seeded_pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +129,8 @@ def test_rowspace_incremental_rank():
     assert space.add([1, 1, 0]) is False
     assert space.add([0, 0, 1]) is True
     assert space.rank == 2
-    assert space.contains([1, 1, 1])
-    assert not space.contains([1, 0, 0])
+    assert space.add([1, 1, 1]) is False
+    assert space.add([1, 0, 0]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +304,67 @@ def test_from_rref_accepts_and_rejects_as_the_transposing_check():
         assert ok == _transposing_check(n, basis), basis
         accepted += ok
     assert accepted > 100
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel (q = 2, 3) against the list kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
+    """Every F_i of a flag equals subspace_from_rows on the first t_i rows
+    of its generator, and the packed RREF a flag keeps equals its basis
+    packed afresh; q = 5 keeps none and stays on RowSpace."""
+    rng = random.Random(q)
+    sizes = [2, 3, 4, 7, 12, 20] + ([48] if q < 5 else [])
+    for n in sizes:
+        for full in (True, False):
+            k = n - 1 if full else rng.randint(1, n - 1)
+            dims = tuple(sorted(rng.sample(range(1, n), k)))
+            rows = random_invertible_matrix(q, n, rng)
+            flag = flag_from_matrix(q, n, TypeVector(n, dims), rows)
+            for t, s in zip(dims, flag.subspaces):
+                assert s.basis == subspace_from_rows(q, n, rows[:t]).basis
+                assert (s.packed is None) == (q == 5)
+                if s.packed is not None:
+                    repacked = seeded_pivots(Subspace(q, n, s.basis))
+                    assert repacked == s.packed
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+def test_packed_residual_rank_equals_the_list_kernel(q, n):
+    """The packed residual rank against _residual_rank on every pair of
+    subspaces of F_q^n, with no cap and with each cap; U's packed RREF is
+    taken both packed from its basis and kept by a PackedSpace."""
+    subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
+    kept = {}
+    for u in subs:
+        space = PackedSpace(q, n)
+        for row in u.basis:
+            space.add(row)
+        built = space.subspace()
+        assert built == u and built.packed == seeded_pivots(u)
+        kept[u] = built
+    for u, v in itertools.product(subs, repeat=2):
+        pivots = RowSpace.from_rref(q, n, u.basis).pivots
+        for cap in (None, *range(1, n + 1)):
+            expected = _residual_rank(pivots, v.basis, q, cap)
+            assert residual_rank(seeded_pivots(u), v, cap) == expected
+            assert residual_rank(kept[u].packed, kept[v], cap) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_nesting_recheck_rejects_a_hand_built_flag(q):
+    """F_1 = <e_3> is not inside F_2 = <e_1, e_2>: the recheck raises on
+    bases packed afresh and on bases a flag construction kept."""
+    tv = TypeVector(3, (1, 2))
+    rows = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    small = subspace_from_rows(q, 3, rows[:1])
+    big = subspace_from_rows(q, 3, rows[1:])
+    with pytest.raises(RankDeficient):
+        _recheck_nesting(Flag(q, 3, tv, rows, (small, big)))
+    kept_small = flag_from_matrix(q, 3, tv, rows).subspaces[0]
+    kept_big = flag_from_matrix(q, 3, tv, rows[1:]).subspaces[1]
+    assert (kept_small, kept_big) == (small, big)
+    with pytest.raises(RankDeficient):
+        _recheck_nesting(Flag(q, 3, tv, rows, (kept_small, kept_big)))

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import flagcomb.flags as flags_module
+import flagcomb.gfq_linalg as gfq_linalg
 from flagcomb import (FlagCode, TypeVector, analyze, cli, durfee_analysis,
                       flag_from_matrix, grassmannian, projected_code,
                       projected_distance, rectangle_to_projected)
@@ -94,15 +95,21 @@ def test_residual_rank_stops_at_the_cap(q, n):
             assert _residual_rank(pivots, v.basis, q, cap=cap) == min(full, cap)
 
 
-def _count_ranked_pairs(monkeypatch):
+def _count_ranked_pairs(monkeypatch, q):
+    """Count the rank calls of the kernel the direct side runs at q: the
+    packed residual_rank for q = 2, 3, the list _residual_rank beyond."""
     calls = []
-    original = flags_module._residual_rank
+    if q in gfq_linalg.PACKED_Q:
+        module, name = flags_module, "residual_rank"
+    else:
+        module, name = gfq_linalg, "_residual_rank"
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flags_module, "_residual_rank", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -111,7 +118,7 @@ def test_hyperplanes_rank_one_pair(monkeypatch):
     pair ends the search."""
     code = random_full_flag_code(3, 6, 8, random.Random(7))
     assert len(projected_code(code, 5)) >= 3
-    calls = _count_ranked_pairs(monkeypatch)
+    calls = _count_ranked_pairs(monkeypatch, 3)
     assert projected_distance(code, 5) == 1
     assert len(calls) == 1
 
@@ -123,8 +130,24 @@ def test_middle_dimension_ranks_every_pair(monkeypatch):
     size = len(projected_code(code, i))
     expected = _reference_projected_distance(code, i)
     assert expected > 1
-    calls = _count_ranked_pairs(monkeypatch)
+    calls = _count_ranked_pairs(monkeypatch, 3)
     assert projected_distance(code, i) == expected
+    assert len(calls) == comb(size, 2)
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_rank_calls_counted_in_the_kernel_q_runs(monkeypatch, q):
+    """The two counts above, in the packed kernel at q = 2 and in the list
+    kernel at q = 5."""
+    code = random_full_flag_code(q, 8, 8, random.Random(11))
+    size = len(projected_code(code, 4))
+    expected = _reference_projected_distance(code, 4)
+    assert len(projected_code(code, 7)) >= 3 and expected > 1
+    calls = _count_ranked_pairs(monkeypatch, q)
+    assert projected_distance(code, 7) == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert projected_distance(code, 4) == expected
     assert len(calls) == comb(size, 2)
 
 
