@@ -18,14 +18,18 @@ from .codefile import parse_code, serialize_code, serialize_code_json
 from .durfee_analysis import analyze
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
-from .ferrers import (bijection_table, enumerate_embedded_partitions,
+from .ferrers import (bijection_table, count_partitions_by_value,
+                      count_splittings_by_value, enumerate_embedded_partitions,
                       underlying_distribution)
 from .flags import (FlagCode, max_distance, min_distance,
                     projected_parameters)
 from .render import RenderSpec, render
-from .support_paths import (DistancePath, enumerate_paths, path_distance,
-                            pick_area, realize_path)
+from .support_paths import (DistancePath, count_paths_by_distance,
+                            iter_paths, pick_area, realize_path)
 from .verify import run_verification
+
+
+BIJECTION_DP_MAX_N = 60     # bijection's counting-DP range ends here
 
 
 def _parse_deltas(tokens: Sequence[str]) -> tuple[int, ...]:
@@ -101,27 +105,34 @@ def cmd_analyze(args) -> int:
 def cmd_paths(args) -> int:
     cfg = config.load_config()
     cap = _cap(args.n, cfg.max_n_combinatorics, args.force, "path enumeration")
-    paths = enumerate_paths(args.n, args.distance, max_n=cap)
-    distances = [path_distance(p) for p in paths]
-    by_d = Counter(distances)
+    by_d = {d: count for d, count in enumerate(count_paths_by_distance(args.n))
+            if count and (args.distance is None or d == args.distance)}
     print(f"distance paths on S({args.n})"
           + (f" with d={args.distance}" if args.distance is not None else ""))
     print("d  count")
-    for d in sorted(by_d):
-        print(f"{d:<2} {by_d[d]}")
+    for d, count in by_d.items():
+        print(f"{d:<2} {count}")
     if args.list:
         print("deltas  d  area")
-        for p, d in zip(paths, distances):
+        listed = Counter()
+        for p, d in iter_paths(args.n, args.distance, max_n=cap):
             print(f"{','.join(map(str, p.deltas))}  {d}  {pick_area(p)}")
-    print(f"total {len(paths)}")
+            listed[d] += 1
+        if listed != by_d:
+            raise ConsistencyError("path list disagrees with the DP")
+    print(f"total {sum(by_d.values())}")
     return 0
 
 
 def cmd_bijection(args) -> int:
     cfg = config.load_config()
-    _cap(args.n, min(cfg.max_n_combinatorics, 12), args.force, "bijection table")
     n = args.n
-    table = bijection_table(n, max_n=n)
+    _cap(n, BIJECTION_DP_MAX_N, args.force, "bijection table")
+    if n <= min(cfg.max_n_combinatorics, 12):
+        table = bijection_table(n, max_n=n)
+    else:   # the two counting DPs, just as independent of each other
+        paths, splits = count_paths_by_distance(n), count_splittings_by_value(n)
+        table = [(d, count, splits[-1 - d]) for d, count in enumerate(paths)]
     print(f"n={n}: paths of distance d vs splittings of codistance "
           f"{max_distance(n)}-d")
     print("d   #paths  #splittings  match")
@@ -182,17 +193,20 @@ def cmd_partitions(args) -> int:
     cfg = config.load_config()
     cap = _cap(args.n, cfg.max_n_combinatorics, args.force,
                "partition enumeration")
-    parts = enumerate_embedded_partitions(args.n, args.splitting, max_n=cap)
+    by_u, u = count_partitions_by_value(args.n), args.splitting
+    total = sum(by_u) if u is None else by_u[u] if 0 <= u < len(by_u) else 0
     print(f"embedded partitions of FF({args.n})"
-          + (f" with splitting value {args.splitting}"
-             if args.splitting is not None else ""))
+          + (f" with splitting value {u}" if u is not None else ""))
     if args.list:
+        parts = enumerate_embedded_partitions(args.n, u, max_n=cap)
         for p in parts:
             dist = underlying_distribution(p)
             label = ",".join(map(str, p.parts)) if p.parts else "null"
             print(f"({label})  u={sum(dist.counts)}  "
                   f"U=({','.join(map(str, dist.counts))})")
-    print(f"total {len(parts)}")
+        if len(parts) != total:
+            raise ConsistencyError("partition list disagrees with the DP")
+    print(f"total {total}")
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -375,6 +376,54 @@ def splittings_by_value(n: int, *, max_n: Optional[int] = None
             groups[value].add(counts)
     return {u: frozenset(UnderlyingDistribution(n, c) for c in g)
             for u, g in groups.items()}
+
+
+def _count_by_value(n: int, distinct: bool) -> list[int]:
+    """Counts by value u in [0, D^n] of the embedded partitions of FF(n),
+    or with distinct=True of its distinct splittings; shares nothing with
+    _walk.  Row r maps each last part v to the counts by value of the
+    prefixes ending in v.  A part v <= min(last, n - r) adds
+    ⌊(v + (n + r) mod 2)/2⌋ black cells, so a running sum over last >= v
+    gives each row in O(n) list sums: O(n^4) in all.
+
+    For splittings, v is the greedy part: the largest λ <= min(λ_prev, n - r)
+    with the row's count c.  Any partition with the same counts stays at or
+    below it row by row, so each count vector has one greedy partition.  The
+    largest part with count c is 2c + 1 - (n + r) mod 2; a v of the other
+    parity (the least part with its count) is greedy only when the bound is
+    v: λ_prev = v, or v = n - r.  A count 0 (v = 1, n + r even) is not
+    counted, so each vector counts once, at its last nonzero count; a count
+    0 with λ = 0 ends the vector, as the walk's end does.
+    """
+    dn = max_distance(n)
+    zero = [0] * (dn + 1)
+    out = [1] + zero[1:]                    # the null partition
+    by_last = {n - 1: out}                  # row 1 bounds only by n - 1
+    for r in range(1, n):
+        odd = (n + r) % 2
+        # run: the sum over last >= v, where last <= n - r + 1
+        run, row = by_last.get(n - r + 1, zero), {}
+        for v in range(n - r, 0, -1):
+            if v in by_last:
+                run = list(map(add, run, by_last[v]))
+            c = (v + odd) // 2
+            src = (by_last.get(v, zero) if distinct and (v + odd) % 2 == 0
+                   and v < n - r else run)
+            row[v] = [0] * c + src[:dn + 1 - c]
+            if c or not distinct:
+                out = list(map(add, out, row[v]))
+        by_last = row
+    return out
+
+
+def count_partitions_by_value(n: int) -> list[int]:
+    """The number of embedded partitions of FF(n) of each splitting value."""
+    return _count_by_value(n, False)
+
+
+def count_splittings_by_value(n: int) -> list[int]:
+    """The number of distinct splittings of FF(n) of each value."""
+    return _count_by_value(n, True)
 
 
 def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution]:

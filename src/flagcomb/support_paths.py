@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import config
 from .errors import (EnumerationLimitExceeded, IndexOutOfRange, InvalidPath,
@@ -145,31 +145,58 @@ def enumerate_paths(n: int, distance_filter: Optional[int] = None, *,
 
     With distance_filter=d, only paths of distance d are returned.
     """
+    return [p for p, _ in iter_paths(n, distance_filter, max_n=max_n)]
+
+
+def iter_paths(n: int, distance_filter: Optional[int] = None, *,
+               max_n: Optional[int] = None
+               ) -> Iterator[tuple[DistancePath, int]]:
+    """(p, path_distance(p)) for the paths of enumerate_paths, in its order.
+
+    Each prefix grows by one delta in the range the trident rule and the
+    bound min(i, n-i) leave, and the leaf checks the step to δ_n = 0; that
+    is all of first_violation, so no path re-runs it.  No prefix grows past
+    a distance filter, since the deltas are non-negative.
+    """
     if max_n is None:
         max_n = config.load_config().max_n_combinatorics
     if n > max_n:
         raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-
-    out: list[DistancePath] = []
-    deltas = [0] * (n + 1)
-
-    def extend(i: int, acc: int) -> None:
+    stack = [((0,), 0)]
+    while stack:
+        deltas, acc = stack.pop()
+        i = len(deltas)
         if i == n:
-            if deltas[n - 1] <= 1 and (distance_filter is None
-                                       or acc == distance_filter):
-                out.append(DistancePath(n, tuple(deltas)))
-            return
-        lo = max(0, deltas[i - 1] - 1)
-        hi = min(deltas[i - 1] + 1, i, n - i)
-        for d in range(lo, hi + 1):
-            deltas[i] = d
-            extend(i + 1, acc + d)
-        deltas[i] = 0
+            if deltas[-1] <= 1 and (distance_filter is None
+                                    or acc == distance_filter):
+                p = object.__new__(DistancePath)    # checked: skip __post_init__
+                p.__dict__.update(n=n, deltas=deltas + (0,))
+                yield p, acc
+            continue
+        # the least delta goes on the stack last, so the walk is lexicographic
+        for d in range(min(deltas[-1] + 1, i, n - i),
+                       max(0, deltas[-1] - 1) - 1, -1):
+            if distance_filter is None or acc + d <= distance_filter:
+                stack.append((deltas + (d,), acc + d))
 
-    extend(1, 0)
-    return out
+
+def count_paths_by_distance(n: int) -> list[int]:
+    """The number of distance paths on S(n) of each distance d in [0, D^n].
+
+    A walk over i = 1..n with state (δ_i, running sum): for each δ_i, a list
+    indexed by the sum, whose entries past D^n stay 0 (δ_i <= min(i, n-i)
+    bounds every partial sum).  Shares nothing with iter_paths.
+    """
+    dn = max_distance(n)
+    by_delta = [[1] + [0] * dn]                # i = 0: δ_0 = 0, sum 0
+    for i in range(1, n + 1):
+        prev, by_delta = by_delta, []
+        for d in range(min(i, n - i) + 1):     # from δ_{i-1} in d-1, d, d+1
+            sums = list(map(sum, zip(*prev[max(0, d - 1):d + 2])))
+            by_delta.append([0] * d + sums[:dn + 1 - d])
+    return by_delta[0]
 
 
 def _find_permutation(deltas: Sequence[int], n: int) -> list[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import DistancePath, config, ferrers, verify
+from flagcomb import DistancePath, cli, config, ferrers, verify
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -225,6 +225,55 @@ def test_bijection_mismatch_is_a_consistency_failure(monkeypatch, capsys):
     report, ok = verify.run_verification()
     assert not ok
     assert "FAIL path_splitting_bijection" in report
+
+
+def test_count_only_commands_run_no_enumerator(monkeypatch, capsys):
+    paths = _count_calls(monkeypatch, "enumerate_paths")
+    walks = _count_ferrers_calls(monkeypatch, "_walk")
+    assert main(["paths", "9"]) == 0
+    assert capsys.readouterr().out.endswith("total 835\n")    # Motzkin(9)
+    assert main(["partitions", "9", "-u", "5"]) == 0
+    assert capsys.readouterr().out.endswith("total 80\n")
+    assert (paths, walks) == ([], [])
+
+
+def test_bijection_runs_the_dps_past_12_up_to_60(monkeypatch, capsys):
+    paths = _count_calls(monkeypatch, "enumerate_paths")
+    walks = _count_ferrers_calls(monkeypatch, "_walk")
+    assert main(["bijection", "13"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "NO" not in captured.out
+    assert captured.out.splitlines()[-1] == "42  1       1            yes"
+    assert (paths, walks) == ([], [])
+    assert main(["bijection", "61"]) == 1
+    assert "n=61 exceeds the configured cap 60" in capsys.readouterr().err
+
+
+def _off_by_one_at(monkeypatch, name, d):
+    """Make the counting DP cli.<name> one too high at index d."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda n: [c + (i == d)
+                                              for i, c in enumerate(real(n))])
+
+
+def test_wrong_dp_term_is_a_consistency_failure(monkeypatch, capsys):
+    _off_by_one_at(monkeypatch, "count_paths_by_distance", 3)
+    assert main(["paths", "6", "--list"]) == 3
+    assert "path list disagrees with the DP" in capsys.readouterr().err
+    assert main(["bijection", "13"]) == 3
+    captured = capsys.readouterr()
+    assert "3   221     220          NO" in captured.out
+    assert "bijection table mismatch" in captured.err
+    _off_by_one_at(monkeypatch, "count_partitions_by_value", 0)
+    assert main(["partitions", "6", "-u", "0", "--list"]) == 3
+    assert "partition list disagrees with the DP" in capsys.readouterr().err
+
+
+def test_list_rows_follow_the_dp_table(capsys):
+    assert main(["paths", "4", "-d", "2", "--list"]) == 0
+    assert capsys.readouterr().out == (
+        "distance paths on S(4) with d=2\nd  count\n2  3\ndeltas  d  area\n"
+        "0,0,1,1,0  2  2\n0,1,0,1,0  2  2\n0,1,1,0,0  2  2\ntotal 3\n")
 
 
 def test_cli_realize_roundtrip(capsys):

@@ -16,8 +16,10 @@ from flagcomb import (DistancePath, EmbeddedPartition, FerrersFrame,
                       staircase_of_partition, underlying_distribution)
 from flagcomb.errors import (CellOutsideFrame, EnumerationLimitExceeded,
                              FrameMismatch, NotAPartition, NotEmbedded)
-from flagcomb.ferrers import (BLACK, RED, black_cells, splittings_by_value,
+from flagcomb.ferrers import (BLACK, RED, black_cells, count_partitions_by_value,
+                              count_splittings_by_value, splittings_by_value,
                               trace_staircase)
+from flagcomb.support_paths import count_paths_by_distance
 
 
 def catalan(n):
@@ -420,3 +422,34 @@ def test_partition_layer_needs_n_at_least_2(n):
         enumerate_embedded_partitions(n)
     with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
         splittings_by_value(n)
+    for count in (count_partitions_by_value, count_splittings_by_value,
+                  count_paths_by_distance):
+        with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+            count(n)
+
+
+# ---------------------------------------------------------------------------
+# The counting DPs against the walk, and against each other
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_count_partitions_by_value_matches_the_walk(n):
+    by_u = [0] * (max_distance(n) + 1)
+    for _, _, value in ferrers_module._walk(n, None, n):
+        by_u[value] += 1
+    assert count_partitions_by_value(n) == by_u
+    assert sum(by_u) == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_count_splittings_by_value_matches_splittings_by_value(n):
+    groups = splittings_by_value(n, max_n=n)
+    assert count_splittings_by_value(n) == [
+        len(groups[u]) for u in range(max_distance(n) + 1)]
+
+
+@pytest.mark.parametrize("n", range(13, 31))
+def test_bijection_dps_agree_past_the_enumerators(n):
+    splittings = count_splittings_by_value(n)
+    assert count_paths_by_distance(n) == splittings[::-1]
+    assert sum(splittings) < sum(count_partitions_by_value(n)) == catalan(n)

@@ -12,7 +12,8 @@ from flagcomb import (DistancePath, DistanceSupport, FlagCode, enumerate_paths,
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
                              InvalidPath, NotFullFlag)
 from flagcomb.flags import random_full_flag
-from flagcomb.support_paths import _find_permutation, first_violation
+from flagcomb.support_paths import (_find_permutation, count_paths_by_distance,
+                                    first_violation, iter_paths)
 
 from conftest import reversed_flag, standard_flag
 
@@ -144,6 +145,50 @@ def test_enumeration_cap():
         enumerate_paths(15)
     with pytest.raises(EnumerationLimitExceeded):
         enumerate_paths(6, max_n=5)
+
+
+def _recursive_paths(n, distance_filter=None):
+    """The reference enumerator: a recursive closure over one delta list,
+    every path built by the validating constructor."""
+    out = []
+    deltas = [0] * (n + 1)
+
+    def extend(i, acc):
+        if i == n:
+            if deltas[n - 1] <= 1 and (distance_filter is None
+                                       or acc == distance_filter):
+                out.append(DistancePath(n, tuple(deltas)))
+            return
+        lo = max(0, deltas[i - 1] - 1)
+        hi = min(deltas[i - 1] + 1, i, n - i)
+        for d in range(lo, hi + 1):
+            deltas[i] = d
+            extend(i + 1, acc + d)
+        deltas[i] = 0
+
+    extend(1, 0)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_stack_enumerator_matches_recursive_reference(n):
+    for d in [None, *range(-1, max_distance(n) + 2)]:
+        reference = _recursive_paths(n, d)
+        got = enumerate_paths(n, d, max_n=n)
+        assert got == reference
+        assert all(type(p) is DistancePath and hash(p) == hash(q)
+                   for p, q in zip(got, reference))
+        assert [(p, path_distance(p)) for p in reference] == list(
+            iter_paths(n, d, max_n=n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_count_paths_by_distance_matches_enumeration(n):
+    by_d = [0] * (max_distance(n) + 1)
+    for p in enumerate_paths(n, max_n=n):
+        by_d[path_distance(p)] += 1
+    assert count_paths_by_distance(n) == by_d
+    assert sum(by_d) == _count_paths_dp(n)      # Motzkin(n)
 
 
 # ---------------------------------------------------------------------------
