@@ -2,25 +2,29 @@
 
 Exit codes: 0 success, 1 usage / invalid input, 2 code-file parse error,
 3 consistency failure (a theorem cross-check or verification failed).
+
+main(argv) may be called many times in one process: the parser is built
+on the first call and reused after, and argparse keeps no state from one
+parse to the next, so each call pays only for its own command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from collections import Counter
 from typing import Optional, Sequence
 
-from . import config
+from . import config, ferrers
 from .codefile import parse_code, serialize_code, serialize_code_json
 from .durfee_analysis import analyze
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
 from .ferrers import (bijection_table, count_partitions_by_value,
-                      count_splittings_by_value, enumerate_embedded_partitions,
-                      underlying_distribution)
+                      count_splittings_by_value)
 from .flags import (FlagCode, max_distance, min_distance,
                     projected_parameters)
 from .render import RenderSpec, render
@@ -198,13 +202,14 @@ def cmd_partitions(args) -> int:
     print(f"embedded partitions of FF({args.n})"
           + (f" with splitting value {u}" if u is not None else ""))
     if args.list:
-        parts = enumerate_embedded_partitions(args.n, u, max_n=cap)
-        for p in parts:
-            dist = underlying_distribution(p)
-            label = ",".join(map(str, p.parts)) if p.parts else "null"
-            print(f"({label})  u={sum(dist.counts)}  "
-                  f"U=({','.join(map(str, dist.counts))})")
-        if len(parts) != total:
+        listed = 0
+        for parts, counts, value in ferrers._walk(args.n, u, cap):
+            if u is None or value == u:
+                label = ",".join(map(str, parts)) if parts else "null"
+                print(f"({label})  u={value}  "
+                      f"U=({','.join(map(str, counts))})")
+                listed += 1
+        if listed != total:
             raise ConsistencyError("partition list disagrees with the DP")
     print(f"total {total}")
     return 0
@@ -272,10 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -319,41 +319,30 @@ def distance_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
     return by_criterion
 
 
-def _grow(p: EmbeddedPartition, v: int) -> EmbeddedPartition:
-    """EmbeddedPartition(p.n, p.parts + (v,)), or the error type it raises:
-    p is valid, so only the new part v in row len(p.parts) + 1 is checked."""
-    parts = p.parts + (v,)
-    if v <= 0 or len(parts) > 1 and v > parts[-2]:
-        raise NotAPartition(f"part {v} cannot follow {p.parts}")
-    if v > p.n - len(parts):
-        raise NotEmbedded(f"{parts} does not fit in FF({p.n})")
-    child = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
-    child.__dict__.update(n=p.n, parts=parts)
-    return child
-
-
-def _walk(n: int, u: Optional[int], max_n: Optional[int]) -> Iterator[tuple]:
-    """(p, underlying_distribution(p).counts, their sum) for each embedded
-    partition p of FF(n) of splitting value u (any if None), lexicographic;
-    each grown from its parent by one row, none past u (values only grow)."""
+def _walk(n: int, bound: Optional[int], max_n: Optional[int]
+          ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(parts, underlying distribution counts, their sum) for the null
+    partition and each embedded partition of FF(n) of splitting value at
+    most bound (any if None), lexicographic.  Each node grows from its
+    parent by one row, in the range is_embedded leaves, and none grows past
+    bound, since values only grow; callers filter the value they want."""
     if max_n is None:
         max_n = config.load_config().max_n_combinatorics
     if n > max_n:
         raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    stack = [(EmbeddedPartition(n, ()), (), 0)]
+    stack = [((), (), 0)]
     while stack:
-        p, counts, value = node = stack.pop()
-        if u is None or value == u:
-            yield node
-        row = len(counts) + 1
+        parts, counts, value = node = stack.pop()
+        yield node
+        row = len(parts) + 1
         odd = (n + row) % 2     # _row_black_count(n, row, v) inlined
         # v = 1 goes on the stack last, so the walk is lexicographic
-        for v in range(min(p.parts[-1], n - row) if counts else n - 1, 0, -1):
+        for v in range(min(parts[-1], n - row) if parts else n - 1, 0, -1):
             c = (v + odd) // 2
-            if u is None or value + c <= u:
-                stack.append((_grow(p, v), counts + (c,), value + c))
+            if bound is None or value + c <= bound:
+                stack.append((parts + (v,), counts + (c,), value + c))
 
 
 def enumerate_embedded_partitions(
@@ -361,7 +350,13 @@ def enumerate_embedded_partitions(
         max_n: Optional[int] = None) -> list[EmbeddedPartition]:
     """All embedded partitions of FF(n) (null included), lexicographic;
     with splitting_filter=u, only those of splitting value u."""
-    return [p for p, _, _ in _walk(n, splitting_filter, max_n)]
+    u, out = splitting_filter, []
+    for parts, _, value in _walk(n, u, max_n):
+        if u is None or value == u:
+            p = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
+            p.__dict__.update(n=n, parts=parts)
+            out.append(p)
+    return out
 
 
 def splittings_by_value(n: int, *, max_n: Optional[int] = None

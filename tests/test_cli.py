@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import DistancePath, cli, config, ferrers, verify
+from flagcomb import (DistancePath, cli, config, enumerate_embedded_partitions,
+                      ferrers, max_distance, underlying_distribution, verify)
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -307,6 +308,88 @@ def test_cli_exit_codes(tmp_path, capsys):
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")
     assert main(["analyze", str(tmp_path / "binary.txt")]) == 2
     capsys.readouterr()
+
+
+def _partitions_reference(n, u):
+    """The text of `partitions n [-u u] --list`, built from the public
+    enumerator and underlying_distribution."""
+    lines = [f"embedded partitions of FF({n})"
+             + (f" with splitting value {u}" if u is not None else "")]
+    parts = enumerate_embedded_partitions(n, u, max_n=n)
+    for p in parts:
+        counts = underlying_distribution(p).counts
+        label = ",".join(map(str, p.parts)) if p.parts else "null"
+        lines.append(f"({label})  u={sum(counts)}  "
+                     f"U=({','.join(map(str, counts))})")
+    lines.append(f"total {len(parts)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_partitions_list_matches_the_enumerator(n, capsys):
+    for u in [None, *range(-1, max_distance(n) + 2)]:
+        argv = ["partitions", str(n), "--list"]
+        assert main(argv if u is None else argv + ["-u", str(u)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _partitions_reference(n, u)
+        assert captured.err == ""
+
+
+def test_partitions_list_builds_no_distribution(monkeypatch, capsys):
+    built = _count_ferrers_calls(monkeypatch, "UnderlyingDistribution")
+    walks = _count_ferrers_calls(monkeypatch, "_walk")
+    assert main(["partitions", "8", "--list"]) == 0
+    assert capsys.readouterr().out.endswith("total 1430\n")    # Catalan(8)
+    assert main(["partitions", "8", "-u", "4", "--list"]) == 0
+    assert capsys.readouterr().out.endswith("total 38\n")
+    assert (built, len(walks)) == ([], 2)
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    code = _code_file(tmp_path, "2 3 full\n\n1 0 0\n0 1 0\n0 0 1\n")
+    for argv in (["analyze", code], ["analyze", "--json", code],
+                 ["paths", "5"], ["paths", "4", "--list"], ["bijection", "5"],
+                 ["realize", "2", "0,1,1,0"], ["render", "frame", "4"],
+                 ["verify", "--n-max", "3", "--trials", "2"],
+                 ["partitions", "5"], ["partitions", "5", "-u", "2", "--list"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert builds == [1]
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    """A failed parse leaves nothing behind for the next call."""
+    good = tmp_path / "good.txt"
+    good.write_text("2 3 full\n\n1 0 0\n0 1 0\n0 0 1\n\n"
+                    "0 0 1\n0 1 0\n1 0 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4 2 full\n\n1 0\n0 1\n")
+    calls = [["paths", "x"], ["analyze", "--help"],
+             ["analyze", str(tmp_path / "missing.txt")], ["analyze", str(bad)],
+             ["analyze", str(good)], ["analyze", "--json", str(good)]]
+
+    def run(argv):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [rc for rc, _, _ in fresh] == [1, 0, 2, 2, 0, 0]
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls + calls] == fresh + fresh
 
 
 @pytest.mark.parametrize("argv", [

@@ -324,24 +324,20 @@ def test_equivalent_partitions_share_distribution(n, data):
         assert same == (underlying_distribution(a) == underlying_distribution(b))
 
 
-def test_splitting_filter_prunes_subtrees_past_u(monkeypatch):
-    """The carried value never decreases down the walk, so the walk for
-    u = 0 grows only a few nodes, not all Catalan(11) of them."""
-    grown = []
-    original = ferrers_module._grow
-
-    def counted(p, v):
-        grown.append(p.parts + (v,))
-        return original(p, v)
-
-    monkeypatch.setattr(ferrers_module, "_grow", counted)
+def test_splitting_filter_prunes_subtrees_past_u():
+    """The carried value never decreases down the walk, so the walk for u
+    visits just the nodes of value at most u, not all Catalan(11) of them."""
+    visited = list(ferrers_module._walk(11, None, 11))
+    assert len(visited) == catalan(11)
+    by_u = count_partitions_by_value(11)
+    for u in (0, 5, 12):
+        visited = list(ferrers_module._walk(11, u, 11))
+        assert len(visited) == sum(by_u[:u + 1])
+        assert all(value <= u for _, _, value in visited)
     everything = enumerate_embedded_partitions(11, max_n=11)
-    assert len(grown) + 1 == len(everything) == catalan(11)   # + the root
-    grown.clear()
     kept = enumerate_embedded_partitions(11, 0, max_n=11)
     assert kept == [p for p in everything if splitting_value(p) == 0]
     assert len(kept) == 2
-    assert len(grown) + 1 < 100
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +366,15 @@ def _reference_walk(n):
 def test_grown_walk_matches_reference(n):
     reference = _reference_walk(n)
     nodes = list(ferrers_module._walk(n, None, n))
-    assert [p for p, _, _ in nodes] == reference
-    for (p, counts, value), q in zip(nodes, reference):
-        assert type(p) is EmbeddedPartition and hash(p) == hash(q)
+    assert [parts for parts, _, _ in nodes] == [q.parts for q in reference]
+    for (_, counts, value), q in zip(nodes, reference):
         assert counts == underlying_distribution(q).counts
         assert value == sum(counts)
+    listed = enumerate_embedded_partitions(n, max_n=n)
+    assert listed == reference
+    for p, q in zip(listed, reference):
+        assert type(p) is EmbeddedPartition
+        assert hash(p) == hash(q) and repr(p) == repr(q)
     by_u = {}
     for q in reference:
         by_u.setdefault(splitting_value(q), []).append(q)
@@ -405,15 +405,14 @@ def _built(make):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_grow_raises_exactly_when_the_constructor_raises(n):
+    """The walk grows a node by the part v exactly when the full
+    constructor accepts the longer partition."""
+    grown = {parts for parts, _, _ in ferrers_module._walk(n, None, n)}
     for p in _reference_walk(n):
         for v in range(-1, n + 1):
-            grown = _built(lambda: ferrers_module._grow(p, v))
             built = _built(lambda: EmbeddedPartition(n, p.parts + (v,)))
-            assert grown == built, (p.parts, v)
-            if not isinstance(built, type):
-                assert type(grown) is EmbeddedPartition
-                assert hash(grown) == hash(built)
-                assert repr(grown) == repr(built)
+            accepted = not isinstance(built, type)
+            assert (p.parts + (v,) in grown) == accepted, (p.parts, v)
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
