@@ -18,13 +18,13 @@ import sys
 from collections import Counter
 from typing import Optional, Sequence
 
-from . import config, ferrers
+from . import config
 from .codefile import parse_code, serialize_code, serialize_code_json
 from .durfee_analysis import analyze
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
 from .ferrers import (bijection_table, count_partitions_by_value,
-                      count_splittings_by_value)
+                      count_splittings_by_value, iter_partitions)
 from .flags import (FlagCode, max_distance, min_distance,
                     projected_parameters)
 from .render import RenderSpec, render
@@ -203,12 +203,10 @@ def cmd_partitions(args) -> int:
           + (f" with splitting value {u}" if u is not None else ""))
     if args.list:
         listed = 0
-        for parts, counts, value in ferrers._walk(args.n, u, cap):
-            if u is None or value == u:
-                label = ",".join(map(str, parts)) if parts else "null"
-                print(f"({label})  u={value}  "
-                      f"U=({','.join(map(str, counts))})")
-                listed += 1
+        for parts, counts, value in iter_partitions(args.n, u, max_n=cap):
+            label = ",".join(map(str, parts)) if parts else "null"
+            print(f"({label})  u={value}  U=({','.join(map(str, counts))})")
+            listed += 1
         if listed != total:
             raise ConsistencyError("partition list disagrees with the DP")
     print(f"total {total}")

@@ -325,7 +325,7 @@ def _walk(n: int, bound: Optional[int], max_n: Optional[int]
     partition and each embedded partition of FF(n) of splitting value at
     most bound (any if None), lexicographic.  Each node grows from its
     parent by one row, in the range is_embedded leaves, and none grows past
-    bound, since values only grow; callers filter the value they want."""
+    bound, since values only grow."""
     if max_n is None:
         max_n = config.load_config().max_n_combinatorics
     if n > max_n:
@@ -345,17 +345,28 @@ def _walk(n: int, bound: Optional[int], max_n: Optional[int]
                 stack.append((parts + (v,), counts + (c,), value + c))
 
 
+def iter_partitions(n: int, splitting_filter: Optional[int] = None, *,
+                    max_n: Optional[int] = None
+                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(parts, underlying distribution counts, splitting value) for the
+    partitions of enumerate_embedded_partitions, in its order; the walk
+    prunes past splitting_filter=u and the nodes below u are dropped here."""
+    u = splitting_filter
+    for node in _walk(n, u, max_n):
+        if u is None or node[2] == u:
+            yield node
+
+
 def enumerate_embedded_partitions(
         n: int, splitting_filter: Optional[int] = None, *,
         max_n: Optional[int] = None) -> list[EmbeddedPartition]:
     """All embedded partitions of FF(n) (null included), lexicographic;
     with splitting_filter=u, only those of splitting value u."""
-    u, out = splitting_filter, []
-    for parts, _, value in _walk(n, u, max_n):
-        if u is None or value == u:
-            p = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
-            p.__dict__.update(n=n, parts=parts)
-            out.append(p)
+    out = []
+    for parts, _, _ in iter_partitions(n, splitting_filter, max_n=max_n):
+        p = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
+        p.__dict__.update(n=n, parts=parts)
+        out.append(p)
     return out
 
 

@@ -342,7 +342,9 @@ def test_partitions_list_builds_no_distribution(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("total 1430\n")    # Catalan(8)
     assert main(["partitions", "8", "-u", "4", "--list"]) == 0
     assert capsys.readouterr().out.endswith("total 38\n")
-    assert (built, len(walks)) == ([], 2)
+    cap = load_config().max_n_combinatorics
+    # -u is the walk's prune bound, not only a filter on its output
+    assert (built, walks) == ([], [(8, None, cap), (8, 4, cap)])
 
 
 # ---------------------------------------------------------------------------

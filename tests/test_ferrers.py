@@ -324,7 +324,7 @@ def test_equivalent_partitions_share_distribution(n, data):
         assert same == (underlying_distribution(a) == underlying_distribution(b))
 
 
-def test_splitting_filter_prunes_subtrees_past_u():
+def test_splitting_filter_prunes_subtrees_past_u(monkeypatch):
     """The carried value never decreases down the walk, so the walk for u
     visits just the nodes of value at most u, not all Catalan(11) of them."""
     visited = list(ferrers_module._walk(11, None, 11))
@@ -335,9 +335,16 @@ def test_splitting_filter_prunes_subtrees_past_u():
         assert len(visited) == sum(by_u[:u + 1])
         assert all(value <= u for _, _, value in visited)
     everything = enumerate_embedded_partitions(11, max_n=11)
+    # the public enumerator hands u to the walk as its prune bound
+    nodes = []
+    real = ferrers_module._walk
+    monkeypatch.setattr(ferrers_module, "_walk",
+                        lambda *args: (nodes.append(node) or node
+                                       for node in real(*args)))
     kept = enumerate_embedded_partitions(11, 0, max_n=11)
     assert kept == [p for p in everything if splitting_value(p) == 0]
     assert len(kept) == 2
+    assert len(nodes) == sum(by_u[:1])
 
 
 # ---------------------------------------------------------------------------
