@@ -27,7 +27,7 @@ from .ferrers import (bijection_table, count_partitions_by_value,
                       count_splittings_by_value, iter_partitions)
 from .flags import (FlagCode, max_distance, min_distance,
                     projected_parameters)
-from .render import RenderSpec, render
+from .render import FORMATS, TARGETS, RenderSpec, render
 from .support_paths import (DistancePath, count_paths_by_distance,
                             iter_paths, pick_area, realize_path)
 from .verify import run_verification
@@ -250,10 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("render", help="draw a diagram")
-    p.add_argument("target", choices=("support", "enriched", "frame",
-                                      "path", "staircase"))
+    p.add_argument("target", choices=TARGETS)
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    p.add_argument("--format", choices=FORMATS, default="ascii")
     p.add_argument("--deltas", nargs="*", default=None)
     p.add_argument("--partition", nargs="*", default=None)
     p.set_defaults(func=cmd_render)

@@ -11,6 +11,8 @@ import json
 import os
 from dataclasses import dataclass, fields
 
+from .errors import EnumerationLimitExceeded
+
 ENV_VAR = "FLAGCOMB_CONFIG"
 
 DEFAULT_MAX_N_COMBINATORICS = 14   # paths / partitions / frames
@@ -43,3 +45,14 @@ def load_config(path: str | None = None) -> Config:
             raise ValueError(f"config {path}: {key} must be a non-negative "
                              f"int, got {value!r}")
     return Config(**raw)
+
+
+def check_n(n: int, max_n: int | None = None) -> None:
+    """Raise EnumerationLimitExceeded if n is over max_n (the configured
+    max_n_combinatorics if None), and ValueError if n < 2."""
+    if max_n is None:
+        max_n = load_config().max_n_combinatorics
+    if n > max_n:
+        raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")

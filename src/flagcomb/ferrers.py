@@ -22,9 +22,8 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import config
-from .errors import (CellOutsideFrame, ConsistencyError,
-                     EnumerationLimitExceeded, FrameMismatch, NotAPartition,
-                     NotEmbedded)
+from .errors import (CellOutsideFrame, ConsistencyError, FrameMismatch,
+                     NotAPartition, NotEmbedded)
 from .flags import max_distance
 from .support_paths import DistancePath, enumerate_paths, path_distance
 
@@ -326,12 +325,7 @@ def _walk(n: int, bound: Optional[int], max_n: Optional[int]
     most bound (any if None), lexicographic.  Each node grows from its
     parent by one row, in the range is_embedded leaves, and none grows past
     bound, since values only grow."""
-    if max_n is None:
-        max_n = config.load_config().max_n_combinatorics
-    if n > max_n:
-        raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    config.check_n(n, max_n)
     stack = [((), (), 0)]
     while stack:
         parts, counts, value = node = stack.pop()

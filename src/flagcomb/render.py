@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import check_n
 from .errors import InvalidSpec
 from .ferrers import BLACK, EmbeddedPartition, cell_color, staircase_of_partition
 from .support_paths import DistancePath
@@ -27,38 +28,16 @@ class RenderSpec:
     partition: Optional[tuple[int, ...]] = None
 
 
-# ---------------------------------------------------------------------------
-# ASCII targets
-# ---------------------------------------------------------------------------
-
-def ascii_support(n: int) -> str:
-    lines = []
-    for delta in range(n // 2, -1, -1):
-        mark = "x" if delta == 0 else "o"
-        row = [mark if delta <= min(i, n - i) else " " for i in range(n + 1)]
-        lines.append(" ".join(row).rstrip())
-    return "\n".join(lines)
-
-
-def _enriched_char(n: int, x: int, y: int) -> str:
-    if x % 2 == 0 and y % 2 == 0:
-        i, delta = x // 2, y // 2
-        if delta <= min(i, n - i):
-            return "x" if delta == 0 else "o"
-    elif x % 2 == 1 and y % 2 == 1:
-        i, delta = (x - 1) // 2, (y - 1) // 2
-        if i <= n - 1 and delta <= min(i, n - 1 - i):
-            return "+" if delta == 0 else "*"
-    return " "
-
-
-def ascii_enriched(n: int) -> str:
-    ymax = max(2 * (n // 2), 2 * ((n - 1) // 2) + 1)
-    lines = []
-    for y in range(ymax, -1, -1):
-        lines.append("".join(_enriched_char(n, x, y)
-                             for x in range(2 * n + 1)).rstrip())
-    return "\n".join(lines)
+def _support_points(n: int, enriched: bool) -> list[tuple[int, int, bool, bool]]:
+    """(x, y, black, crossed) in doubled units: the black points (2i, 2δ)
+    of S(n), then, if enriched, the red points (2i+1, 2δ+1) of S(n-1).
+    A point is crossed when its δ is 0."""
+    points = [(2 * i, 2 * delta, True, delta == 0)
+              for i in range(n + 1) for delta in range(min(i, n - i) + 1)]
+    if enriched:
+        points += [(2 * i + 1, 2 * delta + 1, False, delta == 0)
+                   for i in range(n) for delta in range(min(i, n - 1 - i) + 1)]
+    return points
 
 
 def _frame_row(n: int, i: int) -> str:
@@ -68,182 +47,163 @@ def _frame_row(n: int, i: int) -> str:
                    for j in range(n - i, 0, -1))
 
 
-def ascii_frame(n: int) -> str:
-    return "\n".join(" " * (i - 1) + _frame_row(n, i) for i in range(1, n))
+# ---------------------------------------------------------------------------
+# ASCII drawers
+# ---------------------------------------------------------------------------
+
+_MARK = {(True, True): "x", (True, False): "o",
+         (False, True): "+", (False, False): "*"}
 
 
-def ascii_path(p: DistancePath) -> str:
-    n = p.n
-    ymax = 2 * max(max(p.deltas), 0)
-    grid = [[" "] * (2 * n + 1) for _ in range(ymax + 1)]
-    for delta in range(n // 2, -1, -1):
-        for i in range(n + 1):
-            if delta <= min(i, n - i) and 2 * delta <= ymax:
-                grid[2 * delta][2 * i] = "."
-    for i, delta in enumerate(p.deltas):
-        grid[2 * delta][2 * i] = "x" if delta == 0 else "o"
-    for i in range(n):
-        a, b = p.deltas[i], p.deltas[i + 1]
-        ch = "-" if a == b else ("/" if b > a else "\\")
-        grid[a + b][2 * i + 1] = ch
-    lines = ["".join(row).rstrip() for row in reversed(grid)]
-    return "\n".join(lines)
+def _grid(n: int, top: int, marks) -> list[str]:
+    """Rows top..0 of a doubled-unit grid 2n+1 wide, with ch at (x, y) for
+    each (x, y, ch) of marks (later marks win)."""
+    grid = [[" "] * (2 * n + 1) for _ in range(top + 1)]
+    for x, y, ch in marks:
+        grid[y][x] = ch
+    return ["".join(row).rstrip() for row in reversed(grid)]
 
 
-def ascii_staircase(part: EmbeddedPartition) -> str:
-    n = part.n
-    profile = staircase_of_partition(part).profile
+def _ascii_support(n: int, enriched: bool) -> str:
+    points = _support_points(n, enriched)
+    lines = _grid(n, max(y for _, y, _, _ in points),
+                  [(x, y, _MARK[black, crossed])
+                   for x, y, black, crossed in points])
+    # S(n) alone has points on the even rows only
+    return "\n".join(lines if enriched else lines[::2])
+
+
+def _ascii_path(p: DistancePath) -> str:
+    top = 2 * max(p.deltas)
+    marks = [(x, y, ".") for x, y, _, _ in _support_points(p.n, False)
+             if y <= top]
+    marks += [(2 * i, 2 * delta, _MARK[True, delta == 0])
+              for i, delta in enumerate(p.deltas)]
+    marks += [(2 * i + 1, a + b, "-" if a == b else "/" if b > a else "\\")
+              for i, (a, b) in enumerate(zip(p.deltas, p.deltas[1:]))]
+    return "\n".join(_grid(p.n, top, marks))
+
+
+def _ascii_frame(n: int, part: Optional[EmbeddedPartition] = None) -> str:
+    """FF(n), each row cut by '|' where the staircase of part leaves it."""
+    profile = None if part is None else staircase_of_partition(part).profile
     lines = []
     for i in range(1, n):
         row = _frame_row(n, i)
-        cut = len(row) - profile[i - 1]
-        lines.append(" " * (i - 1) + row[:cut] + "|" + row[cut:])
+        if profile is not None:
+            cut = len(row) - profile[i - 1]
+            row = row[:cut] + "|" + row[cut:]
+        lines.append(" " * (i - 1) + row)
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# SVG targets.  Minimal, deterministic markup: integer coordinates only.
+# SVG drawers.  Minimal, deterministic markup: integer coordinates only.
 # ---------------------------------------------------------------------------
 
 _SCALE = 24
 _PAD = 20
 
 
-def _svg_doc(width: int, height: int, elements: list[str]) -> str:
+def _svg(width: int, height: int, polyline, dots) -> str:
+    """The document: an optional polyline of pixel (x, y) vertices, then
+    one mark per pixel (x, y, black, crossed) dot."""
+    elements = []
+    if polyline is not None:
+        points = " ".join(f"{x},{y}" for x, y in polyline)
+        elements.append(f'<polyline points="{points}" fill="none" '
+                        f'stroke="#3366cc" stroke-width="2"/>')
+    for x, y, black, crossed in dots:
+        color = "#000000" if black else "#cc0000"
+        if crossed:
+            elements.append(f'<path d="M {x - 4} {y - 4} L {x + 4} {y + 4} '
+                            f'M {x - 4} {y + 4} L {x + 4} {y - 4}" '
+                            f'stroke="{color}" stroke-width="2" fill="none"/>')
+        else:
+            elements.append(f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>')
     body = "\n".join("  " + e for e in elements)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n{body}\n</svg>\n')
 
 
-def _dot(x: int, y: int, color: str, crossed: bool) -> str:
-    if crossed:
-        s = 4
-        return (f'<path d="M {x - s} {y - s} L {x + s} {y + s} '
-                f'M {x - s} {y + s} L {x + s} {y - s}" '
-                f'stroke="{color}" stroke-width="2" fill="none"/>')
-    return f'<circle cx="{x}" cy="{y}" r="4" fill="{color}"/>'
+def _svg_support(n: int, enriched: bool,
+                 path: Optional[DistancePath] = None) -> str:
+    points = _support_points(n, enriched)
+    top = max(y for _, y, _, _ in points)
 
+    def px(x: int, y: int) -> tuple[int, int]:
+        return _PAD + x * _SCALE // 2, _PAD + (top - y) * _SCALE // 2
 
-def _support_dots(n: int, enriched: bool) -> list[tuple[int, int, str, bool]]:
-    """(x_units, y_units, color, crossed) in doubled grid units."""
-    dots = []
-    for i in range(n + 1):
-        for delta in range(min(i, n - i) + 1):
-            dots.append((2 * i, 2 * delta, "#000000", delta == 0))
-    if enriched:
-        for i in range(n):
-            for delta in range(min(i, n - 1 - i) + 1):
-                dots.append((2 * i + 1, 2 * delta + 1, "#cc0000", delta == 0))
-    return dots
-
-
-def _svg_from_units(dots, ymax_units: int, n: int,
-                    polyline_units=None) -> str:
-    width = 2 * n * _SCALE // 2 * 2 + 2 * _PAD
-    height = ymax_units * _SCALE // 2 + 2 * _PAD
-
-    def xy(xu: int, yu: int) -> tuple[int, int]:
-        return _PAD + xu * _SCALE // 2, _PAD + (ymax_units - yu) * _SCALE // 2
-
-    elements = []
-    if polyline_units is not None:
-        pts = " ".join("{},{}".format(*xy(xu, yu)) for xu, yu in polyline_units)
-        elements.append(f'<polyline points="{pts}" fill="none" '
-                        f'stroke="#3366cc" stroke-width="2"/>')
-    for xu, yu, color, crossed in dots:
-        x, y = xy(xu, yu)
-        elements.append(_dot(x, y, color, crossed))
-    return _svg_doc(width, height, elements)
-
-
-def svg_support(n: int, enriched: bool = False,
-                path: Optional[DistancePath] = None) -> str:
-    ymax = max(2 * (n // 2), (2 * ((n - 1) // 2) + 1) if enriched else 0)
-    poly = None
+    polyline = None
     if path is not None:
-        poly = [(2 * i, 2 * d) for i, d in enumerate(path.deltas)]
-    return _svg_from_units(_support_dots(n, enriched), ymax, n, poly)
+        polyline = [px(2 * i, 2 * delta) for i, delta in enumerate(path.deltas)]
+    return _svg(2 * n * _SCALE + 2 * _PAD, top * _SCALE // 2 + 2 * _PAD,
+                polyline, [(*px(x, y), black, crossed)
+                           for x, y, black, crossed in points])
 
 
-def _frame_dots(n: int) -> list[tuple[int, int, str, bool]]:
-    dots = []
-    for i in range(1, n):
-        # x grows rightwards, right-justified at column n-1
-        for left, mark in enumerate(_frame_row(n, i), start=1):
-            color = "#000000" if mark == "o" else "#cc0000"
-            dots.append(((i - 1) + left, i, color, False))
-    return dots
-
-
-def svg_frame(n: int, partition: Optional[EmbeddedPartition] = None) -> str:
-    width = n * _SCALE + 2 * _PAD
-    height = n * _SCALE + 2 * _PAD
-    elements = []
-    if partition is not None:
-        profile = staircase_of_partition(partition).profile
-        pts = [((n - 1 - profile[0]), 0)]
-        for i in range(1, n):
-            lam = profile[i - 1] if i <= n - 1 else 0
-            pts.append((n - 1 - lam, i))
-            nxt = profile[i] if i < n - 1 else 0
-            pts.append((n - 1 - nxt, i))
-        raw = " ".join(f"{_PAD + x * _SCALE},{_PAD + y * _SCALE}"
-                       for x, y in pts)
-        elements.append(f'<polyline points="{raw}" fill="none" '
-                        f'stroke="#3366cc" stroke-width="2"/>')
-    for xu, yu, color, crossed in _frame_dots(n):
-        x = _PAD + (xu - 1) * _SCALE + _SCALE // 2
-        y = _PAD + (yu - 1) * _SCALE + _SCALE // 2
-        elements.append(_dot(x, y, color, crossed))
-    return _svg_doc(width, height, elements)
+def _svg_frame(n: int, part: Optional[EmbeddedPartition] = None) -> str:
+    size = n * _SCALE + 2 * _PAD
+    polyline = None
+    if part is not None:
+        # down the right edge of each staircase row, then out along the bottom
+        profile = staircase_of_partition(part).profile
+        corners = [(lam, y) for i, lam in enumerate(profile)
+                   for y in (i, i + 1)] + [(0, n - 1)]
+        polyline = [(_PAD + (n - 1 - lam) * _SCALE, _PAD + y * _SCALE)
+                    for lam, y in corners]
+    # cell centres; row i is right-justified, its first cell in column i-1
+    half = _SCALE // 2
+    dots = [(_PAD + col * _SCALE + half, _PAD + (i - 1) * _SCALE + half,
+             mark == "o", False)
+            for i in range(1, n)
+            for col, mark in enumerate(_frame_row(n, i), start=i - 1)]
+    return _svg(size, size, polyline, dots)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# (target, format) -> drawer of (n, the spec's path or partition or None)
+_DRAWERS = {
+    ("support", "ascii"): lambda n, _: _ascii_support(n, enriched=False),
+    ("enriched", "ascii"): lambda n, _: _ascii_support(n, enriched=True),
+    ("path", "ascii"): lambda n, path: _ascii_path(path),
+    ("frame", "ascii"): _ascii_frame,
+    ("staircase", "ascii"): _ascii_frame,
+    ("support", "svg"): lambda n, _: _svg_support(n, enriched=False),
+    ("enriched", "svg"): lambda n, _: _svg_support(n, enriched=True),
+    ("path", "svg"): lambda n, path: _svg_support(n, False, path),
+    ("frame", "svg"): _svg_frame,
+    ("staircase", "svg"): _svg_frame,
+}
+
+
 def render(spec: RenderSpec) -> str:
+    """Draw spec; n is capped by max_n_combinatorics (drawings are O(n^2))."""
     if spec.target not in TARGETS:
         raise InvalidSpec(f"unknown target {spec.target!r}")
     if spec.fmt not in FORMATS:
         raise InvalidSpec(f"unknown format {spec.fmt!r}")
     if spec.n < 2:
         raise InvalidSpec(f"need n >= 2, got {spec.n}")
+    check_n(spec.n)
 
-    path = partition = None
+    shape = None
     if spec.target == "path":
         if spec.deltas is None:
             raise InvalidSpec("path rendering needs deltas")
         try:
-            path = DistancePath(spec.n, tuple(spec.deltas))
+            shape = DistancePath(spec.n, tuple(spec.deltas))
         except Exception as exc:
             raise InvalidSpec(f"bad deltas: {exc}") from exc
     if spec.target == "staircase":
         if spec.partition is None:
             raise InvalidSpec("staircase rendering needs a partition")
         try:
-            partition = EmbeddedPartition(spec.n, tuple(spec.partition))
+            shape = EmbeddedPartition(spec.n, tuple(spec.partition))
         except Exception as exc:
             raise InvalidSpec(f"bad partition: {exc}") from exc
-
-    if spec.fmt == "ascii":
-        if spec.target == "support":
-            return ascii_support(spec.n)
-        if spec.target == "enriched":
-            return ascii_enriched(spec.n)
-        if spec.target == "frame":
-            return ascii_frame(spec.n)
-        if spec.target == "path":
-            return ascii_path(path)
-        return ascii_staircase(partition)
-
-    if spec.target == "support":
-        return svg_support(spec.n, enriched=False)
-    if spec.target == "enriched":
-        return svg_support(spec.n, enriched=True)
-    if spec.target == "frame":
-        return svg_frame(spec.n)
-    if spec.target == "path":
-        return svg_support(spec.n, enriched=False, path=path)
-    return svg_frame(spec.n, partition=partition)
+    return _DRAWERS[spec.target, spec.fmt](spec.n, shape)

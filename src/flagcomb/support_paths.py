@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from . import config
-from .errors import (EnumerationLimitExceeded, IndexOutOfRange, InvalidPath,
-                     NotFullFlag, RealizationNotFound)
+from .errors import (IndexOutOfRange, InvalidPath, NotFullFlag,
+                     RealizationNotFound)
 from .flags import Flag, FlagCode, TypeVector, flag_from_matrix, \
     max_distance, pair_distance_profile, pair_profiles
 
@@ -158,12 +158,7 @@ def iter_paths(n: int, distance_filter: Optional[int] = None, *,
     is all of first_violation, so no path re-runs it.  No prefix grows past
     a distance filter, since the deltas are non-negative.
     """
-    if max_n is None:
-        max_n = config.load_config().max_n_combinatorics
-    if n > max_n:
-        raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    config.check_n(n, max_n)
     stack = [((0,), 0)]
     while stack:
         deltas, acc = stack.pop()

@@ -88,7 +88,11 @@ def test_ascii_staircase_silhouette():
 
 
 def test_render_rejects_bad_specs():
-    from flagcomb.errors import InvalidSpec
+    from flagcomb.errors import EnumerationLimitExceeded, InvalidSpec
+    with pytest.raises(InvalidSpec, match="need n >= 2"):
+        render(RenderSpec("support", "svg", 1))
+    with pytest.raises(EnumerationLimitExceeded, match="the cap 14"):
+        render(RenderSpec("support", "svg", 15))
     with pytest.raises(InvalidSpec):
         render(RenderSpec("nope", "ascii", 5))
     with pytest.raises(InvalidSpec):
@@ -288,6 +292,25 @@ def test_cli_realize_roundtrip(capsys):
 def test_cli_render(capsys):
     assert main(["render", "frame", "5"]) == 0
     assert capsys.readouterr().out.strip().startswith("o*o*")
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+@pytest.mark.parametrize("n", ["15", "100000"])
+def test_cli_render_over_the_cap_exits_1(n, fmt, capsys):
+    assert main(["render", "frame", n, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n={n} exceeds the cap 14\n"
+
+
+def test_cli_render_cap_follows_the_config(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_n_combinatorics": 30}))
+    monkeypatch.setenv(ENV_VAR, str(path))
+    assert main(["render", "frame", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 19 and len(lines[0]) == 19
+    assert main(["render", "frame", "31"]) == 1
 
 
 def test_cli_partitions(capsys):
