@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage / invalid input, 2 code-file parse error,
-3 consistency failure (a theorem cross-check or verification failed).
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+/ invalid input, 2 code-file parse error, 3 consistency failure (a theorem
+cross-check or verification failed).
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused after, and argparse keeps no state from one
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from typing import Optional, Sequence
@@ -285,7 +287,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return rc
+    except BrokenPipeError:     # stdout on devnull: no error at exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

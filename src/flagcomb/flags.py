@@ -88,7 +88,7 @@ class Flag:
         self.generator = generator
         self.subspaces = subspaces
         self._packed = _pack(q, generator)
-        self._key = (q, n, type_.dims, tuple(s.basis for s in subspaces))
+        self._key = (q, n, type_.dims, subspaces)
 
     def __eq__(self, other):
         return isinstance(other, Flag) and self._key == other._key

@@ -9,7 +9,6 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -145,19 +144,44 @@ class RowSpace:
         return Subspace(self.q, self.n, self.basis())
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_q^n in canonical (RREF, zero rows stripped) form."""
+    """A subspace of F_q^n in canonical form: RREF, zero rows stripped.  For
+    q = 2, 3 its identity is its packed RREF (*packed*, pivot bit -> row):
+    equality, hashing and dim read the rows in descending pivot order, and
+    the basis is unpacked on first read and kept; larger q keep the basis."""
 
-    q: int
-    ambient_n: int
-    basis: tuple[Row, ...]
-    # for q = 2, 3: the basis as packed RREF pivots, when its builder kept them
-    packed: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("q", "ambient_n", "packed", "_rows", "_basis")
+
+    def __init__(self, q: int, ambient_n: int,
+                 basis: tuple[Row, ...] | None = None, packed: dict | None = None):
+        self.q, self.ambient_n, self._basis = q, ambient_n, basis
+        if packed is None and q in PACKED_Q:    # from_rref checks the form
+            packed = {1 << (ambient_n - 1 - c): _pack_row(q, r) for c, r
+                      in RowSpace.from_rref(q, ambient_n, basis).pivots}
+        self.packed = packed
+        self._rows = basis if packed is None else tuple(
+            packed[b] for b in sorted(packed, reverse=True))
+
+    def __eq__(self, other):
+        return (isinstance(other, Subspace) and self._rows == other._rows
+                and (self.q, self.ambient_n) == (other.q, other.ambient_n))
+
+    def __hash__(self):
+        return hash((self.q, self.ambient_n, self._rows))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
+
+    @property
+    def basis(self) -> tuple[Row, ...]:
+        if self._basis is None:     # for q = 3, plane digits add in base 10
+            n = self.ambient_n
+            digits = (format(x, f"0{n}b") if self.q == 2 else format(
+                int(format(x[0], "b")) + 2 * int(format(x[1], "b")), f"0{n}d")
+                for x in self._rows)
+            self._basis = tuple(tuple(map(int, d)) for d in digits)
+        return self._basis
 
 
 def subspace_from_rows(q: int, n: int,
@@ -242,76 +266,63 @@ def _pack_row(q: int, row: Sequence[int]):
             int(digits.replace("1", "0").replace("2", "1"), 2))
 
 
-def _support(q: int, x) -> int:
-    return x if q == 2 else x[0] | x[1]
-
-
-def _clear(q: int, x, p, b: int):
-    """x minus the multiple of p that zeroes bit b of x (p is nonzero there):
-    for q = 3, x - p at equal entries and x + p at unequal ones, where -p
-    swaps the planes (Kawahara, Aoki & Takagi, 2008)."""
-    if q == 2:
-        return x ^ p
-    lo, hi = x
-    plo, phi = p if (lo & b) == (p[0] & b) else (p[1], p[0])
-    t = (lo | plo) ^ (hi | phi)
-    return (hi | plo) ^ t, (lo | phi) ^ t
-
-
 class PackedSpace:
-    """RowSpace on packed rows, for q = 2, 3."""
+    """RowSpace on packed rows, for q = 2, 3.  For q = 3, x - p is three ORs
+    and three XORs, and -p swaps the planes (Kawahara, Aoki & Takagi, 2008)."""
 
-    __slots__ = ("q", "n", "pivots", "_unpacked")
+    __slots__ = ("q", "n", "pivots")
 
     def __init__(self, q: int, n: int):
         self.q = q
         self.n = n
         self.pivots: dict = {}
-        # packed row -> row tuple: most rows of F_i are rows of F_{i+1}
-        self._unpacked: dict = {}
 
     def add(self, row: Sequence[int]) -> bool:
         """Add a row of entries in range(q); return True iff the rank grew."""
-        q, pivots = self.q, self.pivots
-        x = _pack_row(q, row)
+        pivots = self.pivots
+        if self.q == 2:
+            x = _pack_row(2, row)
+            for b, p in pivots.items():
+                if x & b:
+                    x ^= p
+            if not x:
+                return False
+            b = 1 << x.bit_length() >> 1
+            for c, p in pivots.items():
+                if p & b:
+                    pivots[c] = p ^ x
+            pivots[b] = x
+            return True
+        lo, hi = _pack_row(3, row)
         for b, p in pivots.items():
-            if _support(q, x) & b:
-                x = _clear(q, x, p, b)
-        if not _support(q, x):
+            if (lo | hi) & b:
+                plo, phi = p if lo & b else (p[1], p[0])
+                s = (lo | plo) ^ (hi | phi)
+                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+        if not lo | hi:
             return False
-        b = 1 << (_support(q, x).bit_length() - 1)
-        if q == 3 and not x[0] & b:
-            x = (x[1], x[0])
-        for c, p in pivots.items():
-            if _support(q, p) & b:
-                pivots[c] = _clear(q, p, x, b)
-        pivots[b] = x
+        b = 1 << (lo | hi).bit_length() >> 1
+        if hi & b:
+            lo, hi = hi, lo
+        for c, (plo, phi) in pivots.items():
+            if (plo | phi) & b:
+                xlo, xhi = (lo, hi) if plo & b else (hi, lo)
+                s = (plo | xlo) ^ (phi | xhi)
+                pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
+        pivots[b] = lo, hi
         return True
 
     def subspace(self) -> Subspace:
-        """The span so far, its basis unpacked in descending bit order."""
-        q, n, memo = self.q, self.n, self._unpacked
-        for x in self.pivots.values():
-            if x not in memo:   # for q = 3, plane digits add in base 10
-                memo[x] = tuple(map(int, format(x, f"0{n}b") if q == 2 else
-                                    format(int(format(x[0], "b"))
-                                           + 2 * int(format(x[1], "b")),
-                                           f"0{n}d")))
-        basis = tuple(memo[self.pivots[b]]
-                      for b in sorted(self.pivots, reverse=True))
-        return Subspace(q, n, basis, dict(self.pivots))
+        """The span so far, on a copy of the packed RREF."""
+        return Subspace(self.q, self.n, packed=dict(self.pivots))
 
 
 def seeded_pivots(u: Subspace) -> dict | list:
-    """U's pivots, to rank residuals against: for q = 2, 3 its packed RREF,
-    the one its builder kept or else its basis packed; for larger q the
-    list kernel's, seeded from the basis."""
-    if u.q not in PACKED_Q:
-        return RowSpace.from_rref(u.q, u.ambient_n, u.basis).pivots
+    """U's pivots, to rank residuals against: for q = 2, 3 its packed RREF;
+    for larger q the list kernel's, seeded from the basis."""
     if u.packed is not None:
         return u.packed
-    rows = [_pack_row(u.q, r) for r in u.basis]
-    return {1 << (_support(u.q, x).bit_length() - 1): x for x in rows}
+    return RowSpace.from_rref(u.q, u.ambient_n, u.basis).pivots
 
 
 def residual_rank(pivots: dict | list, v: Subspace,
@@ -324,18 +335,28 @@ def residual_rank(pivots: dict | list, v: Subspace,
     if q not in PACKED_Q:
         return _residual_rank(pivots, v.basis, q, cap)
     own = dict(pivots)
-    for x in seeded_pivots(v).values():
+    for x in v._rows:
         if len(own) - len(pivots) == cap:
             break
-        s = _support(q, x)
-        while s:
-            b = 1 << (s.bit_length() - 1)
+        if q == 2:
+            while x:
+                b = 1 << x.bit_length() >> 1
+                p = own.get(b)
+                if p is None:
+                    own[b] = x
+                    break
+                x ^= p
+            continue
+        lo, hi = x
+        while lo | hi:
+            b = 1 << (lo | hi).bit_length() >> 1
             p = own.get(b)
             if p is None:
-                own[b] = x
+                own[b] = (lo, hi) if lo & b else (hi, lo)
                 break
-            x = _clear(q, x, p, b)
-            s = _support(q, x)
+            plo, phi = p if lo & b else (p[1], p[0])
+            s = (lo | plo) ^ (hi | phi)
+            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
     return len(own) - len(pivots)
 
 
@@ -351,9 +372,6 @@ def grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        yield Subspace(q, n, ())
-        return
     for pivots in combinations(range(n), k):
         free = [(r, c)
                 for r in range(k)

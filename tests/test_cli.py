@@ -468,6 +468,28 @@ def test_python_m_cli_runs_main(tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv,lines_read", [
+    (["paths", "12", "--list"], 1),     # far more than a pipe buffer holds
+    (["render", "frame", "10"], 0),     # all of it still in stdout's buffer
+])
+def test_cli_closed_stdout_exits_0_quietly(unbuffered, argv, lines_read):
+    """A reader that closes the pipe early, as `| head -1` does, ends the
+    command with exit code 0 and nothing on stderr, not with the exit code
+    of a bad code file; buffered or not, nothing fails at interpreter exit."""
+    src = Path(flagcomb.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagcomb.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src),
+                 PYTHONUNBUFFERED=unbuffered))
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
 @pytest.mark.parametrize("text", [
     '{"q": 2, "n": 3, "flags": 5}',                                # not a list
     "4 2 full\n\n1 0\n0 1\n",                                      # q not prime

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from flagcomb import (dim_intersection, dim_sum, grassmannian,
                       injection_distance, subspace_distance, subspace_from_rows)
+from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
                              RankDeficient)
 from flagcomb.flags import (Flag, TypeVector, _recheck_nesting,
-                            flag_from_matrix, random_invertible_matrix)
+                            flag_from_matrix, random_full_flag_code,
+                            random_invertible_matrix)
 from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PackedSpace, RowSpace,
                                  Subspace, _residual_rank, is_prime,
                                  require_prime, residual_rank, seeded_pivots)
@@ -257,6 +259,8 @@ def test_rowspace_from_rref_matches_incremental_build():
 def test_rowspace_from_rref_rejects_non_canonical(basis):
     with pytest.raises(ValueError):
         RowSpace.from_rref(3, 3, basis)
+    with pytest.raises(ValueError):     # packing a q = 3 basis checks it
+        Subspace(3, 3, basis)
 
 
 def _stacked_rank(u, v):
@@ -313,10 +317,12 @@ def test_from_rref_accepts_and_rejects_as_the_transposing_check():
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
     """Every F_i of a flag equals subspace_from_rows on the first t_i rows
-    of its generator, and the packed RREF a flag keeps equals its basis
-    packed afresh; q = 5 keeps none and stays on RowSpace."""
+    of its generator: equal both ways and hashed equal before its basis is
+    read, then with RowSpace's basis (which subspace_from_rows keeps); the
+    packed RREF a flag keeps equals its basis packed afresh; q = 5 keeps
+    none, and its basis is its identity."""
     rng = random.Random(q)
-    sizes = [2, 3, 4, 7, 12, 20] + ([48] if q < 5 else [])
+    sizes = [2, 3, 4, 7, 12, 20] + ([33, 48] if q < 5 else [])
     for n in sizes:
         for full in (True, False):
             k = n - 1 if full else rng.randint(1, n - 1)
@@ -324,7 +330,10 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
             rows = random_invertible_matrix(q, n, rng)
             flag = flag_from_matrix(q, n, TypeVector(n, dims), rows)
             for t, s in zip(dims, flag.subspaces):
-                assert s.basis == subspace_from_rows(q, n, rows[:t]).basis
+                ref = subspace_from_rows(q, n, rows[:t])
+                assert s == ref and ref == s and hash(s) == hash(ref)
+                assert s.dim == ref.dim == t
+                assert s.basis == ref.basis
                 assert (s.packed is None) == (q == 5)
                 if s.packed is not None:
                     repacked = seeded_pivots(Subspace(q, n, s.basis))
@@ -368,3 +377,51 @@ def test_nesting_recheck_rejects_a_hand_built_flag(q):
     assert (kept_small, kept_big) == (small, big)
     with pytest.raises(RankDeficient):
         _recheck_nesting(Flag(q, 3, tv, rows, (kept_small, kept_big)))
+
+
+# ---------------------------------------------------------------------------
+# The packed RREF as the identity of a q = 2, 3 subspace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_packed_identity_is_equality_of_rref_bases_on_g_q_4(q):
+    """Over every pair of subspaces of F_q^4, of any two dimensions, two
+    subspaces are equal iff their RREF bases are, both as enumerated and
+    as rebuilt by a PackedSpace from a scrambled spanning set; equal ones
+    hash equal."""
+    rng = random.Random(q)
+    subs = [s for k in range(5) for s in grassmannian(q, 4, k)]
+    rebuilt = []
+    for s in subs:
+        space = PackedSpace(q, 4)
+        for _ in range(s.dim + 2):
+            coeffs = [rng.randrange(q) for _ in s.basis]
+            space.add([sum(c * e for c, e in zip(coeffs, col)) % q
+                       for col in zip(*s.basis)] if s.dim else [0] * 4)
+        for row in s.basis:
+            space.add(row)
+        rebuilt.append(space.subspace())
+    for s, r in zip(subs, rebuilt):
+        assert r == s and hash(r) == hash(s)
+        assert r._basis is None and r.basis == s.basis
+    for (a, ra), (b, rb) in itertools.product(zip(subs, rebuilt), repeat=2):
+        same = a.basis == b.basis
+        assert (a == b) == (ra == rb) == (ra == b) == same
+        assert not same or hash(ra) == hash(b)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_analyze_never_unpacks_a_basis(q):
+    """analyze on a seeded q = 2, 3 code (n = 13) compares, hashes and ranks
+    subspaces on their packed RREF alone: afterwards no subspace of the
+    code has unpacked its basis, and reading it then gives RowSpace's
+    (subspace_from_rows keeps the basis RowSpace made)."""
+    code = random_full_flag_code(q, 13, 8, random.Random(150 + q))
+    report = analyze(code)
+    assert report.size == 8 and not report.no_pairs
+    subs = [s for f in code for s in f.subspaces]
+    assert all(s._basis is None for s in subs)
+    for f in code:
+        for t, s in enumerate(f.subspaces, start=1):
+            ref = subspace_from_rows(q, 13, f.generator[:t])
+            assert s.basis == ref.basis
