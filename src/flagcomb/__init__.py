@@ -6,12 +6,12 @@ tying flag-code parameters to projected-code parameters.
 """
 
 from .durfee_analysis import (CodeAnalysis, DurfeeRectangle, analyze,
-                              black_dots_in_rectangle, bound_from_codistance,
-                              check_separability, durfee_rectangle,
-                              durfee_sets_of_code, ferrers_subdiagrams_of_code,
+                              black_dots_in_rectangle, check_separability,
+                              durfee_rectangle, durfee_sets_of_code,
+                              ferrers_subdiagrams_of_code,
                               flag_distance_bounds, is_optimum_distance,
                               rectangle_to_projected)
-from .ferrers import (EmbeddedPartition, FerrersFrame, StaircasePath,
+from .ferrers import (EmbeddedPartition, StaircasePath,
                       UnderlyingDistribution, cell_color, distance_equivalent,
                       enumerate_embedded_partitions, is_embedded,
                       partition_of_staircase, skeleton_of_staircase,
@@ -25,8 +25,8 @@ from .flags import (Flag, FlagCode, TypeVector, codistance, flag_distance,
 from .gfq_linalg import (Subspace, dim_intersection, dim_sum, grassmannian,
                          injection_distance, subspace_distance,
                          subspace_from_rows)
-from .support_paths import (DistancePath, DistanceSupport, enumerate_paths,
-                            path_codistance, path_distance,
+from .support_paths import (DistancePath, enumerate_paths, path_codistance,
+                            path_distance,
                             path_from_flag_pair, paths_of_code, pick_area,
                             plateau_count, range_r, realize_path,
                             validate_path)

@@ -205,16 +205,6 @@ def _checked_projected(vals: tuple[int, ...], n: int, i: int, size: int,
     return derived
 
 
-def bound_from_codistance(dbar: int, n: int, i: int, r: int) -> bool:
-    """Hypothesis d̄ < ceil(r(r+n-2i)/2); when true, |C_i| = |C| and
-    d_I(C_i) > i - r."""
-    if not 1 <= i <= n // 2:
-        raise IndexOutOfRange(f"i={i} not in [1, {n // 2}]")
-    if not 0 <= r <= i:
-        raise IndexOutOfRange(f"r={r} not in [0, {i}]")
-    return dbar < (r * (r + n - 2 * i) + 1) // 2
-
-
 def flag_distance_bounds(n: int, i: int, cardinality_equal: bool,
                          d_i: Optional[int] = None) -> tuple[int, int]:
     """The admissible interval for d_f(C) given |C_i| vs |C| and d_I(C_i).

@@ -40,36 +40,6 @@ def cell_color(n: int, i: int, j: int) -> str:
     return BLACK if (n + i + j) % 2 == 0 else RED
 
 
-@dataclass(frozen=True)
-class FerrersFrame:
-    """The frame FF(n): the staircase partition (n-1, n-2, ..., 1)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-
-    @property
-    def row_lengths(self) -> tuple[int, ...]:
-        return tuple(range(self.n - 1, 0, -1))
-
-    @property
-    def total_cells(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def cells(self) -> Iterator[tuple[int, int, str]]:
-        for i in range(1, self.n):
-            for j in range(1, self.n - i + 1):
-                yield i, j, cell_color(self.n, i, j)
-
-    def black_count(self) -> int:
-        return sum(1 for *_ij, c in self.cells() if c == BLACK)
-
-    def red_count(self) -> int:
-        return self.total_cells - self.black_count()
-
-
 def is_embedded(parts: Sequence[int], n: int) -> bool:
     """Does the partition fit inside FF(n)?  (λ_i <= n - i, m <= n-1)."""
     prev = None

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
 from .gfq_linalg import (PACKED_Q, PackedSpace, Row, RowSpace, Subspace,
-                         require_prime, residual_rank, seeded_pivots)
+                         require_prime, residual_rank)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _recheck_nesting(flag: Flag) -> None:
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
         if small.dim >= big.dim:
             raise RankDeficient(big.dim, "dimensions do not strictly increase")
-        if residual_rank(seeded_pivots(big), small, cap=1):
+        if residual_rank(big, small, cap=1):
             raise RankDeficient(big.dim, "subspaces are not nested")
 
 
@@ -340,17 +340,16 @@ def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
     """(|C_i|, d_I(C_i)) from one build of C_i; d_I is 0 for a singleton.
 
     Computed directly on the canonical bases, sharing no code with the
-    profile sweeps: U's pivots are seeded once, and d_I(U, V) is the rank
-    of V's basis reduced against them, as C_i has one dimension.  That
-    rank only grows row by row, so a pair stopped at the running minimum
-    cannot lower it; distinct subspaces have d_I >= 1, so 1 ends the search.
+    profile sweeps: d_I(U, V) is the rank of V's rows reduced against U's
+    stored RREF, as C_i has one dimension.  That rank only grows row by
+    row, so a pair stopped at the running minimum cannot lower it;
+    distinct subspaces have d_I >= 1, so 1 ends the search.
     """
     subs = projected_code(c, i)
     best = c.n if len(subs) > 1 else 0
     for a, u in enumerate(subs[:-1]):
-        pivots = seeded_pivots(u)
         for v in subs[a + 1:]:
-            best = min(best, residual_rank(pivots, v, cap=best))
+            best = min(best, residual_rank(u, v, cap=best))
             if best == 1:
                 return len(subs), 1
     return len(subs), best

@@ -145,22 +145,28 @@ class RowSpace:
 
 
 class Subspace:
-    """A subspace of F_q^n in canonical form: RREF, zero rows stripped.  For
-    q = 2, 3 its identity is its packed RREF (*packed*, pivot bit -> row):
-    equality, hashing and dim read the rows in descending pivot order, and
-    the basis is unpacked on first read and kept; larger q keep the basis."""
+    """A subspace of F_q^n in canonical form, stored as its kernel's RREF
+    *pivots* (pivot bit -> packed row for q = 2, 3, else RowSpace's list),
+    checked once when built from a basis.  Equality, hashing and dim read
+    the rows in pivot order; a packed basis is unpacked on first read."""
 
-    __slots__ = ("q", "ambient_n", "packed", "_rows", "_basis")
+    __slots__ = ("q", "ambient_n", "pivots", "_rows", "_basis")
 
     def __init__(self, q: int, ambient_n: int,
-                 basis: tuple[Row, ...] | None = None, packed: dict | None = None):
-        self.q, self.ambient_n, self._basis = q, ambient_n, basis
-        if packed is None and q in PACKED_Q:    # from_rref checks the form
-            packed = {1 << (ambient_n - 1 - c): _pack_row(q, r) for c, r
-                      in RowSpace.from_rref(q, ambient_n, basis).pivots}
-        self.packed = packed
-        self._rows = basis if packed is None else tuple(
-            packed[b] for b in sorted(packed, reverse=True))
+                 basis: Sequence[Row] | None = None,
+                 pivots: dict | list | None = None):
+        self.q, self.ambient_n, self._basis = q, ambient_n, None
+        if pivots is None:      # from_rref checks the form
+            pivots = RowSpace.from_rref(q, ambient_n, basis).pivots
+            if q in PACKED_Q:
+                self._basis = tuple(r for _, r in pivots)
+                pivots = {1 << (ambient_n - 1 - c): _pack_row(q, r)
+                          for c, r in pivots}
+        self.pivots = pivots
+        if q in PACKED_Q:
+            self._rows = tuple(pivots[b] for b in sorted(pivots, reverse=True))
+        else:
+            self._rows = self._basis = tuple(r for _, r in pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self._rows == other._rows
@@ -230,7 +236,7 @@ def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
 def dim_sum(u: Subspace, v: Subspace) -> int:
     """dim(U + V), reducing V's basis against U's stored RREF."""
     _check_compatible(u, v)
-    return u.dim + residual_rank(seeded_pivots(u), v)
+    return u.dim + residual_rank(u, v)
 
 
 def dim_intersection(u: Subspace, v: Subspace) -> int:
@@ -314,24 +320,15 @@ class PackedSpace:
 
     def subspace(self) -> Subspace:
         """The span so far, on a copy of the packed RREF."""
-        return Subspace(self.q, self.n, packed=dict(self.pivots))
+        return Subspace(self.q, self.n, pivots=dict(self.pivots))
 
 
-def seeded_pivots(u: Subspace) -> dict | list:
-    """U's pivots, to rank residuals against: for q = 2, 3 its packed RREF;
-    for larger q the list kernel's, seeded from the basis."""
-    if u.packed is not None:
-        return u.packed
-    return RowSpace.from_rref(u.q, u.ambient_n, u.basis).pivots
-
-
-def residual_rank(pivots: dict | list, v: Subspace,
-                  cap: int | None = None) -> int:
-    """dim(U + V) - dim U for U's seeded_pivots; stops once it reaches *cap*.
+def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
+    """dim(U + V) - dim U, on U's stored RREF; stops once it reaches *cap*.
 
     Larger q run _residual_rank.  For q = 2, 3, U's pivots seed a forward
     elimination of V's packed rows keyed by each row's top bit."""
-    q = v.q
+    q, pivots = u.q, u.pivots
     if q not in PACKED_Q:
         return _residual_rank(pivots, v.basis, q, cap)
     own = dict(pivots)

@@ -138,7 +138,7 @@ def _svg_support(n: int, enriched: bool,
     polyline = None
     if path is not None:
         polyline = [px(2 * i, 2 * delta) for i, delta in enumerate(path.deltas)]
-    return _svg(2 * n * _SCALE + 2 * _PAD, top * _SCALE // 2 + 2 * _PAD,
+    return _svg(n * _SCALE + 2 * _PAD, top * _SCALE // 2 + 2 * _PAD,
                 polyline, [(*px(x, y), black, crossed)
                            for x, y, black, crossed in points])
 

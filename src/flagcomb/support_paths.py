@@ -9,7 +9,7 @@ bounded by min(i, n-i).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -24,22 +24,6 @@ def range_r(i: int, n: int) -> frozenset[int]:
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"i={i} not in [0, {n}]")
     return frozenset(range(min(i, n - i) + 1))
-
-
-@dataclass(frozen=True)
-class DistanceSupport:
-    """All columns R(0,n), ..., R(n,n) of the distance support."""
-
-    n: int
-    columns: tuple[frozenset[int], ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "columns", tuple(range_r(i, self.n) for i in range(self.n + 1)))
-
-    def positive_points(self) -> int:
-        """Number of circle (positive-distance) points; equals D^n."""
-        return sum(len(col) - 1 for col in self.columns)
 
 
 def first_violation(deltas: Sequence[int], n: int) -> Optional[tuple[int, str]]:

@@ -17,13 +17,15 @@ from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       partition_of_staircase, skeleton_of_staircase,
                       splitting_value, staircase_class,
                       staircase_of_partition)
-from .flags import (max_distance, pair_profiles, random_full_flag,
-                    random_full_flag_code)
+from .errors import InvalidPath, RealizationNotFound
+from .flags import (max_distance, pair_distance_profile, pair_profiles,
+                    random_full_flag, random_full_flag_code)
 from .gfq_linalg import (grassmannian, injection_distance, require_prime,
                          subspace_from_rows, subspace_distance)
-from .support_paths import (enumerate_paths, path_from_flag_pair,
-                            path_codistance, path_distance, pick_area,
-                            plateau_count, realize_path, validate_path)
+from .support_paths import (enumerate_paths, first_violation,
+                            path_from_flag_pair, path_codistance,
+                            path_distance, pick_area, plateau_count,
+                            realize_path, validate_path)
 
 Check = Callable[[random.Random, int, Sequence[int], int],
                  tuple[int, list[str]]]
@@ -106,10 +108,11 @@ def _check_random_pair_paths(rng, n_max, qs, trials):
         n = rng.randrange(2, n_max + 1)
         f = random_full_flag(q, n, rng)
         g = random_full_flag(q, n, rng)
-        p = path_from_flag_pair(f, g)
+        deltas = (0, *pair_distance_profile(f, g), 0)
         cases += 1
-        if not validate_path(p.deltas, n):
-            fails.append(f"invalid path {p.deltas} from flags n={n} q={q}")
+        bad = first_violation(deltas, n)
+        if bad is not None:
+            fails.append(f"invalid path {deltas} at q={q}: {bad[1]}")
     return cases, fails
 
 
@@ -136,9 +139,12 @@ def _check_realize(rng, n_max, qs, trials):
         for q in qs:
             for p in paths:
                 cases += 1
-                f, g = realize_path(p, q)
-                if path_from_flag_pair(f, g) != p:
-                    fails.append(f"realization round-trip failed {p.deltas}")
+                try:
+                    f, g = realize_path(p, q)
+                    if path_from_flag_pair(f, g) != p:
+                        fails.append(f"realization round-trip failed {p.deltas}")
+                except (RealizationNotFound, InvalidPath) as exc:
+                    fails.append(f"realization failed for {p.deltas}: {exc}")
     return cases, fails
 
 
@@ -227,17 +233,6 @@ def _check_skeleton_invariance(rng, n_max, qs, trials):
     return cases, fails
 
 
-def _check_monotonicity(rng, n_max, qs, trials):
-    cases, fails = 0, []
-    for n in range(2, 21):
-        for i in range(1, n // 2 + 1):
-            for j in range(i, n // 2 + 1):
-                cases += 1
-                if j * (n - j) < i * (n - i):
-                    fails.append(f"monotonicity fails at n={n}, {i}<={j}")
-    return cases, fails
-
-
 def _check_rectangle_lemma(rng, n_max, qs, trials):
     cases, fails = 0, []
     for n in range(2, 13):
@@ -293,7 +288,6 @@ CHECKS: list[tuple[str, Check]] = [
     ("equivalence_criterion_vs_cells", _check_equivalence_criterion),
     ("path_splitting_bijection", _check_bijection),
     ("skeleton_black_dot_invariance", _check_skeleton_invariance),
-    ("dimension_product_monotonicity", _check_monotonicity),
     ("rectangle_black_dot_lemma", _check_rectangle_lemma),
     ("code_level_theorems", _check_code_theorems),
 ]

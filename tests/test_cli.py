@@ -8,7 +8,8 @@ import pytest
 
 import flagcomb
 from flagcomb import (DistancePath, cli, config, enumerate_embedded_partitions,
-                      ferrers, max_distance, underlying_distribution, verify)
+                      ferrers, flags, max_distance, support_paths,
+                      underlying_distribution, verify)
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
@@ -455,6 +456,35 @@ def test_verify_reads_no_config(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr() == plain
     assert calls == []
+
+
+def test_verify_reports_an_out_of_range_sweep_as_a_failed_check(
+        monkeypatch, capsys):
+    """A sweep giving delta_1 = 3 fails random_pair_paths_valid and every
+    realization with a FAIL line each and exit 3; no InvalidPath escapes."""
+    def bad(f, g):
+        return (3, *flags.pair_distance_profile(f, g)[1:])
+    monkeypatch.setattr(verify, "pair_distance_profile", bad)
+    monkeypatch.setattr(support_paths, "pair_distance_profile", bad)
+    assert main(["verify", "--n-max", "4", "--trials", "3"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL random_pair_paths_valid: 3 failure(s) in 3 cases" in out
+    assert "FAIL realization_roundtrip: 30 failure(s) in 30 cases" in out
+    assert "delta_1=3 outside [0, 1]" in out
+
+
+def test_verify_reports_a_failed_realization_as_a_failed_check(
+        monkeypatch, capsys):
+    """With a zero profile every nonzero path fails to round-trip: one FAIL
+    line and exit 3, with no RealizationNotFound escaping the suite."""
+    monkeypatch.setattr(support_paths, "pair_distance_profile",
+                        lambda f, g: (0,) * (f.n - 1))
+    assert main(["verify", "--n-max", "4", "--trials", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert "FAIL realization_roundtrip: 24 failure(s) in 30 cases" in out
+    assert "round-trip failed for (0, 1, 0)" in out
+    assert out.count("\nFAIL ") == 1
+    assert "verification suite failed" in err
 
 
 def test_python_m_cli_runs_main(tmp_path):

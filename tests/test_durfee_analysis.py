@@ -2,7 +2,7 @@ import pytest
 
 from flagcomb import durfee_analysis, flags
 from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, TypeVector,
-                      analyze, black_dots_in_rectangle, bound_from_codistance,
+                      analyze, black_dots_in_rectangle,
                       check_separability, codistance, durfee_rectangle,
                       durfee_sets_of_code, enumerate_embedded_partitions,
                       ferrers_subdiagrams_of_code, flag_distance_bounds,
@@ -121,15 +121,6 @@ def test_check_separability():
     assert check_separability(4, 6, 3)
     with pytest.raises(IndexOutOfRange):
         check_separability(0, 6, 4)
-
-
-def test_bound_from_codistance():
-    # hypothesis of the distance bound: dbar < ceil(r(r+n-2i)/2)
-    assert bound_from_codistance(0, 8, 3, 1)
-    assert bound_from_codistance(3, 8, 3, 2)   # ceil(2*4/2) = 4
-    assert not bound_from_codistance(4, 8, 3, 2)
-    with pytest.raises(IndexOutOfRange):
-        bound_from_codistance(0, 8, 2, 3)      # r may not exceed i
 
 
 def test_flag_distance_bounds_examples():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcomb.ferrers as ferrers_module
-from flagcomb import (DistancePath, EmbeddedPartition, FerrersFrame,
+from flagcomb import (DistancePath, EmbeddedPartition,
                       StaircasePath, UnderlyingDistribution, cell_color,
                       distance_equivalent, enumerate_embedded_partitions,
                       enumerate_paths, is_embedded, max_distance,
@@ -30,12 +30,6 @@ def catalan(n):
 # Frame geometry
 # ---------------------------------------------------------------------------
 
-def test_frame_shape():
-    ff = FerrersFrame(6)
-    assert ff.row_lengths == (5, 4, 3, 2, 1)
-    assert ff.total_cells == 15
-
-
 def test_cell_color_rule():
     # row i (top down), position j counted from the right
     assert cell_color(6, 1, 1) == BLACK
@@ -54,10 +48,11 @@ def test_cell_color_rule():
 def test_frame_color_totals():
     """Black cells number D^n, red cells D^(n-1)."""
     for n in range(3, 13):
-        ff = FerrersFrame(n)
-        assert ff.black_count() == max_distance(n)
-        assert ff.red_count() == max_distance(n - 1)
-        assert ff.black_count() + ff.red_count() == ff.total_cells
+        colors = [cell_color(n, i, j)
+                  for i in range(1, n) for j in range(1, n - i + 1)]
+        assert colors.count(BLACK) == max_distance(n)
+        assert colors.count(RED) == max_distance(n - 1)
+        assert len(colors) == n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
 from flagcomb.flags import (Flag, TypeVector, _recheck_nesting,
                             flag_from_matrix, random_full_flag_code,
                             random_invertible_matrix)
-from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PackedSpace, RowSpace,
-                                 Subspace, _residual_rank, is_prime,
-                                 require_prime, residual_rank, seeded_pivots)
+from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, PackedSpace,
+                                 RowSpace, Subspace, _pack_row,
+                                 _residual_rank, is_prime, require_prime,
+                                 residual_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +256,14 @@ def test_rowspace_from_rref_matches_incremental_build():
     ((0, 0, 0),),                # zero row
     ((1, 0),),                   # wrong width
     ((0, 2, 1), (0, 0, 1)),      # nonzero entry before the leading 1
+    ((2, 1, 0),),                # leading 2, then a nonzero entry
 ])
 def test_rowspace_from_rref_rejects_non_canonical(basis):
     with pytest.raises(ValueError):
         RowSpace.from_rref(3, 3, basis)
-    with pytest.raises(ValueError):     # packing a q = 3 basis checks it
-        Subspace(3, 3, basis)
+    for q in (3, 5, 7):     # a Subspace checks its basis at every q
+        with pytest.raises(ValueError):
+            Subspace(q, 3, basis)
 
 
 def _stacked_rank(u, v):
@@ -319,8 +322,8 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
     """Every F_i of a flag equals subspace_from_rows on the first t_i rows
     of its generator: equal both ways and hashed equal before its basis is
     read, then with RowSpace's basis (which subspace_from_rows keeps); the
-    packed RREF a flag keeps equals its basis packed afresh; q = 5 keeps
-    none, and its basis is its identity."""
+    pivots a flag keeps equal RowSpace.from_rref's on its basis, packed for
+    q = 2, 3, and those of a Subspace built from that basis."""
     rng = random.Random(q)
     sizes = [2, 3, 4, 7, 12, 20] + ([33, 48] if q < 5 else [])
     for n in sizes:
@@ -334,17 +337,18 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
                 assert s == ref and ref == s and hash(s) == hash(ref)
                 assert s.dim == ref.dim == t
                 assert s.basis == ref.basis
-                assert (s.packed is None) == (q == 5)
-                if s.packed is not None:
-                    repacked = seeded_pivots(Subspace(q, n, s.basis))
-                    assert repacked == s.packed
+                checked = RowSpace.from_rref(q, n, s.basis).pivots
+                if q in PACKED_Q:
+                    checked = {1 << (n - 1 - c): _pack_row(q, r)
+                               for c, r in checked}
+                assert s.pivots == checked == Subspace(q, n, s.basis).pivots
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
 def test_packed_residual_rank_equals_the_list_kernel(q, n):
     """The packed residual rank against _residual_rank on every pair of
-    subspaces of F_q^n, with no cap and with each cap; U's packed RREF is
-    taken both packed from its basis and kept by a PackedSpace."""
+    subspaces of F_q^n, with no cap and with each cap; U and V are taken
+    both as built from their bases and as kept by a PackedSpace."""
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     kept = {}
     for u in subs:
@@ -352,14 +356,14 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
         for row in u.basis:
             space.add(row)
         built = space.subspace()
-        assert built == u and built.packed == seeded_pivots(u)
+        assert built == u and built.pivots == u.pivots
         kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
         pivots = RowSpace.from_rref(q, n, u.basis).pivots
         for cap in (None, *range(1, n + 1)):
             expected = _residual_rank(pivots, v.basis, q, cap)
-            assert residual_rank(seeded_pivots(u), v, cap) == expected
-            assert residual_rank(kept[u].packed, kept[v], cap) == expected
+            assert residual_rank(u, v, cap) == expected
+            assert residual_rank(kept[u], kept[v], cap) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

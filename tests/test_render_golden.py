@@ -11,11 +11,12 @@ seconds).  A change to any byte of any drawing changes its digest.
 import hashlib
 import itertools
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from flagcomb.ferrers import iter_partitions
-from flagcomb.render import FORMATS, TARGETS, RenderSpec, render
+from flagcomb.render import _PAD, FORMATS, TARGETS, RenderSpec, render
 from flagcomb.support_paths import iter_paths
 
 N_RANGE = range(2, 15)
@@ -26,13 +27,13 @@ DRAWS = 300
 # (target, format) -> (number of renders, sha256 of the outputs)
 DIGESTS = {
     ("support", "ascii"): (13, "09887b8a839189f3c833f2c4a0aa99e68b8cc42b81fdcec2b82c0a814f537147"),
-    ("support", "svg"): (13, "8120fd7c8570d4b5b7d6840c3423e91562c6c28b9400314a9a724b6f785fd36d"),
+    ("support", "svg"): (13, "165049313cfcfa78080cfbbf4fe9b7df8f042e948085ced46423eec715a9980d"),
     ("enriched", "ascii"): (13, "4f479bf0affca98e7276b0df5f5791e0aa0f36fb192d13777a822722e7201558"),
-    ("enriched", "svg"): (13, "b5a7f7239d5ed9a8f489cc85c705696871e4ead57e3aee65a281573f4c349c3e"),
+    ("enriched", "svg"): (13, "1def14a35fad258f8241680eef4391518badd0cd210ace357bfe04ed6f690a48"),
     ("frame", "ascii"): (13, "8a56797aa4358c16ad922859b4cb9801f9dc7bb36a5186abdcc2b396ac4a79fb"),
     ("frame", "svg"): (13, "a6611c0757040d0d492316bc27ee9590084adbddcc6ca4625aec0ea64860e4a6"),
     ("path", "ascii"): (3219, "2828d06727aa57171113352e0a9ee1d1e00a461fe7dfc92ef8cd7099bec44c3b"),
-    ("path", "svg"): (3219, "5449d33b742bab015643b06119436ef4c0c124330dccde62d62734ac74617799"),
+    ("path", "svg"): (3219, "4d60b4a965f08e0d7cd84b2fdb346489ad86ac65f33c5aa93a9c8952f3249eb5"),
     ("staircase", "ascii"): (8416, "8d301d520823119e34c871e00aeffa6d3e5b5c67d4533253129cbc5ebdc7b161"),
     ("staircase", "svg"): (8416, "41d2d8ae16fea165801c75f53c7b9c2ef702dee5b2d4dad173b6748325a3c3ef"),
 }
@@ -86,3 +87,25 @@ def _digest(target: str, fmt: str) -> tuple[int, str]:
 @pytest.mark.parametrize("target", TARGETS)
 def test_render_output_is_pinned(target, fmt):
     assert _digest(target, fmt) == DIGESTS[target, fmt]
+
+
+def _dot_xs(svg: str) -> list[int]:
+    """The x of every dot: a circle's cx, a cross's centre 4 px right of
+    the start of its path."""
+    xs = []
+    for el in ET.fromstring(svg):
+        tag = el.tag.rpartition("}")[2]
+        if tag == "circle":
+            xs.append(int(el.get("cx")))
+        elif tag == "path":
+            xs.append(int(el.get("d").split()[1]) + 4)
+    return xs
+
+
+@pytest.mark.parametrize("target", ["support", "enriched", "path"])
+def test_support_svg_ends_one_pad_right_of_its_rightmost_dot(target):
+    for n in N_RANGE:
+        deltas = (0,) * (n + 1) if target == "path" else None
+        svg = render(RenderSpec(target, "svg", n, deltas=deltas))
+        width = int(ET.fromstring(svg).get("width"))
+        assert width == max(_dot_xs(svg)) + _PAD

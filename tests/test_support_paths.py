@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcomb import (DistancePath, DistanceSupport, FlagCode, enumerate_paths,
+from flagcomb import (DistancePath, FlagCode, enumerate_paths,
                       flag_distance, max_distance, path_codistance,
                       path_distance, path_from_flag_pair, paths_of_code,
                       pick_area, plateau_count, range_r, realize_path,
@@ -32,7 +32,8 @@ def test_range_r():
 
 def test_support_positive_points_equals_max_distance():
     for n in range(2, 12):
-        assert DistanceSupport(n).positive_points() == max_distance(n)
+        positive = sum(len(range_r(i, n)) - 1 for i in range(n + 1))
+        assert positive == max_distance(n)
 
 
 @pytest.mark.parametrize("deltas,ok", [
