@@ -98,11 +98,18 @@ def cmd_analyze(args) -> int:
         return 0
 
     # general type: projected parameters only
-    print(f"flag code of type {code.type.dims} on F_{code.q}^{code.n}")
+    dims = code.type.dims
+    projected = {i: projected_parameters(code, i)
+                 for i in range(1, len(dims) + 1)}
+    if args.json:
+        print(json.dumps({"q": code.q, "n": code.n, "type": list(dims),
+                          "size": len(code), "d_f": min_distance(code),
+                          "projected": projected}, indent=2))
+        return 0
+    print(f"flag code of type {dims} on F_{code.q}^{code.n}")
     print(f"|C| = {len(code)}")
     print(f"d_f = {min_distance(code)}")
-    for idx, t in enumerate(code.type.dims, start=1):
-        card, di = projected_parameters(code, idx)
+    for (idx, (card, di)), t in zip(projected.items(), dims):
         print(f"  i={idx} (dim {t}): |C_i|={card}, d_I(C_i)={di}")
     print("combinatorial sections skipped: full flags only")
     return 0

@@ -13,7 +13,7 @@ the file starts with '{':
     {"q": 2, "n": 6, "type": "full" | [1, 3, 5],
      "flags": [[[row], [row], ...], ...]}
 
-Entries are reduced mod q on load.
+JSON numbers must be integers.  Entries are reduced mod q on load.
 """
 
 from __future__ import annotations
@@ -25,12 +25,20 @@ from .flags import Flag, FlagCode, TypeVector, flag_from_matrix
 from .gfq_linalg import require_prime
 
 
+def _integer(v) -> int:
+    """*v* if it is a JSON integer: a float, string or bool is not."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def _parse_type(token: str | list, n: int) -> TypeVector:
     try:
         if token == "full":
             return TypeVector.full(n)
-        dims = token.split(",") if isinstance(token, str) else token
-        return TypeVector(n, tuple(int(t) for t in dims))
+        dims = (map(int, token.split(",")) if isinstance(token, str)
+                else map(_integer, token))
+        return TypeVector(n, tuple(dims))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad type vector {token!r}: {exc}") from exc
 
@@ -73,8 +81,8 @@ def parse_code(text: str) -> FlagCode:
 def _parse_json(text: str) -> FlagCode:
     try:
         doc = json.loads(text)
-        q, n = int(doc["q"]), int(doc["n"])
-        blocks = [[[int(e) for e in row] for row in rows]
+        q, n = _integer(doc["q"]), _integer(doc["n"])
+        blocks = [[[_integer(e) for e in row] for row in rows]
                   for rows in doc["flags"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (PACKED_Q, PackedSpace, Row, RowSpace, Subspace,
-                         require_prime, residual_rank)
+from .gfq_linalg import (Row, RowSpace, Subspace, require_prime,
+                         residual_rank)
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
 
     Entries are reduced mod q, and every row must have n entries
     (TypeMismatch otherwise); the reduced rows are the flag's generator.
-    Raises RankDeficient(t_i) as soon as a prefix fails to reach rank t_i.
-    For full flags given with n rows, the whole matrix must be invertible
-    (RankDeficient(n) otherwise).  q = 2 and q = 3 row-reduce packed rows.
+    Every row is read: they must be independent and at most n, and
+    RankDeficient(k) names the first row k that is not.  F_i is where a
+    chain of Subspace.extend over the rows stands at row t_i, at every q.
     """
     require_prime(q)
     if type_.n != n:
@@ -124,19 +124,18 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     t_last = type_.dims[-1]
     if len(rows) < t_last:
         raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
+    if len(rows) > n:
+        raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
 
-    stop = n if type_.is_full and len(rows) >= n else t_last
-    space = PackedSpace(q, n) if q in PACKED_Q else RowSpace(q, n)
+    space = Subspace(q, n, ())
     subspaces = []
     targets = set(type_.dims)
-    for idx, row in enumerate(rows[:stop], start=1):
-        space.add(row)
+    for idx, row in enumerate(rows, start=1):
+        space = space.extend(row)
+        if space.dim < idx:
+            raise RankDeficient(idx)
         if idx in targets:
-            if len(space.pivots) < idx:
-                raise RankDeficient(idx)
-            subspaces.append(space.subspace())
-    if len(space.pivots) < stop:
-        raise RankDeficient(n, "full-flag generator is singular")
+            subspaces.append(space)
 
     flag = Flag(q, n, type_, rows, tuple(subspaces))
     _recheck_nesting(flag)

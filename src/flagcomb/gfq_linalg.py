@@ -85,11 +85,11 @@ class RowSpace:
 
     __slots__ = ("q", "n", "pivots")
 
-    def __init__(self, q: int, n: int):
+    def __init__(self, q: int, n: int, pivots: Sequence[tuple[int, Row]] = ()):
         self.q = q
         self.n = n
         # list of (pivot column, row tuple), sorted by pivot column
-        self.pivots: list[tuple[int, Row]] = []
+        self.pivots: list[tuple[int, Row]] = list(pivots)
 
     @classmethod
     def from_rref(cls, q: int, n: int, basis: Sequence[Row]) -> "RowSpace":
@@ -140,9 +140,6 @@ class RowSpace:
     def basis(self) -> tuple[Row, ...]:
         return tuple(row for _, row in self.pivots)
 
-    def subspace(self) -> "Subspace":
-        return Subspace(self.q, self.n, self.basis())
-
 
 class Subspace:
     """A subspace of F_q^n in canonical form, stored as its kernel's RREF
@@ -189,6 +186,48 @@ class Subspace:
             self._basis = tuple(tuple(map(int, d)) for d in digits)
         return self._basis
 
+    def extend(self, row: Sequence[int]) -> "Subspace":
+        """The span of this subspace and *row* (n entries in range(q)), as
+        a new Subspace.  q >= 5 run RowSpace.add on the pivot list; q = 2, 3
+        add the packed row to a copy of the packed RREF.  For q = 3, x - p
+        is three ORs and three XORs, and -p swaps the planes (Kawahara,
+        Aoki & Takagi, 2008)."""
+        q, n = self.q, self.ambient_n
+        if q not in PACKED_Q:
+            space = RowSpace(q, n, self.pivots)
+            space.add(row)
+            return Subspace(q, n, pivots=space.pivots)
+        pivots = dict(self.pivots)
+        x = _pack_row(q, row)
+        if q == 2:
+            for b, p in pivots.items():
+                if x & b:
+                    x ^= p
+            if x:
+                b = 1 << x.bit_length() >> 1
+                for c, p in pivots.items():
+                    if p & b:
+                        pivots[c] = p ^ x
+                pivots[b] = x
+            return Subspace(q, n, pivots=pivots)
+        lo, hi = x
+        for b, p in pivots.items():
+            if (lo | hi) & b:
+                plo, phi = p if lo & b else (p[1], p[0])
+                s = (lo | plo) ^ (hi | phi)
+                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+        if lo | hi:
+            b = 1 << (lo | hi).bit_length() >> 1
+            if hi & b:
+                lo, hi = hi, lo
+            for c, (plo, phi) in pivots.items():
+                if (plo | phi) & b:
+                    xlo, xhi = (lo, hi) if plo & b else (hi, lo)
+                    s = (plo | xlo) ^ (phi | xhi)
+                    pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
+            pivots[b] = lo, hi
+        return Subspace(q, n, pivots=pivots)
+
 
 def subspace_from_rows(q: int, n: int,
                        rows: Iterable[Iterable[int]]) -> Subspace:
@@ -201,13 +240,7 @@ def subspace_from_rows(q: int, n: int,
         if len(r) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
         space.add(r)
-    return space.subspace()
-
-
-def _check_compatible(u: Subspace, v: Subspace) -> None:
-    if u.q != v.q or u.ambient_n != v.ambient_n:
-        raise AmbientMismatch(
-            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
+    return Subspace(q, n, space.basis())
 
 
 def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
@@ -235,7 +268,9 @@ def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
     """dim(U + V), reducing V's basis against U's stored RREF."""
-    _check_compatible(u, v)
+    if u.q != v.q or u.ambient_n != v.ambient_n:
+        raise AmbientMismatch(
+            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     return u.dim + residual_rank(u, v)
 
 
@@ -270,57 +305,6 @@ def _pack_row(q: int, row: Sequence[int]):
         return int(digits, 2)
     return (int(digits.replace("2", "0"), 2),
             int(digits.replace("1", "0").replace("2", "1"), 2))
-
-
-class PackedSpace:
-    """RowSpace on packed rows, for q = 2, 3.  For q = 3, x - p is three ORs
-    and three XORs, and -p swaps the planes (Kawahara, Aoki & Takagi, 2008)."""
-
-    __slots__ = ("q", "n", "pivots")
-
-    def __init__(self, q: int, n: int):
-        self.q = q
-        self.n = n
-        self.pivots: dict = {}
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Add a row of entries in range(q); return True iff the rank grew."""
-        pivots = self.pivots
-        if self.q == 2:
-            x = _pack_row(2, row)
-            for b, p in pivots.items():
-                if x & b:
-                    x ^= p
-            if not x:
-                return False
-            b = 1 << x.bit_length() >> 1
-            for c, p in pivots.items():
-                if p & b:
-                    pivots[c] = p ^ x
-            pivots[b] = x
-            return True
-        lo, hi = _pack_row(3, row)
-        for b, p in pivots.items():
-            if (lo | hi) & b:
-                plo, phi = p if lo & b else (p[1], p[0])
-                s = (lo | plo) ^ (hi | phi)
-                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        if not lo | hi:
-            return False
-        b = 1 << (lo | hi).bit_length() >> 1
-        if hi & b:
-            lo, hi = hi, lo
-        for c, (plo, phi) in pivots.items():
-            if (plo | phi) & b:
-                xlo, xhi = (lo, hi) if plo & b else (hi, lo)
-                s = (plo | xlo) ^ (phi | xhi)
-                pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
-        pivots[b] = lo, hi
-        return True
-
-    def subspace(self) -> Subspace:
-        """The span so far, on a copy of the packed RREF."""
-        return Subspace(self.q, self.n, pivots=dict(self.pivots))
 
 
 def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:

@@ -32,7 +32,7 @@ DIGESTS = {
     ("singleton", "text"): (1, "c4f7581ae0fefe46afa99a51202759f9a0525b581b54a9ce4a626e24f3251c9f"),
     ("singleton", "json"): (1, "43d8f1328e01930deda639143801266771bb126abbb2f1d45a3f214d0dec270d"),
     ("type135", "text"): (1, "af39f728e5b461070ab71f3304f9fa05047202714a81b129e1679a4791057781"),
-    ("type135", "json"): (1, "af39f728e5b461070ab71f3304f9fa05047202714a81b129e1679a4791057781"),
+    ("type135", "json"): (1, "7a026b616bb451190af52251f3f8c0b023030ac6c1039d400dfadea9788d3e4a"),
 }
 
 

@@ -55,6 +55,46 @@ def test_entries_reduced_mod_q():
     assert c.flags[0].generator == ((1, 1),)
 
 
+def test_two_flags_with_no_blank_line_between_them_exit_2(tmp_path):
+    """Six rows in one block of F_2^3 are not read as one flag whose
+    last three rows are ignored."""
+    text = "2 3 full\n1 0 0\n0 1 0\n0 0 1\n0 0 1\n0 1 0\n1 0 0\n"
+    with pytest.raises(InvalidFlag, match="6 rows in F_2\\^3"):
+        parse_code(text)
+    assert main(["analyze", _code_file(tmp_path, text)]) == 2
+
+
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 2.9, "n": 3, "flags": [IDENTITY_3]},
+    {"q": 2, "n": 3.9, "flags": [IDENTITY_3]},
+    {"q": 2, "n": 3, "flags": [[[1.7, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    {"q": 2, "n": 3, "flags": [[[True, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    {"q": "3", "n": 3, "flags": [IDENTITY_3]},
+    {"q": 2, "n": "3", "flags": [IDENTITY_3]},
+    {"q": 2, "n": 3, "flags": [[["1", 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    {"q": 2, "n": 3, "type": [1.0, 2], "flags": [IDENTITY_3]},
+    {"q": 2, "n": 3, "type": [True, 2], "flags": [IDENTITY_3]},
+    {"q": 2, "n": 3, "type": ["1", 2], "flags": [IDENTITY_3]},
+])
+def test_json_code_file_takes_only_integers(doc, tmp_path):
+    """q, n, type dims and entries must be JSON integers: a float, a bool
+    or a numeric string is a parse error (exit 2), not coerced."""
+    text = json.dumps(doc)
+    with pytest.raises(ParseError, match="is not an integer"):
+        parse_code(text)
+    assert main(["analyze", _code_file(tmp_path, text)]) == 2
+
+
+@pytest.mark.parametrize("type_", ["full", "1,2", [1, 2]])
+def test_json_code_file_integers_and_type_strings_still_load(type_):
+    c = parse_code(json.dumps({"q": 2, "n": 3, "type": type_,
+                               "flags": [IDENTITY_3]}))
+    assert (c.q, c.n, c.type.dims, len(c)) == (2, 3, (1, 2), 1)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -131,6 +171,16 @@ def test_cli_analyze_general_type(tmp_path, capsys, type_135_text):
     assert rc == 0
     assert "d_f = 2" in out
     assert "i=2 (dim 3): |C_i|=2, d_I(C_i)=3" in out
+
+
+def test_cli_analyze_general_type_json(tmp_path, capsys, type_135_text):
+    """--json on a code that is not full prints the full report's keys
+    that apply to it, not the text report."""
+    rc = main(["analyze", "--json", _code_file(tmp_path, type_135_text)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "q": 2, "n": 6, "type": [1, 3, 5], "size": 3, "d_f": 2,
+        "projected": {"1": [3, 1], "2": [2, 3], "3": [3, 1]}}
 
 
 def test_cli_analyze_full_code_json(tmp_path, capsys):

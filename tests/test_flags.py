@@ -56,6 +56,27 @@ def test_singular_full_generator_rejected():
         flag_from_matrix(2, 3, TypeVector.full(3), rows)
 
 
+def test_more_than_n_rows_rejected():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    for tv in (TypeVector.full(3), TypeVector(3, (1,))):
+        with pytest.raises(RankDeficient) as exc:
+            flag_from_matrix(2, 3, tv, rows)
+        assert exc.value.prefix == 4
+
+
+def test_every_row_past_the_last_type_dim_is_read():
+    """A type-(1,3) block on F_2^4 reads its fourth row too: a dependent
+    one raises, an independent one builds the same flag as three rows."""
+    tv = TypeVector(4, (1, 3))
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    with pytest.raises(RankDeficient) as exc:
+        flag_from_matrix(2, 4, tv, rows + [[1, 1, 0, 0]])
+    assert exc.value.prefix == 4
+    flag = flag_from_matrix(2, 4, tv, rows + [[0, 1, 1, 1]])
+    assert flag == flag_from_matrix(2, 4, tv, rows)
+    assert flag.generator[3] == (0, 1, 1, 1)
+
+
 def test_flag_equality_by_subspaces_not_generators():
     a = flag_from_matrix(2, 3, TypeVector.full(3),
                          [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

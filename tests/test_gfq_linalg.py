@@ -13,8 +13,8 @@ from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
 from flagcomb.flags import (Flag, TypeVector, _recheck_nesting,
                             flag_from_matrix, random_full_flag_code,
                             random_invertible_matrix)
-from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, PackedSpace,
-                                 RowSpace, Subspace, _pack_row,
+from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, RowSpace,
+                                 Subspace, _pack_row,
                                  _residual_rank, is_prime, require_prime,
                                  residual_rank)
 
@@ -348,14 +348,13 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
 def test_packed_residual_rank_equals_the_list_kernel(q, n):
     """The packed residual rank against _residual_rank on every pair of
     subspaces of F_q^n, with no cap and with each cap; U and V are taken
-    both as built from their bases and as kept by a PackedSpace."""
+    both as built from their bases and as an extend chain of them."""
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     kept = {}
     for u in subs:
-        space = PackedSpace(q, n)
+        built = Subspace(q, n, ())
         for row in u.basis:
-            space.add(row)
-        built = space.subspace()
+            built = built.extend(row)
         assert built == u and built.pivots == u.pivots
         kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
@@ -364,6 +363,45 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
             expected = _residual_rank(pivots, v.basis, q, cap)
             assert residual_rank(u, v, cap) == expected
             assert residual_rank(kept[u], kept[v], cap) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_extend_chain_equals_the_list_kernel_on_each_prefix(q):
+    """Every prefix of an extend chain of random rows (dependent ones
+    included) equals subspace_from_rows on the same rows in ==, hash,
+    pivots and basis; extending by a row already in the span, or by a
+    combination of the basis, gives an equal subspace."""
+    rng = random.Random(170 + q)
+    for n in [1, 2, 3, 5, 8, 16] + ([48] if q == 2 else []):
+        rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(n)] for _ in range(n + 3)]
+        rows[n // 2] = list(rows[0])         # a repeat, already in the span
+        chain = Subspace(q, n, ())
+        for k, row in enumerate(rows, start=1):
+            chain = chain.extend(row)
+            ref = subspace_from_rows(q, n, rows[:k])
+            assert chain == ref and ref == chain and hash(chain) == hash(ref)
+            assert chain.pivots == ref.pivots and chain.dim == ref.dim
+            assert chain.basis == ref.basis
+            again = chain.extend(rows[rng.randrange(k)])
+            assert again == chain and again.pivots == chain.pivots
+            if chain.dim:
+                coeffs = [rng.randrange(q) for _ in chain.basis]
+                mixed = [sum(c * e for c, e in zip(coeffs, col)) % q
+                         for col in zip(*chain.basis)]
+                assert chain.extend(mixed) == chain
+
+
+def test_extend_leaves_the_extended_subspace_unchanged():
+    """extend returns a new subspace: the one extended keeps its pivots,
+    at packed and at list q."""
+    for q in (2, 3, 5):
+        base = subspace_from_rows(q, 3, [[1, 0, 0]])
+        pivots, rows = (dict(base.pivots) if q in PACKED_Q
+                        else list(base.pivots)), base.basis
+        grown = base.extend([0, 1, 1])
+        assert grown.dim == 2 and base.dim == 1
+        assert base.pivots == pivots and base.basis == rows
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -391,20 +429,21 @@ def test_nesting_recheck_rejects_a_hand_built_flag(q):
 def test_packed_identity_is_equality_of_rref_bases_on_g_q_4(q):
     """Over every pair of subspaces of F_q^4, of any two dimensions, two
     subspaces are equal iff their RREF bases are, both as enumerated and
-    as rebuilt by a PackedSpace from a scrambled spanning set; equal ones
-    hash equal."""
+    as rebuilt by extend from a scrambled spanning set; equal ones hash
+    equal."""
     rng = random.Random(q)
     subs = [s for k in range(5) for s in grassmannian(q, 4, k)]
     rebuilt = []
     for s in subs:
-        space = PackedSpace(q, 4)
+        space = Subspace(q, 4, ())
         for _ in range(s.dim + 2):
             coeffs = [rng.randrange(q) for _ in s.basis]
-            space.add([sum(c * e for c, e in zip(coeffs, col)) % q
-                       for col in zip(*s.basis)] if s.dim else [0] * 4)
+            row = ([sum(c * e for c, e in zip(coeffs, col)) % q
+                    for col in zip(*s.basis)] if s.dim else [0] * 4)
+            space = space.extend(row)
         for row in s.basis:
-            space.add(row)
-        rebuilt.append(space.subspace())
+            space = space.extend(row)
+        rebuilt.append(space)
     for s, r in zip(subs, rebuilt):
         assert r == s and hash(r) == hash(s)
         assert r._basis is None and r.basis == s.basis
