@@ -113,9 +113,13 @@ class RowSpace:
         return space
 
     def add(self, row: Sequence[int]) -> bool:
-        """Add a row; return True iff the rank grew."""
-        q = self.q
-        r = _reduce_row([e % q for e in row], self.pivots, q)
+        """Add a row of n entries, reduced mod q; return True iff the rank
+        grew.  A row of another length raises ColumnCountMismatch."""
+        q, n = self.q, self.n
+        r = [e % q for e in row]
+        if len(r) != n:
+            raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
+        r = _reduce_row(r, self.pivots, q)
         col = next((i for i, e in enumerate(r) if e), -1)
         if col < 0:
             return False
@@ -154,6 +158,7 @@ class Subspace:
                  pivots: dict | list | None = None):
         self.q, self.ambient_n, self._basis = q, ambient_n, None
         if pivots is None:      # from_rref checks the form
+            require_prime(q)
             pivots = RowSpace.from_rref(q, ambient_n, basis).pivots
             if q in PACKED_Q:
                 self._basis = tuple(r for _, r in pivots)
@@ -187,16 +192,21 @@ class Subspace:
         return self._basis
 
     def extend(self, row: Sequence[int]) -> "Subspace":
-        """The span of this subspace and *row* (n entries in range(q)), as
-        a new Subspace.  q >= 5 run RowSpace.add on the pivot list; q = 2, 3
-        add the packed row to a copy of the packed RREF.  For q = 3, x - p
-        is three ORs and three XORs, and -p swaps the planes (Kawahara,
-        Aoki & Takagi, 2008)."""
+        """The span of this subspace and *row*, as a new Subspace.  The row
+        must have n entries (else ColumnCountMismatch); q = 2, 3 need each
+        in range(q) (else ValueError), larger q reduce them mod q.
+
+        q >= 5 run RowSpace.add on the pivot list; q = 2, 3 add the packed
+        row to a copy of the packed RREF.  For q = 3, x - p is three ORs
+        and three XORs, and -p swaps the planes (Kawahara, Aoki & Takagi,
+        2008)."""
         q, n = self.q, self.ambient_n
         if q not in PACKED_Q:
             space = RowSpace(q, n, self.pivots)
             space.add(row)
             return Subspace(q, n, pivots=space.pivots)
+        if len(row) != n:
+            raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
         pivots = dict(self.pivots)
         x = _pack_row(q, row)
         if q == 2:
@@ -231,14 +241,13 @@ class Subspace:
 
 def subspace_from_rows(q: int, n: int,
                        rows: Iterable[Iterable[int]]) -> Subspace:
-    """Span of the given rows as a canonical Subspace of F_q^n: the one
-    path from raw rows to canonical form.  Every row must have n entries;
-    RowSpace.add reduces them mod q."""
+    """Span of the given rows as a canonical Subspace of F_q^n, built on
+    the list kernel at every q: the reference that the packed kernel's
+    Subspace.extend chains are tested against.  Every row must have n
+    entries; RowSpace.add reduces them mod q."""
+    require_prime(q)
     space = RowSpace(q, n)
     for r in rows:
-        r = list(r)
-        if len(r) != n:
-            raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
         space.add(r)
     return Subspace(q, n, space.basis())
 
@@ -300,7 +309,12 @@ PACKED_Q = (2, 3)
 
 
 def _pack_row(q: int, row: Sequence[int]):
+    """*row* packed; ValueError unless each entry is in range(q).  An entry
+    such as 10 or -1 would spill into the next column, so each must be one
+    digit, and int() rejects a digit out of range."""
     digits = "".join(map(str, row))
+    if len(digits) != len(row):
+        raise ValueError(f"entries of {list(row)} are not in range({q})")
     if q == 2:
         return int(digits, 2)
     return (int(digits.replace("2", "0"), 2),
@@ -353,6 +367,7 @@ def grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    require_prime(q)
     for pivots in combinations(range(n), k):
         free = [(r, c)
                 for r in range(k)

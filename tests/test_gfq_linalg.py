@@ -405,6 +405,47 @@ def test_extend_leaves_the_extended_subspace_unchanged():
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
+def test_extend_and_add_reject_a_row_of_another_length(q):
+    """A short or long row raises, where it was read shifted by a column
+    or gave a basis row of the wrong length."""
+    for row in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(ColumnCountMismatch, match="expected 3 columns"):
+            Subspace(q, 3, ()).extend(row)
+        with pytest.raises(ColumnCountMismatch, match="expected 3 columns"):
+            RowSpace(q, 3).add(row)
+        with pytest.raises(ColumnCountMismatch, match="expected 3 columns"):
+            subspace_from_rows(q, 3, [row])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_extend_takes_entries_in_range_or_reduces_them(q):
+    """An entry outside range(q) is an error for the packed q = 2, 3,
+    where 10 would read as two digits; larger q reduce it mod q, as
+    RowSpace.add and subspace_from_rows do."""
+    for row in ([10, 0, 0], [-1, 0, 0], [0, q, 0]):
+        if q in PACKED_Q:
+            with pytest.raises(ValueError):
+                Subspace(q, 3, ()).extend(row)
+        else:
+            assert (Subspace(q, 3, ()).extend(row)
+                    == subspace_from_rows(q, 3, [row]))
+
+
+@pytest.mark.parametrize("q", [1, 4, 6])
+def test_public_entry_points_require_a_prime_q(q):
+    """Over Z/4 a row [2, 1] would be stored as a zero pivot, since 2 has
+    no inverse; each entry point raises before any row is reduced."""
+    calls = [lambda: subspace_from_rows(q, 2, [[1, 1]]),
+             lambda: subspace_from_rows(q, 2, [[2, 1], [0, 2]]),
+             lambda: Subspace(q, 2, ((1, 0),)),
+             lambda: Subspace(q, 2, ()),
+             lambda: next(grassmannian(q, 2, 1))]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"q = {q} is not prime"):
+            call()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_nesting_recheck_rejects_a_hand_built_flag(q):
     """F_1 = <e_3> is not inside F_2 = <e_1, e_2>: the recheck raises on
     bases packed afresh and on bases a flag construction kept."""
