@@ -13,7 +13,7 @@ the file starts with '{':
     {"q": 2, "n": 6, "type": "full" | [1, 3, 5],
      "flags": [[[row], [row], ...], ...]}
 
-JSON numbers must be integers.  Entries are reduced mod q on load.
+Text numbers are ASCII decimal, JSON ones integers; entries are reduced mod q.
 """
 
 from __future__ import annotations
@@ -93,6 +93,10 @@ def _parse_json(text: str) -> FlagCode:
 def _parse_text(text: str) -> FlagCode:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [("" if ln.startswith("#") else ln) for ln in lines]
+    # int() also reads "1_0" and non-ASCII digits such as "١"
+    for lineno, ln in enumerate(lines, start=1):
+        if not ln.isascii() or "_" in ln:
+            raise ParseError(f"line {lineno}: bad row {ln!r}")
 
     header = None
     body_start = 0
@@ -120,7 +124,7 @@ def _parse_text(text: str) -> FlagCode:
                 current = []
             continue
         try:
-            current.append([int(tok) for tok in ln.split()])
+            current.append(list(map(int, ln.split())))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
     if current:

@@ -53,9 +53,10 @@ class TypeVector:
         return len(self.dims)
 
 
-# str.translate tables from a row's digit string to its GF(3) bit-planes
-_ONES = str.maketrans("2", "0")
-_TWOS = str.maketrans("12", "01")
+# bytes.translate tables from entries to plane digits, apart from gfq_linalg's;
+# a byte outside range(q) maps to ".", which int() rejects
+_BITS = b"01".ljust(256, b".")
+_ONES, _TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
 
 
 def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple | None:
@@ -63,11 +64,10 @@ def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple | None:
     bit: for q = 2 one int per row; for q = 3 a (ones, twos) pair of
     bit-planes per row; None for larger q, which keeps the list kernel."""
     if q == 2:
-        return tuple(int("".join(map(str, r)), 2) for r in rows)
+        return tuple(int(bytes(r).translate(_BITS), 2) for r in rows)
     if q == 3:
-        digits = ["".join(map(str, r)) for r in rows]
-        return tuple((int(d.translate(_ONES), 2), int(d.translate(_TWOS), 2))
-                     for d in digits)
+        return tuple((int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
+                     for b in map(bytes, rows))
     return None
 
 
@@ -117,7 +117,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     require_prime(q)
     if type_.n != n:
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
-    rows = tuple(tuple(e % q for e in r) for r in rows)
+    rows = tuple(tuple([e % q for e in r]) for r in rows)
     for r in rows:
         if len(r) != n:
             raise TypeMismatch(f"expected {n} columns, got {len(r)}")

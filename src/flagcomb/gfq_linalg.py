@@ -96,8 +96,8 @@ class RowSpace:
         """A RowSpace seeded from a basis that is already canonical RREF.
 
         Only checks the form, with no elimination: every row has n entries
-        and a leading 1, the pivots strictly increase, and each pivot
-        column is zero in every other row.  Raises ValueError otherwise.
+        in range(q) and a leading 1, the pivots strictly increase, and each
+        pivot column is zero in every other row; else ValueError.
         The rows below a pivot are zero in its column by their leading
         zeros, so only that column of the rows above is read.
         """
@@ -106,6 +106,7 @@ class RowSpace:
         for row in basis:
             col = row.index(1) if len(row) == n and 1 in row else -1
             if (col <= prev or any(row[:col])
+                    or not all(0 <= e < q for e in row)
                     or any([r[col] for _, r in space.pivots])):
                 raise ValueError(f"basis is not in canonical RREF: {basis}")
             space.pivots.append((col, tuple(row)))
@@ -308,17 +309,21 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
 PACKED_Q = (2, 3)
 
 
+# bytes.translate tables from entries to plane digits: a byte outside range(q)
+# maps to ".", which int() rejects; left as it is, it could read as a digit,
+# a sign, "_" or blank.
+_GF2_BITS = b"01".ljust(256, b".")
+_GF3_ONES, _GF3_TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
+
+
 def _pack_row(q: int, row: Sequence[int]):
-    """*row* packed; ValueError unless each entry is in range(q).  An entry
-    such as 10 or -1 would spill into the next column, so each must be one
-    digit, and int() rejects a digit out of range."""
-    digits = "".join(map(str, row))
-    if len(digits) != len(row):
-        raise ValueError(f"entries of {list(row)} are not in range({q})")
+    """*row* packed; ValueError unless each entry is in range(q), TypeError
+    on an entry that is not an int.  bytes() rejects an entry outside
+    range(256), and the table every other entry outside range(q)."""
+    b = bytes(row)
     if q == 2:
-        return int(digits, 2)
-    return (int(digits.replace("2", "0"), 2),
-            int(digits.replace("1", "0").replace("2", "1"), 2))
+        return int(b.translate(_GF2_BITS), 2)
+    return int(b.translate(_GF3_ONES), 2), int(b.translate(_GF3_TWOS), 2)
 
 
 def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:

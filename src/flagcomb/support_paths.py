@@ -240,9 +240,10 @@ def realize_path(p: DistancePath, q: int) -> tuple[Flag, Flag]:
 
 
 def paths_of_code(c: FlagCode) -> frozenset[DistancePath]:
-    """Γ(C): the distance paths of all unordered pairs of distinct flags."""
+    """Γ(C): the distance paths of all unordered pairs of distinct flags, one
+    DistancePath (so one validation) per distinct profile, in pair order."""
     if not c.is_full:
         raise NotFullFlag("Γ(C) is defined for full flag codes")
     n = c.n
     return frozenset(DistancePath(n, (0, *profile, 0))
-                     for profile in pair_profiles(c))
+                     for profile in dict.fromkeys(pair_profiles(c)))

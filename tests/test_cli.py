@@ -95,6 +95,27 @@ def test_json_code_file_integers_and_type_strings_still_load(type_):
     assert (c.q, c.n, c.type.dims, len(c)) == (2, 3, (1, 2), 1)
 
 
+@pytest.mark.parametrize("token,ok", [
+    ("+1", True), ("1_0", False), ("\u0661", False), ("0x1", False)])
+@pytest.mark.parametrize("where", ["row", "header"])
+def test_text_code_file_takes_only_ascii_decimal_tokens(token, ok, where,
+                                                        tmp_path):
+    """A number is ASCII decimal with an optional sign: int() would also
+    read "1_0" as 10 and the Arabic-Indic digit U+0661 as 1."""
+    plain = "2 3 1,2\n\n1 0 0\n0 1 0\n"
+    text = (plain.replace("\n1 0 0", f"\n{token} 0 0") if where == "row"
+            else plain.replace("1,2", f"{token},2"))
+    rc = main(["analyze", _code_file(tmp_path, text)])
+    if ok:
+        assert rc == 0
+        assert parse_code(text).flags == parse_code(plain).flags
+    else:
+        assert rc == 2
+        with pytest.raises(ParseError, match="line 3: bad row"
+                           if where == "row" else "line 1|type"):
+            parse_code(text)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from flagcomb import (dim_intersection, dim_sum, grassmannian,
 from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
                              RankDeficient)
-from flagcomb.flags import (Flag, TypeVector, _recheck_nesting,
+from flagcomb.flags import (Flag, TypeVector, _pack, _recheck_nesting,
                             flag_from_matrix, random_full_flag_code,
                             random_invertible_matrix)
 from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, RowSpace,
@@ -257,6 +257,8 @@ def test_rowspace_from_rref_matches_incremental_build():
     ((1, 0),),                   # wrong width
     ((0, 2, 1), (0, 0, 1)),      # nonzero entry before the leading 1
     ((2, 1, 0),),                # leading 2, then a nonzero entry
+    ((1, 9, 0),),                # an entry >= q
+    ((1, -3, 0),),               # a negative entry
 ])
 def test_rowspace_from_rref_rejects_non_canonical(basis):
     with pytest.raises(ValueError):
@@ -429,6 +431,39 @@ def test_extend_takes_entries_in_range_or_reduces_them(q):
         else:
             assert (Subspace(q, 3, ()).extend(row)
                     == subspace_from_rows(q, 3, [row]))
+
+
+def _digit_pack(q, row):
+    """A row packed digit by digit: the int of its bits for q = 2, the
+    (ones, twos) bit-planes for q = 3."""
+    planes = [sum(1 << (len(row) - 1 - c) for c, e in enumerate(row) if e == d)
+              for d in (1, 2)]
+    return planes[0] if q == 2 else tuple(planes)
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5)])
+def test_both_packers_equal_a_digit_by_digit_reference(q, n_max):
+    """_pack_row and flags._pack, which share no code, on every row of
+    F_q^n for n up to n_max."""
+    for n in range(1, n_max + 1):
+        rows = list(itertools.product(range(q), repeat=n))
+        expected = [_digit_pack(q, r) for r in rows]
+        assert [_pack_row(q, r) for r in rows] == expected
+        assert list(_pack(q, rows)) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("entry", [9, 10, 32, 48, 95, 255, 256, -1, "q", 1.0])
+def test_both_packers_reject_an_entry_outside_range_q(q, entry):
+    """int() strips blanks (9, 10, 32), reads "_" (95) between digits and
+    reads bytes 48-57 as digits, so a table that left such a byte as it is
+    would pack a bad entry; bytes() rejects -1 and 256, and a float."""
+    entry = q if entry == "q" else entry
+    for row in ([entry], [entry, 0, 1], [1, entry, 0], [1, 0, entry]):
+        with pytest.raises((ValueError, TypeError)):
+            _pack_row(q, row)
+        with pytest.raises((ValueError, TypeError)):
+            _pack(q, [row])
 
 
 @pytest.mark.parametrize("q", [1, 4, 6])

@@ -22,7 +22,7 @@ TYPE_TOKENS = st.sampled_from(["full", "1", "1,2", "2,1", "1,3,5", "0,1",
                                "1,x", "", "full,1"]) | st.text(max_size=4)
 ROWS = st.lists(st.lists(ENTRIES, max_size=7), max_size=6)
 BLOCKS = st.lists(ROWS, max_size=3)
-JUNK = st.text(alphabet=" 0123456789-#,{}[]\":x\n", max_size=20)
+JUNK = st.text(alphabet=" 0123456789-#,{}[]\":x\n_+\t\u0661", max_size=20)
 
 
 @st.composite

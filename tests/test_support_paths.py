@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from flagcomb import (DistancePath, FlagCode, enumerate_paths,
                       flag_distance, max_distance, path_codistance,
                       path_distance, path_from_flag_pair, paths_of_code,
                       pick_area, plateau_count, range_r, realize_path,
-                      validate_path)
+                      support_paths, validate_path)
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
                              InvalidPath, NotFullFlag)
-from flagcomb.flags import random_full_flag
+from flagcomb.flags import random_full_flag, random_full_flag_code
 from flagcomb.support_paths import (_find_permutation, count_paths_by_distance,
                                     first_violation, iter_paths)
 
@@ -315,6 +316,34 @@ def test_paths_of_code(rng):
     assert paths_of_code(c) == frozenset({DistancePath(4, (0, 1, 2, 1, 0))})
     c2 = FlagCode([random_full_flag(2, 5, rng) for _ in range(4)])
     assert all(p.n == 5 for p in paths_of_code(c2))
+
+
+def test_paths_of_code_equals_the_paths_of_every_pair():
+    """Γ(C) is built from the distinct profiles only, and equals the set
+    of the paths of all pairs, each computed on its own."""
+    c = random_full_flag_code(2, 8, 20, random.Random(19))
+    every = [path_from_flag_pair(f, g)
+             for f, g in itertools.combinations(c.flags, 2)]
+    assert len(set(every)) < len(every) == 190
+    assert paths_of_code(c) == frozenset(every)
+
+
+def test_paths_of_code_validates_each_distinct_profile_once(monkeypatch):
+    """A repeated profile is validated once, and an invalid one after it
+    still raises InvalidPath."""
+    c = FlagCode([standard_flag(2, 4), reversed_flag(2, 4)])
+    checked = []
+
+    def counting(deltas, n):
+        checked.append(deltas)
+        return first_violation(deltas, n)
+
+    monkeypatch.setattr(support_paths, "first_violation", counting)
+    monkeypatch.setattr(support_paths, "pair_profiles",
+                        lambda code: ((1, 2, 1), (1, 2, 1), (3, 2, 1)))
+    with pytest.raises(InvalidPath, match="delta_1=3"):
+        paths_of_code(c)
+    assert checked == [(0, 1, 2, 1, 0), (0, 3, 2, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
