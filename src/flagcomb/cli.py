@@ -25,8 +25,8 @@ from .codefile import parse_code, serialize_code, serialize_code_json
 from .durfee_analysis import analyze
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
-from .ferrers import (bijection_table, count_partitions_by_value,
-                      count_splittings_by_value, iter_partitions)
+from .ferrers import (count_partitions_by_value, count_splittings_by_value,
+                      iter_partitions)
 from .flags import (FlagCode, max_distance, min_distance,
                     projected_parameters)
 from .render import FORMATS, TARGETS, RenderSpec, render
@@ -138,14 +138,11 @@ def cmd_paths(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    cfg = config.load_config()
     n = args.n
     _cap(n, BIJECTION_DP_MAX_N, args.force, "bijection table")
-    if n <= min(cfg.max_n_combinatorics, 12):
-        table = bijection_table(n, max_n=n)
-    else:   # the two counting DPs, just as independent of each other
-        paths, splits = count_paths_by_distance(n), count_splittings_by_value(n)
-        table = [(d, count, splits[-1 - d]) for d, count in enumerate(paths)]
+    # two counting DPs that share no code (verify compares the enumerations)
+    paths, splits = count_paths_by_distance(n), count_splittings_by_value(n)
+    table = [(d, count, splits[-1 - d]) for d, count in enumerate(paths)]
     print(f"n={n}: paths of distance d vs splittings of codistance "
           f"{max_distance(n)}-d")
     print("d   #paths  #splittings  match")

@@ -23,14 +23,13 @@ class Config:
     max_n_combinatorics: int = DEFAULT_MAX_N_COMBINATORICS
 
 
-def load_config(path: str | None = None) -> Config:
-    """Load limits from *path*, the env var, or fall back to defaults.
+def load_config() -> Config:
+    """Load limits from the file FLAGCOMB_CONFIG names, else the defaults.
 
     The file must hold a JSON object whose keys are Config fields and whose
     values are non-negative ints; anything else raises ValueError.
     """
-    if path is None:
-        path = os.environ.get(ENV_VAR)
+    path = os.environ.get(ENV_VAR)
     if not path:
         return Config()
     with open(path, "r", encoding="utf-8") as fh:

@@ -108,7 +108,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
                      rows: Iterable[Iterable[int]]) -> Flag:
     """Build a flag whose i-th subspace is the span of the first t_i rows.
 
-    Entries are reduced mod q, and every row must have n entries
+    Entries are reduced mod q, and every row must have n integer entries
     (TypeMismatch otherwise); the reduced rows are the flag's generator.
     Every row is read: they must be independent and at most n, and
     RankDeficient(k) names the first row k that is not.  F_i is where a
@@ -117,25 +117,27 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     require_prime(q)
     if type_.n != n:
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
-    rows = tuple(tuple([e % q for e in r]) for r in rows)
-    for r in rows:
-        if len(r) != n:
-            raise TypeMismatch(f"expected {n} columns, got {len(r)}")
-    t_last = type_.dims[-1]
-    if len(rows) < t_last:
-        raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
-    if len(rows) > n:
-        raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
-
-    space = Subspace(q, n, ())
-    subspaces = []
-    targets = set(type_.dims)
-    for idx, row in enumerate(rows, start=1):
-        space = space.extend(row)
-        if space.dim < idx:
-            raise RankDeficient(idx)
-        if idx in targets:
-            subspaces.append(space)
+    try:
+        rows = tuple(tuple([e % q for e in r]) for r in rows)
+        for r in rows:
+            if len(r) != n:
+                raise TypeMismatch(f"expected {n} columns, got {len(r)}")
+        t_last = type_.dims[-1]
+        if len(rows) < t_last:
+            raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
+        if len(rows) > n:
+            raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
+        space = Subspace(q, n, ())
+        subspaces = []
+        targets = set(type_.dims)
+        for idx, row in enumerate(rows, start=1):
+            space = space.extend(row)
+            if space.dim < idx:
+                raise RankDeficient(idx)
+            if idx in targets:
+                subspaces.append(space)
+    except TypeError as exc:    # bytes() at q = 2, 3, RowSpace.add above
+        raise TypeMismatch("row entries must be integers") from exc
 
     flag = Flag(q, n, type_, rows, tuple(subspaces))
     _recheck_nesting(flag)

@@ -10,6 +10,7 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AmbientMismatch, ColumnCountMismatch
@@ -114,10 +115,10 @@ class RowSpace:
         return space
 
     def add(self, row: Sequence[int]) -> bool:
-        """Add a row of n entries, reduced mod q; return True iff the rank
-        grew.  A row of another length raises ColumnCountMismatch."""
+        """Add a row of n int entries, reduced mod q (TypeError on a float or
+        str); True iff the rank grew.  Another length: ColumnCountMismatch."""
         q, n = self.q, self.n
-        r = [e % q for e in row]
+        r = [index(e) % q for e in row]
         if len(r) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
         r = _reduce_row(r, self.pivots, q)
@@ -194,8 +195,8 @@ class Subspace:
 
     def extend(self, row: Sequence[int]) -> "Subspace":
         """The span of this subspace and *row*, as a new Subspace.  The row
-        must have n entries (else ColumnCountMismatch); q = 2, 3 need each
-        in range(q) (else ValueError), larger q reduce them mod q.
+        must have n int entries (else ColumnCountMismatch or TypeError); q = 2,
+        3 need each in range(q) (else ValueError), larger q reduce them mod q.
 
         q >= 5 run RowSpace.add on the pivot list; q = 2, 3 add the packed
         row to a copy of the packed RREF.  For q = 3, x - p is three ORs

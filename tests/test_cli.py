@@ -267,18 +267,18 @@ def _count_ferrers_calls(monkeypatch, name):
     return calls
 
 
-def test_bijection_enumerates_paths_and_partitions_once(monkeypatch, capsys):
+def test_bijection_enumerates_paths_and_partitions_once(monkeypatch):
     paths = _count_calls(monkeypatch, "enumerate_paths")
     walks = _count_ferrers_calls(monkeypatch, "_walk")
-    assert main(["bijection", "8"]) == 0
-    assert "NO" not in capsys.readouterr().out
+    table = ferrers.bijection_table(8, max_n=8)
+    assert all(n_paths == n_split for _, n_paths, n_split in table)
     assert (len(paths), len(walks)) == (1, 1)
 
 
-def test_bijection_builds_one_distribution_per_splitting(monkeypatch, capsys):
+def test_bijection_builds_one_distribution_per_splitting(monkeypatch):
     built = _count_ferrers_calls(monkeypatch, "UnderlyingDistribution")
-    assert main(["bijection", "10"]) == 0
-    assert "NO" not in capsys.readouterr().out
+    by_value = ferrers.splittings_by_value(10, max_n=10)
+    assert sum(map(len, by_value.values())) == 2188
     assert len(built) == 2188   # Motzkin(10) splittings, of Catalan(10) nodes
 
 
@@ -290,14 +290,10 @@ def test_verify_bijection_enumerates_paths_once_per_n(monkeypatch):
     assert [args[0] for args in paths] == list(range(2, 9))
 
 
-def test_bijection_mismatch_is_a_consistency_failure(monkeypatch, capsys):
+def test_bijection_mismatch_is_a_consistency_failure(monkeypatch):
     # drop the zero path, the first one enumerated
     _patch_everywhere(monkeypatch, "enumerate_paths",
                       lambda real: lambda *a, **k: real(*a, **k)[1:])
-    assert main(["bijection", "5"]) == 3
-    captured = capsys.readouterr()
-    assert "0   0       1            NO" in captured.out
-    assert "bijection table mismatch" in captured.err
     _bijection_check_only(monkeypatch)
     report, ok = verify.run_verification()
     assert not ok
@@ -314,13 +310,15 @@ def test_count_only_commands_run_no_enumerator(monkeypatch, capsys):
     assert (paths, walks) == ([], [])
 
 
-def test_bijection_runs_the_dps_past_12_up_to_60(monkeypatch, capsys):
+def test_bijection_runs_only_the_dps_up_to_60(monkeypatch, capsys):
     paths = _count_calls(monkeypatch, "enumerate_paths")
     walks = _count_ferrers_calls(monkeypatch, "_walk")
-    assert main(["bijection", "13"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == "" and "NO" not in captured.out
-    assert captured.out.splitlines()[-1] == "42  1       1            yes"
+    for n in range(2, 15):
+        assert main(["bijection", str(n)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "NO" not in captured.out
+        last = f"{max_distance(n):<3} 1       1            yes"
+        assert captured.out.splitlines()[-1] == last
     assert (paths, walks) == ([], [])
     assert main(["bijection", "61"]) == 1
     assert "n=61 exceeds the configured cap 60" in capsys.readouterr().err
@@ -340,6 +338,10 @@ def test_wrong_dp_term_is_a_consistency_failure(monkeypatch, capsys):
     assert main(["bijection", "13"]) == 3
     captured = capsys.readouterr()
     assert "3   221     220          NO" in captured.out
+    assert "bijection table mismatch" in captured.err
+    assert main(["bijection", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "3   5       4            NO" in captured.out
     assert "bijection table mismatch" in captured.err
     _off_by_one_at(monkeypatch, "count_partitions_by_value", 0)
     assert main(["partitions", "6", "-u", "0", "--list"]) == 3
@@ -526,6 +528,27 @@ def test_verify_reads_no_config(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(ENV_VAR, str(cfg))
     assert main(argv) == 0
     assert capsys.readouterr() == plain
+    assert calls == []
+
+
+def test_bijection_reads_no_config(tmp_path, monkeypatch, capsys):
+    """bijection's only cap is its own DP range: a low max_n_combinatorics
+    changes neither its tables nor its exit codes."""
+    calls = []
+    real = config.load_config
+    monkeypatch.setattr(config, "load_config",
+                        lambda *a: calls.append(a) or real(*a))
+
+    def run():
+        return [(main(["bijection", n]), capsys.readouterr())
+                for n in ("4", "9", "13", "61")]
+
+    plain = run()
+    assert [rc for rc, _ in plain] == [0, 0, 0, 1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_n_combinatorics": 3}')
+    monkeypatch.setenv(ENV_VAR, str(cfg))
+    assert run() == plain
     assert calls == []
 
 

@@ -96,6 +96,31 @@ def test_wrong_width_later_row_rejected():
                          [[1, 0, 0], [0, 1, 0, 0]])
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("entry", [1.0, 0.0, "1"])
+def test_non_integer_entry_raises_type_mismatch(q, entry):
+    """A float or str entry raises TypeMismatch at every q, wherever it
+    stands; at q >= 5 a 0.0 off the pivots is never inverted, so only the
+    entry check catches it."""
+    tv = TypeVector.full(3)
+    base = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for r in range(3):
+        for c in range(3):
+            rows = [row[:] for row in base]
+            rows[r][c] = entry
+            with pytest.raises(TypeMismatch, match="must be integers"):
+                flag_from_matrix(q, 3, tv, rows)
+    # integer subclasses are integers
+    rows = [[_Int(e) for e in row] for row in base]
+    rows[0][1] = True
+    assert (flag_from_matrix(q, 3, tv, rows)
+            == flag_from_matrix(q, 3, tv, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
 def test_generator_entries_reduced_mod_q():
     f = flag_from_matrix(3, 3, TypeVector.full(3),
                          [[4, -1, 0], [0, 7, 3], [-3, 0, 5]])
