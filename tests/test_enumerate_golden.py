@@ -1,10 +1,12 @@
 """Byte-exact pins of the counting commands.
 
 Each case runs ``main(argv)`` and checks the exit code and the sha256 of
-stdout: ``bijection n`` for n = 2..16 and just outside its range (n = 1
-and 61 exit 1 with nothing on stdout), the count-only ``paths n`` for
-n = 2..12, and ``partitions n -u u`` at a few values, one of them past
-D^n.  A change to any byte of a table changes its digest.
+stdout: ``bijection n`` for n = 2..16, at n = 20, 30, 40, 50 and 60, and
+just outside its range (n = 1 and 61 exit 1 with nothing on stdout), the
+count-only ``paths n`` for n = 2..14 and ``paths 30 --force`` (its warning
+goes to stderr), and ``partitions n -u u`` at a few values, one of them
+D^14 and one past D^n.  The large-n cases pin the counts whose digits are
+widest.  A change to any byte of a table changes its digest.
 """
 
 import hashlib
@@ -48,6 +50,16 @@ DIGESTS = {
         (0, "99753abede3233552cf08aa03fbc29114c6db01cf0a263a1d9e4edf9cd8e07ae"),
     ("bijection", "16"):
         (0, "7e01d300c604add330f830593eb4ae72bb3f93aedd2775d51a891be79c69c640"),
+    ("bijection", "20"):
+        (0, "20569504185758aec76a60df0e3b511bc7a63540b2c5d7ee55fabdd10643161f"),
+    ("bijection", "30"):
+        (0, "6dd6cbfb8e24bbccf7c276fc3c5f7fcb8f352f8542964b47d367f10add355153"),
+    ("bijection", "40"):
+        (0, "92368a9f6d17152240eeadadd4b2b39a81f053c2a59f153fecb2a92c9698e0dc"),
+    ("bijection", "50"):
+        (0, "e73d235e914ee4176dba07c5722121033e83d92d7f60e9a986666fd1d2f2f0cd"),
+    ("bijection", "60"):
+        (0, "e2bb28b36f921e3f9a744363f6c04d10ee6a9a7878aa9996cfcf83e6af097573"),
     ("bijection", "61"):
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("paths", "2"):
@@ -72,6 +84,12 @@ DIGESTS = {
         (0, "5699af27f4a8a1fa2c99d5ef77f0690f29653b44d16e262c93d5d7c10a1d7d41"),
     ("paths", "12"):
         (0, "560ebdbed0bcf9049bada4412cc4088e2d9d519cd934e5afb5f9d21bdc233c59"),
+    ("paths", "13"):
+        (0, "3218162a090e6f3c35a19279e71134e0975114dd4b89b7f8b3a9804495706d7d"),
+    ("paths", "14"):
+        (0, "5556a1461ae9ad2cf29921a2a4f48af244a475ad429a08de587b1a79f8bf6080"),
+    ("paths", "30", "--force"):
+        (0, "09cc1b71f2848e7960fe09d6c69d10948e7f7deeab1256eca15e97fe0df0993f"),
     ("partitions", "6", "-u", "0"):
         (0, "dfe9c62ce3f4496527abde20a43798e4d9c5de9306d2c1603610d76f908f400b"),
     ("partitions", "9", "-u", "5"):
@@ -82,6 +100,12 @@ DIGESTS = {
         (0, "4e5352ea5b4f24bffd8f0c5bb74cd388371445cc6e364415652e7e8e039e1776"),
     ("partitions", "12", "-u", "99"):
         (0, "7b9b0b25ca74795e521140c04bd04e128481dda6701f55a1cfc6726d8091818a"),
+    ("partitions", "14", "-u", "0"):
+        (0, "7c5d1d8d60da12b5b5fae3b37755c6770700c0adebc44ab2b0d64227e9c84cdc"),
+    ("partitions", "14", "-u", "24"):
+        (0, "95dfaaa9130885cba6d0284ac1f7af880d195dc7447f5ede49ecb98314550eae"),
+    ("partitions", "14", "-u", "49"):
+        (0, "2f4e058d20b3c78dcfd8cad15762c7a6f9db2b466af857c5a4bd3a1f86b49884"),
 }
 
 
