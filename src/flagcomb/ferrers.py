@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import config
@@ -352,9 +351,12 @@ def _count_by_value(n: int, distinct: bool) -> list[int]:
     """Counts by value u in [0, D^n] of the embedded partitions of FF(n),
     or with distinct=True of its distinct splittings; shares nothing with
     _walk.  Row r maps each last part v to the counts by value of the
-    prefixes ending in v.  A part v <= min(last, n - r) adds
-    ⌊(v + (n + r) mod 2)/2⌋ black cells, so a running sum over last >= v
-    gives each row in O(n) list sums: O(n^4) in all.
+    prefixes ending in v, one int with a w-byte digit per value (Kronecker
+    substitution).  A part v <= min(last, n - r) adds c = ⌊(v + (n + r) mod
+    2)/2⌋ black cells, a shift by c digits; a running sum over last >= v
+    gives each row in O(n) int sums.  No digit carries: it counts partitions
+    in FF(n), at most Catalan(n) < 4^n < 2^(8w) for w = n // 4 + 1.  Values
+    end at D^n, the whole frame's, and to_bytes raises on a term past it.
 
     For splittings, v is the greedy part: the largest λ <= min(λ_prev, n - r)
     with the row's count c.  Any partition with the same counts stays at or
@@ -365,25 +367,23 @@ def _count_by_value(n: int, distinct: bool) -> list[int]:
     counted, so each vector counts once, at its last nonzero count; a count
     0 with λ = 0 ends the vector, as the walk's end does.
     """
-    dn = max_distance(n)
-    zero = [0] * (dn + 1)
-    out = [1] + zero[1:]                    # the null partition
-    by_last = {n - 1: out}                  # row 1 bounds only by n - 1
+    dn, w = max_distance(n), n // 4 + 1
+    out, by_last = 1, {n - 1: 1}    # the null partition; row 1 bounds by n - 1
     for r in range(1, n):
         odd = (n + r) % 2
         # run: the sum over last >= v, where last <= n - r + 1
-        run, row = by_last.get(n - r + 1, zero), {}
+        run, row = by_last.get(n - r + 1, 0), {}
         for v in range(n - r, 0, -1):
-            if v in by_last:
-                run = list(map(add, run, by_last[v]))
+            run += by_last.get(v, 0)
             c = (v + odd) // 2
-            src = (by_last.get(v, zero) if distinct and (v + odd) % 2 == 0
+            src = (by_last.get(v, 0) if distinct and (v + odd) % 2 == 0
                    and v < n - r else run)
-            row[v] = [0] * c + src[:dn + 1 - c]
+            row[v] = src << 8 * w * c
             if c or not distinct:
-                out = list(map(add, out, row[v]))
+                out += row[v]
         by_last = row
-    return out
+    b = out.to_bytes((dn + 1) * w, "little")
+    return [int.from_bytes(b[k:k + w], "little") for k in range(0, len(b), w)]
 
 
 def count_partitions_by_value(n: int) -> list[int]:

@@ -368,13 +368,12 @@ def projected_distance(c: FlagCode, i: int) -> int:
 def random_invertible_matrix(q: int, n: int,
                              rng: random.Random) -> tuple[Row, ...]:
     """Uniform-ish invertible n x n matrix by row-wise rejection."""
-    require_prime(q)
-    space = RowSpace(q, n)
-    rows = []
+    space, rows = Subspace(q, n, ()), []        # Subspace checks q first
     while len(rows) < n:
-        row = [rng.randrange(q) for _ in range(n)]
-        if space.add(row):
-            rows.append(tuple(row))
+        row = tuple([rng.randrange(q) for _ in range(n)])
+        space = space.extend(row)
+        if space.dim > len(rows):
+            rows.append(row)
     return tuple(rows)
 
 

@@ -162,20 +162,21 @@ def iter_paths(n: int, distance_filter: Optional[int] = None, *,
 
 
 def count_paths_by_distance(n: int) -> list[int]:
-    """The number of distance paths on S(n) of each distance d in [0, D^n].
-
-    A walk over i = 1..n with state (δ_i, running sum): for each δ_i, a list
-    indexed by the sum, whose entries past D^n stay 0 (δ_i <= min(i, n-i)
-    bounds every partial sum).  Shares nothing with iter_paths.
+    """The number of distance paths on S(n) of each distance d in [0, D^n],
+    by a walk over i = 1..n with state (δ_i, running sum): for each δ_i, the
+    counts of the prefixes by sum, one int with a w-byte digit per sum
+    (Kronecker substitution).  A descent to 0 completes each prefix to a
+    distinct path, so no digit passes Motzkin(n) < 3^n < 2^(8w) for
+    w = n // 4 + 1 or carries.  δ_i <= min(i, n-i) bounds every sum by D^n,
+    and to_bytes raises past it.  Shares nothing with iter_paths.
     """
-    dn = max_distance(n)
-    by_delta = [[1] + [0] * dn]                # i = 0: δ_0 = 0, sum 0
-    for i in range(1, n + 1):
-        prev, by_delta = by_delta, []
-        for d in range(min(i, n - i) + 1):     # from δ_{i-1} in d-1, d, d+1
-            sums = list(map(sum, zip(*prev[max(0, d - 1):d + 2])))
-            by_delta.append([0] * d + sums[:dn + 1 - d])
-    return by_delta[0]
+    dn, w = max_distance(n), n // 4 + 1
+    by_delta = [1]                             # i = 0: δ_0 = 0, sum 0
+    for i in range(1, n + 1):                  # from δ_{i-1} in d-1, d, d+1
+        by_delta = [sum(by_delta[max(0, d - 1):d + 2]) << 8 * w * d
+                    for d in range(min(i, n - i) + 1)]
+    b = by_delta[0].to_bytes((dn + 1) * w, "little")
+    return [int.from_bytes(b[k:k + w], "little") for k in range(0, len(b), w)]
 
 
 def _find_permutation(deltas: Sequence[int], n: int) -> list[int]:

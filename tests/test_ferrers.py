@@ -449,8 +449,22 @@ def test_count_splittings_by_value_matches_splittings_by_value(n):
         len(groups[u]) for u in range(max_distance(n) + 1)]
 
 
-@pytest.mark.parametrize("n", range(13, 31))
+def motzkin(n):
+    """Motzkin numbers by (k + 2) M_k = (2k + 1) M_{k-1} + (3k - 3) M_{k-2}."""
+    m = [1, 1]
+    for k in range(2, n + 1):
+        m.append(((2 * k + 1) * m[-1] + (3 * k - 3) * m[-2]) // (k + 2))
+    return m[n]
+
+
+def test_motzkin_recurrence_starts_right():
+    assert [motzkin(n) for n in range(9)] == [1, 1, 2, 4, 9, 21, 51, 127, 323]
+
+
+@pytest.mark.parametrize("n", range(13, 61))
 def test_bijection_dps_agree_past_the_enumerators(n):
-    splittings = count_splittings_by_value(n)
-    assert count_paths_by_distance(n) == splittings[::-1]
+    """The whole range bijection accepts past the enumerators' 12."""
+    splittings, paths = count_splittings_by_value(n), count_paths_by_distance(n)
+    assert paths == splittings[::-1]
+    assert sum(paths) == motzkin(n)
     assert sum(splittings) < sum(count_partitions_by_value(n)) == catalan(n)

@@ -217,6 +217,29 @@ def test_random_generators(rng):
     assert len(c) == 5 and c.is_full
 
 
+def _invertible_rows_by_rowspace(q, n, rng):
+    """The rejection loop on RowSpace.add: a row is kept iff the rank grows."""
+    space, rows = RowSpace(q, n), []
+    while len(rows) < n:
+        row = [rng.randrange(q) for _ in range(n)]
+        if space.add(row):
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_invertible_matrix_keeps_the_rowspace_stream(q):
+    """Subspace.extend accepts and rejects the same rows as RowSpace.add,
+    so a seed draws the same matrix and leaves the generator in the same
+    state."""
+    for seed in range(4):
+        for n in (1, 2, 3, 5, 8, 17):
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = random_invertible_matrix(q, n, got_rng)
+            assert got == _invertible_rows_by_rowspace(q, n, ref_rng)
+            assert got_rng.random() == ref_rng.random()
+
+
 def test_random_generators_check_q_first(rng):
     """q is checked before any draw: at q = 1 the rejection loop never
     ends and the count of full flags divides by zero."""
