@@ -352,8 +352,8 @@ def _count_by_value(n: int, distinct: bool) -> list[int]:
     or with distinct=True of its distinct splittings; shares nothing with
     _walk.  Row r maps each last part v to the counts by value of the
     prefixes ending in v, one int with a w-byte digit per value (Kronecker
-    substitution).  A part v <= min(last, n - r) adds c = ⌊(v + (n + r) mod
-    2)/2⌋ black cells, a shift by c digits; a running sum over last >= v
+    substitution).  A part v <= min(last, n - r) adds ⌊(v + (n + r) mod 2)/2⌋
+    black cells, a shift by that many digits; a running sum over last >= v
     gives each row in O(n) int sums.  No digit carries: it counts partitions
     in FF(n), at most Catalan(n) < 4^n < 2^(8w) for w = n // 4 + 1.  Values
     end at D^n, the whole frame's, and to_bytes raises on a term past it.

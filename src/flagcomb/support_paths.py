@@ -166,9 +166,9 @@ def count_paths_by_distance(n: int) -> list[int]:
     by a walk over i = 1..n with state (δ_i, running sum): for each δ_i, the
     counts of the prefixes by sum, one int with a w-byte digit per sum
     (Kronecker substitution).  A descent to 0 completes each prefix to a
-    distinct path, so no digit passes Motzkin(n) < 3^n < 2^(8w) for
-    w = n // 4 + 1 or carries.  δ_i <= min(i, n-i) bounds every sum by D^n,
-    and to_bytes raises past it.  Shares nothing with iter_paths.
+    distinct path, so every digit is at most Motzkin(n) < 3^n < 2^(8w),
+    w = n // 4 + 1, and none carries.  δ_i <= min(i, n-i) bounds every sum
+    by D^n, and to_bytes raises past it.  Shares nothing with iter_paths.
     """
     dn, w = max_distance(n), n // 4 + 1
     by_delta = [1]                             # i = 0: δ_0 = 0, sum 0

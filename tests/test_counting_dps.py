@@ -13,7 +13,8 @@ import pytest
 
 import flagcomb.ferrers as ferrers_module
 import flagcomb.support_paths as paths_module
-from flagcomb.ferrers import count_partitions_by_value, count_splittings_by_value
+from flagcomb.ferrers import (count_partitions_by_value,
+                              count_splittings_by_value)
 from flagcomb.flags import max_distance
 from flagcomb.support_paths import count_paths_by_distance
 
@@ -72,12 +73,12 @@ def test_packed_dps_return_plain_int_lists_of_length_dn_plus_one(n):
         assert all(type(c) is int and c >= 0 for c in got)
 
 
-@pytest.mark.parametrize("module", [paths_module, ferrers_module])
-def test_a_term_past_dn_raises(module, monkeypatch):
+@pytest.mark.parametrize("module, count", [
+    (paths_module, count_paths_by_distance),
+    (ferrers_module, count_partitions_by_value)])
+def test_a_term_past_dn_raises(module, count, monkeypatch):
     """The unpacking reads exactly D^n + 1 digits, so a polynomial with a
     nonzero term past them raises rather than being cut off."""
     monkeypatch.setattr(module, "max_distance", lambda n: n * n // 4 - 1)
-    count = (count_paths_by_distance if module is paths_module
-             else count_partitions_by_value)
     with pytest.raises(OverflowError):
         count(8)

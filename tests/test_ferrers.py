@@ -464,7 +464,8 @@ def test_motzkin_recurrence_starts_right():
 @pytest.mark.parametrize("n", range(13, 61))
 def test_bijection_dps_agree_past_the_enumerators(n):
     """The whole range bijection accepts past the enumerators' 12."""
-    splittings, paths = count_splittings_by_value(n), count_paths_by_distance(n)
+    splittings = count_splittings_by_value(n)
+    paths = count_paths_by_distance(n)
     assert paths == splittings[::-1]
     assert sum(paths) == motzkin(n)
     assert sum(splittings) < sum(count_partitions_by_value(n)) == catalan(n)
