@@ -64,15 +64,6 @@ def test_packed_dps_equal_the_list_dps(n):
     assert count_splittings_by_value(n) == _by_value_lists(n, True)
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 60])
-def test_packed_dps_return_plain_int_lists_of_length_dn_plus_one(n):
-    for count in (count_paths_by_distance, count_partitions_by_value,
-                  count_splittings_by_value):
-        got = count(n)
-        assert len(got) == max_distance(n) + 1
-        assert all(type(c) is int and c >= 0 for c in got)
-
-
 @pytest.mark.parametrize("module, count", [
     (paths_module, count_paths_by_distance),
     (ferrers_module, count_partitions_by_value)])

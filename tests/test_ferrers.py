@@ -457,10 +457,6 @@ def motzkin(n):
     return m[n]
 
 
-def test_motzkin_recurrence_starts_right():
-    assert [motzkin(n) for n in range(9)] == [1, 1, 2, 4, 9, 21, 51, 127, 323]
-
-
 @pytest.mark.parametrize("n", range(13, 61))
 def test_bijection_dps_agree_past_the_enumerators(n):
     """The whole range bijection accepts past the enumerators' 12."""
