@@ -43,8 +43,8 @@ def is_embedded(parts: Sequence[int], n: int) -> bool:
     """Does the partition fit inside FF(n)?  (λ_i <= n - i, m <= n-1)."""
     prev = None
     for p in parts:
-        if p <= 0:
-            raise NotAPartition(f"non-positive part {p}")
+        if not isinstance(p, int) or p <= 0:
+            raise NotAPartition(f"part {p!r} is not a positive integer")
         if prev is not None and p > prev:
             raise NotAPartition(f"parts increase: {tuple(parts)}")
         prev = p
@@ -151,7 +151,7 @@ class StaircasePath:
             raise ValueError(f"profile must have {n - 1} rows")
         prev = n - 1
         for i, lam in enumerate(self.profile, start=1):
-            if not 0 <= lam <= min(prev, n - i):
+            if not (isinstance(lam, int) and 0 <= lam <= min(prev, n - i)):
                 raise ValueError(f"profile row {i} out of range: {self.profile}")
             prev = lam
 

@@ -34,8 +34,8 @@ class TypeVector:
             raise ValueError("empty type vector")
         prev = 0
         for t in self.dims:
-            if t <= prev:
-                raise ValueError(f"type vector not strictly increasing: {self.dims}")
+            if not isinstance(t, int) or t <= prev:
+                raise ValueError(f"type {self.dims} not strictly increasing integers")
             prev = t
         if self.dims[0] < 1 or self.dims[-1] > self.n - 1:
             raise ValueError(f"type {self.dims} out of range for n={self.n}")
@@ -74,8 +74,8 @@ def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple | None:
 class Flag:
     """A nested sequence of subspaces of F_q^n of a given type.
 
-    Construct through flag_from_matrix; direct construction assumes the
-    caller already validated nesting.
+    Construct through flag_from_matrix or random_full_flag; direct
+    construction assumes the caller already validated nesting.
     """
 
     __slots__ = ("q", "n", "type", "generator", "subspaces", "_packed", "_key")
@@ -365,21 +365,20 @@ def projected_distance(c: FlagCode, i: int) -> int:
 # Random generators for the verification suites.
 # ---------------------------------------------------------------------------
 
-def random_invertible_matrix(q: int, n: int,
-                             rng: random.Random) -> tuple[Row, ...]:
-    """Uniform-ish invertible n x n matrix by row-wise rejection."""
-    space, rows = Subspace(q, n, ()), []        # Subspace checks q first
+def random_full_flag(q: int, n: int, rng: random.Random) -> Flag:
+    """A full flag drawn row by row by rejection: a row is kept iff it
+    grows the one Subspace.extend chain, whose spaces are F_1, ..., F_{n-1};
+    the kept rows are the generator.  Subspace checks q before any draw."""
+    type_, chain, rows = TypeVector.full(n), [Subspace(q, n, ())], []
     while len(rows) < n:
         row = tuple([rng.randrange(q) for _ in range(n)])
-        space = space.extend(row)
+        space = chain[-1].extend(row)
         if space.dim > len(rows):
             rows.append(row)
-    return tuple(rows)
-
-
-def random_full_flag(q: int, n: int, rng: random.Random) -> Flag:
-    return flag_from_matrix(q, n, TypeVector.full(n),
-                            random_invertible_matrix(q, n, rng))
+            chain.append(space)
+    flag = Flag(q, n, type_, tuple(rows), tuple(chain[1:n]))
+    _recheck_nesting(flag)
+    return flag
 
 
 def random_full_flag_code(q: int, n: int, size: int,

@@ -35,6 +35,8 @@ def first_violation(deltas: Sequence[int], n: int) -> Optional[tuple[int, str]]:
     if deltas[n] != 0:
         return (n, "delta_n must be 0")
     for i, d in enumerate(deltas):
+        if not isinstance(d, int):
+            return (i, f"delta_{i}={d!r} is not an integer")
         if not 0 <= d <= min(i, n - i):
             return (i, f"delta_{i}={d} outside [0, {min(i, n - i)}]")
     for i in range(n):

@@ -15,8 +15,8 @@ from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              RankDeficient, TypeMismatch)
 from flagcomb.flags import (_profile_gf2, _profile_gf3, _profile_rows,
                             pair_distance_profile, random_full_flag,
-                            random_full_flag_code, random_invertible_matrix)
-from flagcomb.gfq_linalg import RowSpace, subspace_from_rows
+                            random_full_flag_code)
+from flagcomb.gfq_linalg import RowSpace, Subspace, subspace_from_rows
 
 from conftest import reversed_flag, standard_flag
 
@@ -211,7 +211,7 @@ def test_projected_code_dedupes(rng):
 
 
 def test_random_generators(rng):
-    m = random_invertible_matrix(3, 5, rng)
+    m = random_full_flag(3, 5, rng).generator
     assert subspace_from_rows(3, 5, m).dim == 5
     c = random_full_flag_code(2, 4, 5, rng)
     assert len(c) == 5 and c.is_full
@@ -227,17 +227,49 @@ def _invertible_rows_by_rowspace(q, n, rng):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-def test_random_invertible_matrix_keeps_the_rowspace_stream(q):
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_random_full_flag_keeps_the_rowspace_stream(q):
     """Subspace.extend accepts and rejects the same rows as RowSpace.add,
-    so a seed draws the same matrix and leaves the generator in the same
-    state."""
+    so a seed draws the same generator and leaves the rng in the same
+    state, and the flag is the one its generator spans."""
     for seed in range(4):
-        for n in (1, 2, 3, 5, 8, 17):
+        for n in (2, 3, 5, 8, 17):
             got_rng, ref_rng = random.Random(seed), random.Random(seed)
-            got = random_invertible_matrix(q, n, got_rng)
-            assert got == _invertible_rows_by_rowspace(q, n, ref_rng)
-            assert got_rng.random() == ref_rng.random()
+            flag = random_full_flag(q, n, got_rng)
+            ref = _invertible_rows_by_rowspace(q, n, ref_rng)
+            assert flag.generator == ref
+            assert got_rng.getstate() == ref_rng.getstate()
+            assert flag == flag_from_matrix(q, n, TypeVector.full(n),
+                                            flag.generator)
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its randrange calls."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_full_flag_extends_once_per_drawn_row(q, monkeypatch):
+    """One Subspace.extend chain both decides each row and gives the flag's
+    subspaces: no chain is rebuilt from the kept rows."""
+    calls = []
+    extend = Subspace.extend
+
+    def counted(self, row):
+        calls.append(row)
+        return extend(self, row)
+
+    monkeypatch.setattr(Subspace, "extend", counted)
+    for n in (2, 5, 9):
+        calls.clear()
+        rng = _CountingRandom(n)
+        random_full_flag(q, n, rng)
+        assert len(calls) * n == rng.draws      # n entries per drawn row
 
 
 def test_random_generators_check_q_first(rng):

@@ -11,8 +11,8 @@ from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (AmbientMismatch, ColumnCountMismatch,
                              RankDeficient)
 from flagcomb.flags import (Flag, TypeVector, _pack, _recheck_nesting,
-                            flag_from_matrix, random_full_flag_code,
-                            random_invertible_matrix)
+                            flag_from_matrix, random_full_flag,
+                            random_full_flag_code)
 from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, RowSpace,
                                  Subspace, _pack_row,
                                  _residual_rank, is_prime, require_prime,
@@ -332,7 +332,7 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
         for full in (True, False):
             k = n - 1 if full else rng.randint(1, n - 1)
             dims = tuple(sorted(rng.sample(range(1, n), k)))
-            rows = random_invertible_matrix(q, n, rng)
+            rows = random_full_flag(q, n, rng).generator
             flag = flag_from_matrix(q, n, TypeVector(n, dims), rows)
             for t, s in zip(dims, flag.subspaces):
                 ref = subspace_from_rows(q, n, rows[:t])

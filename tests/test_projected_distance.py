@@ -13,7 +13,7 @@ import flagcomb.gfq_linalg as gfq_linalg
 from flagcomb import (FlagCode, TypeVector, analyze, cli, durfee_analysis,
                       flag_from_matrix, grassmannian, projected_code,
                       projected_distance, rectangle_to_projected)
-from flagcomb.flags import random_full_flag_code, random_invertible_matrix
+from flagcomb.flags import random_full_flag, random_full_flag_code
 from flagcomb.gfq_linalg import RowSpace, _residual_rank, subspace_from_rows
 
 
@@ -44,7 +44,7 @@ def _general_type_codes(seed, count):
         dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 2)))
         tv = TypeVector(n, tuple(dims))
         yield FlagCode(flag_from_matrix(q, n, tv,
-                                        random_invertible_matrix(q, n, rng))
+                                        random_full_flag(q, n, rng).generator)
                        for _ in range(rng.randint(2, 10)))
 
 

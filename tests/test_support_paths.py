@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcomb import (DistancePath, FlagCode, enumerate_paths,
+from flagcomb import (DistancePath, EmbeddedPartition, FlagCode,
+                      StaircasePath, TypeVector, enumerate_paths,
                       flag_distance, max_distance, path_codistance,
                       path_distance, path_from_flag_pair, paths_of_code,
                       pick_area, plateau_count, range_r, realize_path,
                       support_paths, validate_path)
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
-                             InvalidPath, NotFullFlag)
+                             InvalidPath, NotAPartition, NotFullFlag)
 from flagcomb.flags import random_full_flag, random_full_flag_code
 from flagcomb.support_paths import (_find_permutation, count_paths_by_distance,
                                     first_violation, iter_paths)
@@ -59,6 +60,24 @@ def test_invalid_path_reports_index():
     with pytest.raises(InvalidPath) as exc:
         DistancePath(3, (0, 2, 1, 0))
     assert exc.value.index == 1
+
+
+class _Int(int):
+    """An int subclass, which the value types accept like int and bool."""
+
+
+@pytest.mark.parametrize("cls, n, bad, good, error", [
+    (DistancePath, 3, (0, 1.0, 1, 0), (0, True, _Int(1), 0), InvalidPath),
+    (EmbeddedPartition, 4, (2.0, 1), (_Int(2), True), NotAPartition),
+    (StaircasePath, 4, (2.5, 1, 0), (_Int(2), True, False), ValueError),
+    (TypeVector, 5, (1.0, 3), (True, _Int(3)), ValueError),
+], ids=["DistancePath", "EmbeddedPartition", "StaircasePath", "TypeVector"])
+def test_value_types_reject_non_integer_entries(cls, n, bad, good, error):
+    """An entry that is not an int is rejected with the type's own error,
+    also when it equals a valid int; bools and int subclasses are kept."""
+    with pytest.raises(error):
+        cls(n, bad)
+    assert cls(n, good) == cls(n, tuple(map(int, good)))
 
 
 def test_path_reversal_preserves_distance():
