@@ -98,15 +98,10 @@ def _parse_text(text: str) -> FlagCode:
         if not ln.isascii() or "_" in ln:
             raise ParseError(f"line {lineno}: bad row {ln!r}")
 
-    header = None
-    body_start = 0
-    for idx, ln in enumerate(lines):
-        if ln:
-            header = ln
-            body_start = idx + 1
-            break
-    if header is None:
+    body_start = next((idx + 1 for idx, ln in enumerate(lines) if ln), 0)
+    if not body_start:
         raise ParseError("empty code file")
+    header = lines[body_start - 1]
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(f"header must be 'q n type', got {header!r}")

@@ -41,6 +41,8 @@ def cell_color(n: int, i: int, j: int) -> str:
 
 def is_embedded(parts: Sequence[int], n: int) -> bool:
     """Does the partition fit inside FF(n)?  (λ_i <= n - i, m <= n-1)."""
+    if not isinstance(n, int):
+        raise NotAPartition(f"frame size {n!r} is not an integer")
     prev = None
     for p in parts:
         if not isinstance(p, int) or p <= 0:
@@ -147,8 +149,9 @@ class StaircasePath:
     def __post_init__(self):
         object.__setattr__(self, "profile", tuple(self.profile))
         n = self.n
-        if len(self.profile) != n - 1:
-            raise ValueError(f"profile must have {n - 1} rows")
+        if not isinstance(n, int) or len(self.profile) != n - 1:
+            raise ValueError(f"profile must have n - 1 rows for an int n, "
+                             f"got n = {n!r}: {self.profile}")
         prev = n - 1
         for i, lam in enumerate(self.profile, start=1):
             if not (isinstance(lam, int) and 0 <= lam <= min(prev, n - i)):

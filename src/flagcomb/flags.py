@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
                      TypeMismatch)
-from .gfq_linalg import (Row, RowSpace, Subspace, require_prime,
-                         residual_rank)
+from .gfq_linalg import (Row, RowSpace, Subspace, is_contained,
+                         require_prime, residual_rank, span_chain)
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class TypeVector:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
+        if not isinstance(self.n, int) or self.n < 2:
+            raise ValueError(f"ambient dimension must be an int >= 2, got {self.n!r}")
         if not self.dims:
             raise ValueError("empty type vector")
         prev = 0
@@ -111,8 +111,8 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     Entries are reduced mod q, and every row must have n integer entries
     (TypeMismatch otherwise); the reduced rows are the flag's generator.
     Every row is read: they must be independent and at most n, and
-    RankDeficient(k) names the first row k that is not.  F_i is where a
-    chain of Subspace.extend over the rows stands at row t_i, at every q.
+    RankDeficient(k) names the first row k that is not.  F_i is where the
+    one span_chain over the rows stands at row t_i, at every q.
     """
     require_prime(q)
     if type_.n != n:
@@ -127,32 +127,25 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
             raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
         if len(rows) > n:
             raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
-        space = Subspace(q, n, ())
-        subspaces = []
-        targets = set(type_.dims)
-        for idx, row in enumerate(rows, start=1):
-            space = space.extend(row)
-            if space.dim < idx:
-                raise RankDeficient(idx)
-            if idx in targets:
-                subspaces.append(space)
+        chain = span_chain(Subspace(q, n, ()), rows)
     except TypeError as exc:    # bytes() at q = 2, 3, RowSpace.add above
         raise TypeMismatch("row entries must be integers") from exc
+    if len(chain) < len(rows):
+        raise RankDeficient(len(chain) + 1)
 
-    flag = Flag(q, n, type_, rows, tuple(subspaces))
+    flag = Flag(q, n, type_, rows, tuple(chain[t - 1] for t in type_.dims))
     _recheck_nesting(flag)
     return flag
 
 
 def _recheck_nesting(flag: Flag) -> None:
-    """Direct containment check F_1 ⊊ F_2 ⊊ ... on the canonical bases.
-
-    Prefix spans nest by construction; this is kept as the only check of
-    that at construction time: F_i leaves no residue on F_{i+1}'s pivots."""
+    """Direct containment check F_1 ⊊ F_2 ⊊ ... on the canonical bases: the
+    only check at construction time that the prefix spans nest, by
+    is_contained, which shares no code with span_chain."""
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
         if small.dim >= big.dim:
             raise RankDeficient(big.dim, "dimensions do not strictly increase")
-        if residual_rank(big, small, cap=1):
+        if not is_contained(small, big):
             raise RankDeficient(big.dim, "subspaces are not nested")
 
 
@@ -274,20 +267,13 @@ class FlagCode:
     __slots__ = ("q", "n", "type", "flags", "_profiles")
 
     def __init__(self, flags: Iterable[Flag]):
-        unique: dict[Flag, None] = {}
-        first = None
-        for fl in flags:
-            if first is None:
-                first = fl
-            elif (fl.q, fl.n, fl.type.dims) != (first.q, first.n, first.type.dims):
-                raise TypeMismatch("flags of mixed q/n/type in one code")
-            unique.setdefault(fl)
-        if first is None:
+        self.flags: tuple[Flag, ...] = tuple(dict.fromkeys(flags))
+        if not self.flags:
             raise ValueError("a flag code needs at least one flag")
-        self.q = first.q
-        self.n = first.n
-        self.type = first.type
-        self.flags: tuple[Flag, ...] = tuple(unique)
+        first = self.flags[0]       # a key starts with (q, n, type dims)
+        if any(fl._key[:3] != first._key[:3] for fl in self.flags):
+            raise TypeMismatch("flags of mixed q/n/type in one code")
+        self.q, self.n, self.type = first.q, first.n, first.type
         self._profiles: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self):

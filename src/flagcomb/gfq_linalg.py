@@ -9,7 +9,7 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -167,8 +167,8 @@ class Subspace:
                 pivots = {1 << (ambient_n - 1 - c): _pack_row(q, r)
                           for c, r in pivots}
         self.pivots = pivots
-        if q in PACKED_Q:
-            self._rows = tuple(pivots[b] for b in sorted(pivots, reverse=True))
+        if q in PACKED_Q:   # a packed RREF row's top bit is its pivot bit
+            self._rows = tuple(sorted(pivots.values(), reverse=True))
         else:
             self._rows = self._basis = tuple(r for _, r in pivots)
 
@@ -194,51 +194,10 @@ class Subspace:
         return self._basis
 
     def extend(self, row: Sequence[int]) -> "Subspace":
-        """The span of this subspace and *row*, as a new Subspace.  The row
-        must have n int entries (else ColumnCountMismatch or TypeError); q = 2,
-        3 need each in range(q) (else ValueError), larger q reduce them mod q.
-
-        q >= 5 run RowSpace.add on the pivot list; q = 2, 3 add the packed
-        row to a copy of the packed RREF.  For q = 3, x - p is three ORs
-        and three XORs, and -p swaps the planes (Kawahara, Aoki & Takagi,
-        2008)."""
-        q, n = self.q, self.ambient_n
-        if q not in PACKED_Q:
-            space = RowSpace(q, n, self.pivots)
-            space.add(row)
-            return Subspace(q, n, pivots=space.pivots)
-        if len(row) != n:
-            raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
-        pivots = dict(self.pivots)
-        x = _pack_row(q, row)
-        if q == 2:
-            for b, p in pivots.items():
-                if x & b:
-                    x ^= p
-            if x:
-                b = 1 << x.bit_length() >> 1
-                for c, p in pivots.items():
-                    if p & b:
-                        pivots[c] = p ^ x
-                pivots[b] = x
-            return Subspace(q, n, pivots=pivots)
-        lo, hi = x
-        for b, p in pivots.items():
-            if (lo | hi) & b:
-                plo, phi = p if lo & b else (p[1], p[0])
-                s = (lo | plo) ^ (hi | phi)
-                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        if lo | hi:
-            b = 1 << (lo | hi).bit_length() >> 1
-            if hi & b:
-                lo, hi = hi, lo
-            for c, (plo, phi) in pivots.items():
-                if (plo | phi) & b:
-                    xlo, xhi = (lo, hi) if plo & b else (hi, lo)
-                    s = (plo | xlo) ^ (phi | xhi)
-                    pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
-            pivots[b] = lo, hi
-        return Subspace(q, n, pivots=pivots)
+        """One step of span_chain: the span of this subspace and *row*."""
+        chain = span_chain(self, (row,))
+        return chain[0] if chain else Subspace(self.q, self.ambient_n,
+                                               pivots=self.pivots)
 
 
 def subspace_from_rows(q: int, n: int,
@@ -301,10 +260,11 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Packed kernel for q = 2, 3, column 0 in the top bit: an int per row for
-# q = 2, a (ones, twos) pair of bit-planes per row for q = 3.  A packed RREF
-# maps each pivot bit to its row, whose entry there is 1.  It shares no code
-# with the profile sweeps of flags, which the direct side cross-checks.
+# Packed kernel for q = 2, 3, column 0 in the top bit: an int per row for q = 2,
+# for q = 3 a (ones, twos) pair of bit-planes, where x - p is three ORs and
+# three XORs and -p swaps the planes (Kawahara, Aoki & Takagi, 2008).  A packed
+# RREF maps each pivot bit to its row, whose entry there is 1.  It shares no
+# code with the profile sweeps of flags, which the direct side cross-checks.
 # ---------------------------------------------------------------------------
 
 PACKED_Q = (2, 3)
@@ -325,6 +285,49 @@ def _pack_row(q: int, row: Sequence[int]):
     if q == 2:
         return int(b.translate(_GF2_BITS), 2)
     return int(b.translate(_GF3_ONES), 2), int(b.translate(_GF3_TWOS), 2)
+
+
+def span_chain(u: Subspace, rows: Iterable[Sequence[int]]) -> list[Subspace]:
+    """The spans of U and each prefix of *rows*, ending before the first row
+    already in the span before it.  Rows are checked as RowSpace.add checks
+    them at q >= 5, and by width and _pack_row at q = 2, 3, where a row is
+    reduced in one pass over its set bits at pivot columns: an RREF row is
+    zero at every pivot column but its own."""
+    q, n = u.q, u.ambient_n
+    if q not in PACKED_Q:   # takewhile adds rows until one is in the span
+        space = RowSpace(q, n, u.pivots)
+        return [Subspace(q, n, pivots=space.pivots)
+                for _ in takewhile(space.add, rows)]
+    pivots, mask, chain = u.pivots, sum(u.pivots), []
+    for row in rows:
+        if len(row) != n:
+            raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
+        lo, hi = (_pack_row(q, row), 0) if q == 2 else _pack_row(q, row)
+        m = (lo | hi) & mask
+        while m:
+            b = m & -m
+            m ^= b
+            if q == 2:
+                lo ^= pivots[b]
+                continue
+            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
+            s = (lo | plo) ^ (hi | phi)
+            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+        if not lo | hi:
+            break
+        b = 1 << (lo | hi).bit_length() >> 1
+        x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
+        pivots = dict(pivots)
+        for c, p in pivots.items():     # clear bit b from the other rows
+            if q == 2 and p & b:
+                pivots[c] = p ^ x
+            elif q == 3 and (p[0] | p[1]) & b:
+                (plo, phi), (xlo, xhi) = p, x if p[0] & b else x[::-1]
+                s = (plo | xlo) ^ (phi | xhi)
+                pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
+        pivots[b], mask = x, mask | b
+        chain.append(Subspace(q, n, pivots=pivots))
+    return chain
 
 
 def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
@@ -359,6 +362,37 @@ def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
             s = (lo | plo) ^ (hi | phi)
             lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
     return len(own) - len(pivots)
+
+
+def is_contained(u: Subspace, v: Subspace) -> bool:
+    """U ⊆ V: each stored row of U leaves a zero residue after one pass over
+    the pivots of V it has set (_reduce_row for q >= 5).  That shows it is a
+    combination of V's stored rows, even if they were not reduced."""
+    q, pivots = v.q, v.pivots
+    if q not in PACKED_Q:
+        return not any(any(_reduce_row(r, pivots, q)) for r in u.basis)
+    mask = sum(pivots)
+    if q == 2:
+        for x in u._rows:
+            m = x & mask
+            while m:
+                b = m & -m
+                m ^= b
+                x ^= pivots[b]
+            if x:
+                return False
+        return True
+    for lo, hi in u._rows:
+        m = (lo | hi) & mask
+        while m:
+            b = m & -m
+            m ^= b
+            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
+            s = (lo | plo) ^ (hi | phi)
+            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+        if lo | hi:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ def range_r(i: int, n: int) -> frozenset[int]:
 
 def first_violation(deltas: Sequence[int], n: int) -> Optional[tuple[int, str]]:
     """First index breaking a distance-path invariant, or None if valid."""
+    if not isinstance(n, int):
+        return (0, f"n={n!r} is not an integer")
     if len(deltas) != n + 1:
         return (0, f"expected {n + 1} deltas, got {len(deltas)}")
     if deltas[0] != 0:

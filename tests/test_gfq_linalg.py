@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcomb.flags as flags_module
+import flagcomb.gfq_linalg as linalg_module
 from flagcomb import (dim_intersection, dim_sum, grassmannian,
                       injection_distance, subspace_distance, subspace_from_rows)
 from flagcomb.durfee_analysis import analyze
@@ -15,8 +17,8 @@ from flagcomb.flags import (Flag, TypeVector, _pack, _recheck_nesting,
                             random_full_flag_code)
 from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, RowSpace,
                                  Subspace, _pack_row,
-                                 _residual_rank, is_prime, require_prime,
-                                 residual_rank)
+                                 _residual_rank, is_contained, is_prime,
+                                 require_prime, residual_rank, span_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +497,138 @@ def test_nesting_recheck_rejects_a_hand_built_flag(q):
     assert (kept_small, kept_big) == (small, big)
     with pytest.raises(RankDeficient):
         _recheck_nesting(Flag(q, 3, tv, rows, (kept_small, kept_big)))
+
+
+def _inside(u, v):
+    """U ⊆ V by the list kernel: stacking U's basis on V's adds no rank."""
+    return subspace_from_rows(u.q, u.ambient_n, v.basis + u.basis).dim == v.dim
+
+
+def _type(n, dims):
+    return TypeVector.full(n) if dims is None else TypeVector(n, dims)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 3)])
+def test_is_contained_equals_the_list_kernel(q, n):
+    """is_contained on every pair of subspaces of F_q^n, of any two
+    dimensions, against RowSpace's rank; then with V's stored rows no longer
+    reduced (each plus a multiple of a row below it, so the span and the
+    pivot keys stay), it never passes a U outside V."""
+    rng = random.Random(q * n)
+    subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
+    for u, v in itertools.product(subs, repeat=2):
+        assert is_contained(u, v) == _inside(u, v)
+    for v in subs:
+        rows = [list(r) for r in v.basis]
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            c = rng.randrange(1, q)
+            rows[i] = [(a + c * b) % q for a, b in zip(rows[i], rows[j])]
+        pivots = [(r.index(1), tuple(r)) for r in rows]
+        if q in PACKED_Q:
+            pivots = {1 << (n - 1 - c): _pack_row(q, r) for c, r in pivots}
+        mixed = Subspace(q, n, pivots=pivots)
+        for u in subs:
+            assert not is_contained(u, mixed) or _inside(u, v)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("dims", [None, (1, 3, 5)], ids=["full", "135"])
+def test_nesting_recheck_catches_a_planted_subspace(q, dims):
+    """A Flag built directly with F_i swapped for another flag's F_i, or for
+    F_{i-1} plus one row outside F_{i+1}, raises RankDeficient("... not
+    nested") exactly when the list kernel finds a step that does not nest;
+    n = 7, where type (1, 3, 5) has codim-2 steps."""
+    n, rng, caught = 7, random.Random(300 + q), 0
+    tv = _type(n, dims)
+    for _ in range(4):
+        f, g = (flag_from_matrix(q, n, tv, random_full_flag(q, n, rng).generator)
+                for _ in range(2))
+        for i, t in enumerate(tv.dims):
+            planted = [g.subspaces[i]]
+            if 0 < i < len(tv.dims) - 1:
+                above = f.subspaces[i + 1]
+                row = next(r for r in ([rng.randrange(q) for _ in range(n)]
+                                       for _ in itertools.count())
+                           if above.extend(r) != above)
+                planted.append(subspace_from_rows(
+                    q, n, f.generator[:t - 1] + (tuple(row),)))
+            for sub in planted:
+                subs = f.subspaces[:i] + (sub,) + f.subspaces[i + 1:]
+                flag = Flag(q, n, tv, f.generator, subs)
+                if all(map(_inside, subs, subs[1:])):
+                    _recheck_nesting(flag)
+                    continue
+                caught += 1
+                with pytest.raises(RankDeficient, match="not nested"):
+                    _recheck_nesting(flag)
+    assert caught >= 4 * len(tv.dims)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("dims", [None, (1, 3, 5)], ids=["full", "135"])
+def test_a_dependent_row_ends_the_chain(q, dims):
+    """Row k a combination of rows 1..k-1 (zero included): span_chain ends
+    before it with the list kernel's k - 1 spans, and flag_from_matrix,
+    which reads every row, raises RankDeficient(k)."""
+    n, rng = 7, random.Random(400 + q)
+    for k in range(1, n + 1):
+        rows = list(random_full_flag(q, n, rng).generator)
+        coeffs = [rng.randrange(q) for _ in range(k - 1)]
+        rows[k - 1] = tuple(sum(c * e for c, e in zip(coeffs, col)) % q
+                            for col in zip(*rows[:k - 1] or [[0] * n]))
+        chain = span_chain(Subspace(q, n, ()), rows)
+        assert chain == [subspace_from_rows(q, n, rows[:t])
+                         for t in range(1, k)]
+        with pytest.raises(RankDeficient) as exc:
+            flag_from_matrix(q, n, _type(n, dims), rows)
+        assert exc.value.prefix == k
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_extend_is_one_chain_step(q):
+    """s.extend(row) is span_chain(s, [row])'s one span, or equals s when
+    the chain is empty because the row is in s, in ==, pivots and dim."""
+    rng = random.Random(500 + q)
+    for n in (1, 3, 6, 9):
+        s = Subspace(q, n, ())
+        for _ in range(2 * n + 2):
+            row = [rng.randrange(q) for _ in range(n)]
+            if s.dim and rng.random() < 0.4:     # a row already in s
+                coeffs = [rng.randrange(q) for _ in s.basis]
+                row = [sum(c * e for c, e in zip(coeffs, col)) % q
+                       for col in zip(*s.basis)]
+            step, grown = span_chain(s, [row]), s.extend(row)
+            expected = step[0] if step else s
+            assert len(step) == grown.dim - s.dim <= 1
+            assert grown == expected and grown.pivots == expected.pivots
+            s = grown
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_nesting_recheck_never_calls_the_chain_builder(q, monkeypatch):
+    """_recheck_nesting on prebuilt flags, with span_chain (and so
+    Subspace.extend) and residual_rank made to raise: it passes the nested
+    flags and still catches a swapped subspace, so the check cannot come
+    to call the kernel it checks, nor residual_rank's cap."""
+    rng = random.Random(600 + q)
+    tv = TypeVector(7, (1, 3, 5))
+    built = [random_full_flag(q, 7, rng) for _ in range(2)]
+    built.append(flag_from_matrix(q, 7, tv, built[1].generator))
+    f, g = built[:2]
+    subs = f.subspaces[:2] + g.subspaces[2:3] + f.subspaces[3:]
+    assert not all(map(_inside, subs, subs[1:]))
+    swapped = Flag(q, 7, f.type, f.generator, subs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the nesting recheck called a kernel it checks")
+
+    for module in (linalg_module, flags_module):
+        for name in ("span_chain", "residual_rank", "_residual_rank"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    for flag in built:
+        _recheck_nesting(flag)
+    with pytest.raises(RankDeficient, match="not nested"):
+        _recheck_nesting(swapped)
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,13 @@ def _full_flags(q, n):
     return flags
 
 
-@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4),
+                                  (5, 3)])
 def test_path_weights_count_the_flags_at_each_path(q, n):
     """Tally every full flag by its path against the coordinate flag and
-    against a random flag: each tally is W_q(p) at every path p."""
+    against a random flag: each tally is W_q(p) at every path p.  Each flag
+    rebuilt from its generator by flag_from_matrix (one span_chain and the
+    nesting recheck) equals the chain it came from."""
     flags = _full_flags(q, n)
     assert len(set(flags)) == len(flags) == _q_factorial(q, n)
     for g in flags:

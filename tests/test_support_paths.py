@@ -80,6 +80,22 @@ def test_value_types_reject_non_integer_entries(cls, n, bad, good, error):
     assert cls(n, good) == cls(n, tuple(map(int, good)))
 
 
+@pytest.mark.parametrize("cls, n, entries, error", [
+    (DistancePath, 3, (0, 1, 1, 0), InvalidPath),
+    (EmbeddedPartition, 4, (2, 1), NotAPartition),
+    (StaircasePath, 4, (2, 1, 0), ValueError),
+    (TypeVector, 4, (1, 2, 3), ValueError),
+], ids=["DistancePath", "EmbeddedPartition", "StaircasePath", "TypeVector"])
+def test_value_types_reject_a_non_integer_n(cls, n, entries, error):
+    """An n that is not an int is rejected with the type's own error, also
+    when it equals a valid int (before: a bare TypeError, or accepted with
+    a float frame size); an int subclass is kept."""
+    for bad in (float(n), str(n), None):
+        with pytest.raises(error):
+            cls(bad, entries)
+    assert cls(_Int(n), entries) == cls(n, entries)
+
+
 def test_path_reversal_preserves_distance():
     p = DistancePath(7, (0, 1, 2, 1, 1, 2, 1, 0))
     r = p.reversed()
