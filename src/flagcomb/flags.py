@@ -127,7 +127,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
             raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
         if len(rows) > n:
             raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
-        chain = span_chain(Subspace(q, n, ()), rows)
+        chain = span_chain(Subspace(q, n, ()), rows, t_last)
     except TypeError as exc:    # bytes() at q = 2, 3, RowSpace.add above
         raise TypeMismatch("row entries must be integers") from exc
     if len(chain) < len(rows):
@@ -166,9 +166,9 @@ def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
     """Per-index injection distances (d_I(F_{t_1},G_{t_1}), ...).
 
     One incremental elimination sweep over the stacked generator prefixes:
-    at prefix t, dim(F_t + G_t) is the running rank, and for equal dims
-    d_I = dim(F_t + G_t) - t.  q = 2 and q = 3 sweep the packed rows;
-    larger q sweeps the reference list kernel.
+    at prefix t, dim(F_t + G_t) is the running rank and d_I = rank - t; no
+    row is added after a dimension whose rank is n, as it then stays n.
+    q = 2, 3 sweep the packed rows; larger q the reference list kernel.
     """
     _check_same_type(f, g)
     if f.q == 2:
@@ -185,8 +185,8 @@ def _profile_rows(f: Flag, g: Flag) -> tuple[int, ...]:
     grows = g.generator
     out = []
     prev = 0
-    for t in f.type.dims:
-        for k in range(prev, t):
+    for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
+        for k in range(prev, t if space.rank < f.n else prev):
             space.add(frows[k])
             space.add(grows[k])
         out.append(space.rank - t)
@@ -201,8 +201,8 @@ def _profile_gf2(f: Flag, g: Flag) -> tuple[int, ...]:
     fp, gp = f._packed, g._packed
     rank = prev = 0
     out = []
-    for t in f.type.dims:
-        for k in range(prev, t):
+    for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
+        for k in range(prev, t if rank < f.n else prev):
             for x in (fp[k], gp[k]):
                 while x:
                     b = x.bit_length()
@@ -226,8 +226,8 @@ def _profile_gf3(f: Flag, g: Flag) -> tuple[int, ...]:
     fp, gp = f._packed, g._packed
     rank = prev = 0
     out = []
-    for t in f.type.dims:
-        for k in range(prev, t):
+    for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
+        for k in range(prev, t if rank < f.n else prev):
             for lo, hi in (fp[k], gp[k]):
                 while lo | hi:
                     b = (lo | hi).bit_length()
@@ -328,12 +328,12 @@ def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
 
     Computed directly on the canonical bases, sharing no code with the
     profile sweeps: d_I(U, V) is the rank of V's rows reduced against U's
-    stored RREF, as C_i has one dimension.  That rank only grows row by
-    row, so a pair stopped at the running minimum cannot lower it;
-    distinct subspaces have d_I >= 1, so 1 ends the search.
+    stored RREF, as C_i has one dimension t.  That rank only grows row by
+    row, so a pair stopped at the running minimum cannot lower it.  That
+    starts at min(t, n - t), the largest d_I, and stops at 1, the least.
     """
-    subs = projected_code(c, i)
-    best = c.n if len(subs) > 1 else 0
+    subs, t = projected_code(c, i), c.type.dims[i - 1]
+    best = min(t, c.n - t) if len(subs) > 1 else 0
     for a, u in enumerate(subs[:-1]):
         for v in subs[a + 1:]:
             best = min(best, residual_rank(u, v, cap=best))

@@ -238,9 +238,6 @@ def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
     """dim(U + V), reducing V's basis against U's stored RREF."""
-    if u.q != v.q or u.ambient_n != v.ambient_n:
-        raise AmbientMismatch(
-            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     return u.dim + residual_rank(u, v)
 
 
@@ -287,18 +284,21 @@ def _pack_row(q: int, row: Sequence[int]):
     return int(b.translate(_GF3_ONES), 2), int(b.translate(_GF3_TWOS), 2)
 
 
-def span_chain(u: Subspace, rows: Iterable[Sequence[int]]) -> list[Subspace]:
+def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
+               spans: int | None = None) -> list[Subspace | None]:
     """The spans of U and each prefix of *rows*, ending before the first row
     already in the span before it.  Rows are checked as RowSpace.add checks
     them at q >= 5, and by width and _pack_row at q = 2, 3, where a row is
     reduced in one pass over its set bits at pivot columns: an RREF row is
-    zero at every pivot column but its own."""
+    zero at every pivot column but its own.  A row past the first *spans*
+    adds None, and at q = 2, 3 its residue is only forward-eliminated."""
     q, n = u.q, u.ambient_n
     if q not in PACKED_Q:   # takewhile adds rows until one is in the span
         space = RowSpace(q, n, u.pivots)
         return [Subspace(q, n, pivots=space.pivots)
-                for _ in takewhile(space.add, rows)]
-    pivots, mask, chain = u.pivots, sum(u.pivots), []
+                if spans is None or k < spans else None
+                for k, _ in enumerate(takewhile(space.add, rows))]
+    pivots, mask, chain, tail = u.pivots, sum(u.pivots), [], {}
     for row in rows:
         if len(row) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
@@ -313,10 +313,22 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]]) -> list[Subspace]:
             plo, phi = pivots[b] if lo & b else pivots[b][::-1]
             s = (lo | plo) ^ (hi | phi)
             lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+        while lo | hi:      # past the spans, forward elimination only
+            b = 1 << (lo | hi).bit_length() >> 1
+            x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
+            if len(chain) != spans or b not in tail:
+                break
+            if q == 2:
+                lo ^= tail[b]
+                continue
+            (lo, hi), (plo, phi) = x, tail[b]   # both with a leading 1
+            s = (lo | plo) ^ (hi | phi)
+            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
         if not lo | hi:
             break
-        b = 1 << (lo | hi).bit_length() >> 1
-        x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
+        if len(chain) == spans:
+            tail[b] = x
+            continue
         pivots = dict(pivots)
         for c, p in pivots.items():     # clear bit b from the other rows
             if q == 2 and p & b:
@@ -327,22 +339,30 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]]) -> list[Subspace]:
                 pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
         pivots[b], mask = x, mask | b
         chain.append(Subspace(q, n, pivots=pivots))
-    return chain
+    return chain + [None] * len(tail)
 
 
 def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
-    """dim(U + V) - dim U, on U's stored RREF; stops once it reaches *cap*.
-
-    Larger q run _residual_rank.  For q = 2, 3, U's pivots seed a forward
-    elimination of V's packed rows keyed by each row's top bit."""
+    """dim(U + V) - dim U, on U's stored RREF; stops once it reaches *cap*,
+    checked before each row (so cap=0 gives 0).  Larger q run _residual_rank.
+    For q = 2, 3 each row of V is reduced in one pass over the pivots of U it
+    has set, as in is_contained; only the residues are forward-eliminated."""
+    if u.ambient_n != v.ambient_n or u.q != v.q:
+        raise AmbientMismatch(
+            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     q, pivots = u.q, u.pivots
     if q not in PACKED_Q:
         return _residual_rank(pivots, v.basis, q, cap)
-    own = dict(pivots)
+    mask, own = sum(pivots), {}
     for x in v._rows:
-        if len(own) - len(pivots) == cap:
+        if len(own) == cap:
             break
         if q == 2:
+            m = x & mask
+            while m:
+                b = m & -m
+                m ^= b
+                x ^= pivots[b]
             while x:
                 b = 1 << x.bit_length() >> 1
                 p = own.get(b)
@@ -352,6 +372,13 @@ def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
                 x ^= p
             continue
         lo, hi = x
+        m = (lo | hi) & mask
+        while m:
+            b = m & -m
+            m ^= b
+            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
+            s = (lo | plo) ^ (hi | phi)
+            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
         while lo | hi:
             b = 1 << (lo | hi).bit_length() >> 1
             p = own.get(b)
@@ -361,13 +388,16 @@ def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
             plo, phi = p if lo & b else (p[1], p[0])
             s = (lo | plo) ^ (hi | phi)
             lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-    return len(own) - len(pivots)
+    return len(own)
 
 
 def is_contained(u: Subspace, v: Subspace) -> bool:
     """U ⊆ V: each stored row of U leaves a zero residue after one pass over
     the pivots of V it has set (_reduce_row for q >= 5).  That shows it is a
     combination of V's stored rows, even if they were not reduced."""
+    if u.ambient_n != v.ambient_n or u.q != v.q:
+        raise AmbientMismatch(
+            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     q, pivots = v.q, v.pivots
     if q not in PACKED_Q:
         return not any(any(_reduce_row(r, pivots, q)) for r in u.basis)

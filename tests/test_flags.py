@@ -344,6 +344,53 @@ def test_packed_sweep_equals_list_kernel(pair):
     assert pair_distance_profile(f, g) == reference
 
 
+def _sweep_reference(f, g):
+    """d_I at each dimension of the type from a fresh elimination of both
+    prefixes stacked, on the list kernel: nothing stops early."""
+    return tuple(subspace_from_rows(f.q, f.n,
+                                    f.generator[:t] + g.generator[:t]).dim - t
+                 for t in f.type.dims)
+
+
+def _exit_pairs(q, n, rng):
+    """Generator pairs that fill F_q^n at about n/2 (random), later or never
+    (coordinate permutations, a shared prefix of s rows)."""
+    yield _completion(q, n, [], rng), _completion(q, n, [], rng)
+    perms = [rng.sample(range(n), n) for _ in range(2)]
+    yield [[[int(c == p) for c in range(n)] for p in perm] for perm in perms]
+    f_rows = _completion(q, n, [], rng)
+    yield f_rows, _completion(q, n, f_rows[:rng.randrange(n + 1)], rng)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_sweep_exit_equals_a_sweep_that_never_stops(q):
+    """Every sweep that runs at q equals the reference on pairs that fill
+    F_q^n early, late or never, for the full type, random types and types
+    whose dimensions jump past the first t where F_t + G_t = F_q^n.  More
+    than 30 of the cases fill F_q^n before the type's last dimension, so
+    the exit is taken."""
+    rng = random.Random(800 + q)
+    sweeps = [pair_distance_profile, _profile_rows]
+    sweeps += {2: [_profile_gf2], 3: [_profile_gf3]}.get(q, [])
+    early = 0
+    for n in range(2, 17):
+        half = (n + 1) // 2
+        types = {tuple(range(1, n)),
+                 tuple(sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))),
+                 (1, n - 1) if n > 2 else (1,),
+                 tuple(range(1, half)) + (n - 1,) if half > 1 else (n - 1,)}
+        for f_rows, g_rows in _exit_pairs(q, n, rng):
+            for dims in types:
+                tv = TypeVector(n, dims)
+                f, g = (flag_from_matrix(q, n, tv, rows)
+                        for rows in (f_rows, g_rows))
+                want = _sweep_reference(f, g)
+                early += any(d == n - t for t, d in zip(dims[:-1], want))
+                for sweep in sweeps:
+                    assert sweep(f, g) == sweep(g, f) == want, (sweep, dims)
+    assert early > 30
+
+
 def _raise(*_args):
     raise AssertionError("the direct side called a packed sweep")
 

@@ -154,10 +154,17 @@ def test_subspace_column_mismatch():
 
 
 def test_ambient_mismatch():
+    """Subspaces of F_2^3 and of F_2^4, F_3^3 or F_5^3, in either order, in
+    dim_sum, is_contained and residual_rank: another n could read as
+    contained (residual rank 0), another q would fail on the other kernel's
+    rows; each raises AmbientMismatch."""
     u = subspace_from_rows(2, 3, [[1, 0, 0]])
-    v = subspace_from_rows(2, 4, [[1, 0, 0, 0]])
-    with pytest.raises(AmbientMismatch):
-        dim_sum(u, v)
+    for q, n in ((2, 4), (3, 3), (5, 3)):
+        v = subspace_from_rows(q, n, [[0, 1] + [0] * (n - 2)])
+        for check in (dim_sum, is_contained, residual_rank):
+            for a, b in ((u, v), (v, u)):
+                with pytest.raises(AmbientMismatch):
+                    check(a, b)
 
 
 def test_distance_small_examples():
@@ -579,9 +586,33 @@ def test_a_dependent_row_ends_the_chain(q, dims):
         chain = span_chain(Subspace(q, n, ()), rows)
         assert chain == [subspace_from_rows(q, n, rows[:t])
                          for t in range(1, k)]
+        for spans in range(n + 1):  # past them, only independence is read
+            assert (span_chain(Subspace(q, n, ()), rows, spans)
+                    == chain[:spans] + [None] * (len(chain) - spans))
         with pytest.raises(RankDeficient) as exc:
             flag_from_matrix(q, n, _type(n, dims), rows)
         assert exc.value.prefix == k
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("dims", [None, (1, 3, 5)], ids=["full", "135"])
+def test_flag_from_matrix_builds_no_span_past_the_type(q, dims, monkeypatch):
+    """On n independent rows, flag_from_matrix builds one Subspace for the
+    empty start and one for each of F_1, ..., F_{t_last}: no F_n of a full
+    flag, nor any span past t_last."""
+    n, rng = 7, random.Random(700 + q)
+    rows = random_full_flag(q, n, rng).generator
+    built, init = [], Subspace.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.dim)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    tv = _type(n, dims)
+    flag = flag_from_matrix(q, n, tv, rows)
+    assert built == list(range(tv.dims[-1] + 1))
+    assert [s.dim for s in flag.subspaces] == list(tv.dims)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

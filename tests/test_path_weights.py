@@ -29,7 +29,8 @@ import pytest
 
 from flagcomb import (Subspace, TypeVector, dim_sum, enumerate_paths,
                       flag_from_matrix, grassmannian, path_from_flag_pair)
-from flagcomb.flags import Flag
+from flagcomb.flags import Flag, pair_distance_profile
+from flagcomb.gfq_linalg import residual_rank
 
 from conftest import standard_flag
 
@@ -117,3 +118,19 @@ def test_path_weights_count_the_flags_at_each_path(q, n):
     for f in (standard_flag(q, n), random.Random(q * n).choice(flags)):
         tally = Counter(path_from_flag_pair(f, g).deltas for g in flags)
         assert tally == want
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3)])
+def test_every_pair_has_one_path_by_sweep_and_by_residual_rank(q, n):
+    """Over every pair of full flags, the sweep's path (which stops once
+    F_t + G_t = F_q^n) equals residual_rank(F_t, G_t) at each t, both
+    uncapped and capped at min(t, n - t), the largest d_I at t."""
+    flags = _full_flags(q, n)
+    caps = [min(t, n - t) for t in range(1, n)]
+    for a, f in enumerate(flags):
+        for g in flags[a:]:
+            pairs = list(zip(f.subspaces, g.subspaces))
+            path = pair_distance_profile(f, g)
+            assert path == tuple(residual_rank(u, v) for u, v in pairs)
+            assert path == tuple(residual_rank(u, v, cap)
+                                 for (u, v), cap in zip(pairs, caps))

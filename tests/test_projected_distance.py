@@ -14,7 +14,8 @@ from flagcomb import (FlagCode, TypeVector, analyze, cli, durfee_analysis,
                       flag_from_matrix, grassmannian, projected_code,
                       projected_distance, rectangle_to_projected)
 from flagcomb.flags import random_full_flag, random_full_flag_code
-from flagcomb.gfq_linalg import RowSpace, _residual_rank, subspace_from_rows
+from flagcomb.gfq_linalg import (RowSpace, _residual_rank, residual_rank,
+                                 subspace_from_rows)
 
 
 def _reference_projected_distance(code, i):
@@ -86,13 +87,34 @@ def test_later_pair_closer_than_the_first():
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
 def test_residual_rank_stops_at_the_cap(q, n):
+    """Both kernels, the list one and the packed one, at every cap from 0,
+    on every pair of subspaces of F_q^n."""
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     for u, v in itertools.product(subs, repeat=2):
         pivots = RowSpace.from_rref(q, n, u.basis).pivots
         full = subspace_from_rows(q, n, u.basis + v.basis).dim - u.dim
         assert _residual_rank(pivots, v.basis, q) == full
-        for cap in range(1, n + 1):
+        assert residual_rank(u, v) == full
+        for cap in range(n + 1):
             assert _residual_rank(pivots, v.basis, q, cap=cap) == min(full, cap)
+            assert residual_rank(u, v, cap=cap) == min(full, cap)
+
+
+def test_no_pair_is_ranked_past_the_largest_distance(monkeypatch):
+    """projected_parameters passes residual_rank no cap above min(t, n - t),
+    the largest d_I of two t-dimensional subspaces of F_q^n, and still
+    matches the reference, on full codes and on general types."""
+    caps = []
+
+    def recorded(u, v, cap=None):
+        caps.append((u.dim, u.ambient_n, cap))
+        return residual_rank(u, v, cap)
+
+    monkeypatch.setattr(flags_module, "residual_rank", recorded)
+    for code in (*_random_codes(20, 10), *_general_type_codes(120, 10)):
+        _assert_matches_reference(code)
+    assert any(2 * t > n for t, n, _ in caps)
+    assert all(cap <= min(t, n - t) for t, n, cap in caps)
 
 
 def _count_ranked_pairs(monkeypatch, q):
