@@ -27,8 +27,7 @@ from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
 from .ferrers import (count_partitions_by_value, count_splittings_by_value,
                       iter_partitions)
-from .flags import (FlagCode, max_distance, min_distance,
-                    projected_parameters)
+from .flags import FlagCode, max_distance, min_distance, projected_table
 from .render import FORMATS, TARGETS, RenderSpec, render
 from .support_paths import (DistancePath, count_paths_by_distance,
                             iter_paths, pick_area, realize_path)
@@ -99,8 +98,7 @@ def cmd_analyze(args) -> int:
 
     # general type: projected parameters only
     dims = code.type.dims
-    projected = {i: projected_parameters(code, i)
-                 for i in range(1, len(dims) + 1)}
+    projected = dict(enumerate(projected_table(code), start=1))
     if args.json:
         print(json.dumps({"q": code.q, "n": code.n, "type": list(dims),
                           "size": len(code), "d_f": min_distance(code),

@@ -6,8 +6,9 @@ rectangles whose column count exceeds the row count by k = n - 2i encode,
 dimension by dimension, whether flags of C share i-th subspaces and what
 the minimum injection distance of the projected code C_i is; the class law
 reads their sizes off the paths.  Everything derived here from rectangles
-is cross-checked against directly computed projected parameters — a
-mismatch is a hard ConsistencyError, never a warning.
+is cross-checked against the projected parameters of flags.projected_table,
+computed directly from one incremental rank per flag pair over the
+canonical chains — a mismatch is a hard ConsistencyError, never a warning.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
 from .ferrers import (EmbeddedPartition, StaircasePath, _class_rows,
                       partition_of_staircase, staircase_class)
 from .flags import (FlagCode, codistance, max_distance, min_distance,
-                    projected_parameters)
+                    projected_parameters, projected_table)
 from .support_paths import DistancePath, paths_of_code
 
 
@@ -288,7 +289,7 @@ def analyze(c: FlagCode) -> CodeAnalysis:
     d_f = min_distance(c)
     dbar = codistance(c)
 
-    projected = {i: projected_parameters(c, i) for i in range(1, n)}
+    projected = dict(enumerate(projected_table(c), start=1))
 
     if size < 2:
         return CodeAnalysis(c.q, n, size, d_f, dbar, projected, {}, {},

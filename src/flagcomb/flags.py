@@ -4,20 +4,25 @@ A flag is encoded by a single stacked generator matrix with prefix-span
 semantics: the i-th subspace of the flag is the span of the first t_i rows.
 Full flags on F_q^n use an invertible n x n generator (the first n-1 rows
 carry the subspaces, row n completes invertibility).  Flag equality is by
-the tuple of canonical subspaces, not by generator matrices.
+the tuple of canonical subspaces, not by generator matrices.  Pair distance
+profiles sweep the generators; the projected-code parameters come from one
+table per code, built from a direct path per flag pair over the canonical
+chains and checked against those profiles pair by pair.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (IndexOutOfRange, NotFullFlag, RankDeficient,
-                     TypeMismatch)
-from .gfq_linalg import (Row, RowSpace, Subspace, is_contained,
-                         require_prime, residual_rank, span_chain)
+from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
+                     RankDeficient, TypeMismatch)
+from .gfq_linalg import (Row, RowSpace, Subspace, chain_levels, chain_path,
+                         is_contained, require_prime, span_chain)
 
 
 @dataclass(frozen=True)
@@ -264,7 +269,7 @@ def max_distance(n: int) -> int:
 class FlagCode:
     """A set of flags of a common type, deduplicated at construction."""
 
-    __slots__ = ("q", "n", "type", "flags", "_profiles")
+    __slots__ = ("q", "n", "type", "flags", "_profiles", "_projected")
 
     def __init__(self, flags: Iterable[Flag]):
         self.flags: tuple[Flag, ...] = tuple(dict.fromkeys(flags))
@@ -275,6 +280,7 @@ class FlagCode:
             raise TypeMismatch("flags of mixed q/n/type in one code")
         self.q, self.n, self.type = first.q, first.n, first.type
         self._profiles: tuple[tuple[int, ...], ...] | None = None
+        self._projected: tuple[tuple[int, int], ...] | None = None
 
     def __len__(self):
         return len(self.flags)
@@ -323,23 +329,46 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
     return tuple(seen)
 
 
-def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
-    """(|C_i|, d_I(C_i)) from one build of C_i; d_I is 0 for a singleton.
+def projected_table(c: FlagCode) -> tuple[tuple[int, int], ...]:
+    """(|C_i|, d_I(C_i)) at each dimension t_i of the type, computed on first
+    use and kept.  The direct path of each flag pair is chain_path over the
+    two canonical chains, which shares no code with the profile sweeps.
+    |C_i| comes from Subspace hashing; d_I(C_i) is the least positive δ_i
+    over the pairs, 0 for a singleton.  ConsistencyError unless δ_i = 0 for
+    as many pairs as share F_{t_i}, at each i, and unless every direct path
+    equals its pair's sweep profile."""
+    if c._projected is None:
+        flags, dims = c.flags, c.type.dims
+        levels = [chain_levels(fl.subspaces) for fl in flags]
+        pairs = list(combinations(range(len(flags)), 2))
+        paths = tuple(chain_path(c.q, c.n, dims, levels[a], levels[b])
+                      for a, b in pairs)
+        table = []
+        for t, deltas, col in zip(dims, list(zip(*paths)) or [()] * len(dims),
+                                  zip(*(fl.subspaces for fl in flags))):
+            distinct = set(col)
+            shared = 0 if len(distinct) == len(col) else sum(
+                m * (m - 1) // 2 for m in Counter(col).values())
+            if deltas.count(0) != shared:
+                raise ConsistencyError(f"dimension {t}: {deltas.count(0)} "
+                                       f"pairs at d_I = 0, {shared} share it")
+            table.append((len(distinct), min(filter(None, deltas), default=0)))
+        profiles = pair_profiles(c)
+        if paths != profiles:
+            (a, b), path, profile = next(
+                x for x in zip(pairs, paths, profiles) if x[1] != x[2])
+            raise ConsistencyError(f"flags {a} and {b}: direct path {path}, "
+                                   f"sweep profile {profile}")
+        c._projected = tuple(table)
+    return c._projected
 
-    Computed directly on the canonical bases, sharing no code with the
-    profile sweeps: d_I(U, V) is the rank of V's rows reduced against U's
-    stored RREF, as C_i has one dimension t.  That rank only grows row by
-    row, so a pair stopped at the running minimum cannot lower it.  That
-    starts at min(t, n - t), the largest d_I, and stops at 1, the least.
-    """
-    subs, t = projected_code(c, i), c.type.dims[i - 1]
-    best = min(t, c.n - t) if len(subs) > 1 else 0
-    for a, u in enumerate(subs[:-1]):
-        for v in subs[a + 1:]:
-            best = min(best, residual_rank(u, v, cap=best))
-            if best == 1:
-                return len(subs), 1
-    return len(subs), best
+
+def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
+    """(|C_i|, d_I(C_i)) for the i-th dimension of the type, read off
+    projected_table; d_I is 0 for a singleton."""
+    if not 1 <= i <= c.type.length:
+        raise IndexOutOfRange(f"i={i} not in [1, {c.type.length}]")
+    return projected_table(c)[i - 1]
 
 
 def projected_distance(c: FlagCode, i: int) -> int:

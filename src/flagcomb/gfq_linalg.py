@@ -9,7 +9,7 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 
 from __future__ import annotations
 
-from itertools import combinations, product, takewhile
+from itertools import chain, combinations, product, takewhile
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -213,31 +213,18 @@ def subspace_from_rows(q: int, n: int,
     return Subspace(q, n, space.basis())
 
 
-def _residual_rank(pivots: list[tuple[int, Row]], rows: Iterable[Sequence[int]],
-                   q: int, cap: int | None = None) -> int:
-    """dim(U + span(rows)) - dim U for U given by its RREF *pivots*: the rank
-    of the rows reduced against U, by forward elimination only (own pivots
-    keyed by leading column, scaled to a leading 1, no back-substitution).
-    Stops once the rank reaches *cap*."""
-    own: dict[int, Sequence[int]] = {}
-    for row in rows:
-        if len(own) == cap:
-            break
-        r = _reduce_row(row, pivots, q)
-        for col in range(len(r)):
-            c = r[col]
-            if c:
-                p = own.get(col)
-                if p is None:
-                    inv = pow(c, q - 2, q)
-                    own[col] = [e * inv % q for e in r]
-                    break
-                r = [(a - c * b) % q for a, b in zip(r, p)]
-    return len(own)
+def residual_rank(u: Subspace, v: Subspace) -> int:
+    """dim(U + V) - dim U: V's rows added to a RowSpace seeded with U's
+    canonical basis, on the list kernel at every q."""
+    if u.ambient_n != v.ambient_n or u.q != v.q:
+        raise AmbientMismatch(
+            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
+    space = RowSpace(u.q, u.ambient_n, [(r.index(1), r) for r in u.basis])
+    return sum(map(space.add, v.basis))
 
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
-    """dim(U + V), reducing V's basis against U's stored RREF."""
+    """dim(U + V), by residual_rank."""
     return u.dim + residual_rank(u, v)
 
 
@@ -342,55 +329,6 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
     return chain + [None] * len(tail)
 
 
-def residual_rank(u: Subspace, v: Subspace, cap: int | None = None) -> int:
-    """dim(U + V) - dim U, on U's stored RREF; stops once it reaches *cap*,
-    checked before each row (so cap=0 gives 0).  Larger q run _residual_rank.
-    For q = 2, 3 each row of V is reduced in one pass over the pivots of U it
-    has set, as in is_contained; only the residues are forward-eliminated."""
-    if u.ambient_n != v.ambient_n or u.q != v.q:
-        raise AmbientMismatch(
-            f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
-    q, pivots = u.q, u.pivots
-    if q not in PACKED_Q:
-        return _residual_rank(pivots, v.basis, q, cap)
-    mask, own = sum(pivots), {}
-    for x in v._rows:
-        if len(own) == cap:
-            break
-        if q == 2:
-            m = x & mask
-            while m:
-                b = m & -m
-                m ^= b
-                x ^= pivots[b]
-            while x:
-                b = 1 << x.bit_length() >> 1
-                p = own.get(b)
-                if p is None:
-                    own[b] = x
-                    break
-                x ^= p
-            continue
-        lo, hi = x
-        m = (lo | hi) & mask
-        while m:
-            b = m & -m
-            m ^= b
-            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
-            s = (lo | plo) ^ (hi | phi)
-            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        while lo | hi:
-            b = 1 << (lo | hi).bit_length() >> 1
-            p = own.get(b)
-            if p is None:
-                own[b] = (lo, hi) if lo & b else (hi, lo)
-                break
-            plo, phi = p if lo & b else (p[1], p[0])
-            s = (lo | plo) ^ (hi | phi)
-            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-    return len(own)
-
-
 def is_contained(u: Subspace, v: Subspace) -> bool:
     """U ⊆ V: each stored row of U leaves a zero residue after one pass over
     the pivots of V it has set (_reduce_row for q >= 5).  That shows it is a
@@ -423,6 +361,68 @@ def is_contained(u: Subspace, v: Subspace) -> bool:
         if lo | hi:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The direct path of a flag pair: one incremental rank over two canonical
+# chains, sharing no code with the profile sweeps of flags nor with RowSpace.
+# ---------------------------------------------------------------------------
+
+def chain_levels(chain: Sequence[Subspace]) -> tuple[tuple, ...]:
+    """The stored RREF rows of each U_j of a nested chain U_1 ⊊ U_2 ⊊ ... at
+    the pivots that U_{j-1} lacks.  Their pivots differ and each row lies in
+    U_j, so in a nested chain the first j levels are a basis of U_j."""
+    levels, below = [], {}
+    packed = chain and chain[0].q in PACKED_Q
+    for s in chain:
+        pivots = s.pivots if packed else dict(s.pivots)
+        levels.append(tuple([r for b, r in pivots.items() if b not in below]))
+        below = pivots
+    return tuple(levels)
+
+
+def chain_path(q: int, n: int, dims: Sequence[int], f_levels: Sequence,
+               g_levels: Sequence) -> tuple[int, ...]:
+    """(dim(F_t + G_t) - t for t in dims), F and G given by chain_levels of
+    their chains at dims.  One forward elimination takes the rows of each
+    level, F's then G's: each is reduced against the kept rows, keyed by
+    leading bit (column for q >= 5), and kept if a residue is left.  Once
+    the rank is n no further row is drawn, and each later t reads n - t."""
+    own, rank, out = [None] * (n + 1), 0, []
+    for t, rows in zip(dims, map(chain, f_levels, g_levels)):
+        for x in rows if rank < n else ():
+            if q == 2:
+                while x:
+                    b = x.bit_length()
+                    if own[b] is None:
+                        own[b], rank = x, rank + 1
+                        break
+                    x ^= own[b]
+            elif q == 3:    # x - p, p negated where x leads with a 2
+                lo, hi = x
+                while lo | hi:
+                    b = (lo | hi).bit_length()
+                    lead_one = lo >> (b - 1)
+                    if own[b] is None:
+                        own[b] = (lo, hi) if lead_one else (hi, lo)
+                        rank += 1
+                        break
+                    plo, phi = own[b] if lead_one else own[b][::-1]
+                    s = (lo | plo) ^ (hi | phi)
+                    lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+            else:
+                for col in range(n):
+                    c = x[col]
+                    if c and own[col] is None:
+                        inv = pow(c, q - 2, q)
+                        own[col], rank = [e * inv % q for e in x], rank + 1
+                        break
+                    if c:
+                        x = [(a - c * b) % q for a, b in zip(x, own[col])]
+            if rank == n:
+                break
+        out.append(rank - t)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

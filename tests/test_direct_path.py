@@ -1,0 +1,157 @@
+"""The direct path of a flag pair (chain_path over the canonical chains)
+against residual_rank at each dimension of the type and against the
+profile sweep, and the two checks projected_table makes with it."""
+
+import random
+
+import pytest
+
+import flagcomb.flags as flags_module
+from flagcomb import FlagCode, TypeVector, analyze, cli, flag_from_matrix
+from flagcomb.errors import ConsistencyError
+from flagcomb.flags import (pair_distance_profile, pair_profiles,
+                            projected_table, random_full_flag,
+                            random_full_flag_code)
+from flagcomb.gfq_linalg import (Subspace, chain_levels, chain_path,
+                                 residual_rank)
+
+from conftest import identity_rows
+
+
+def _random_rows(q, n, rng, prefix=()):
+    """n independent rows of F_q^n that start with *prefix*, drawn by
+    rejection."""
+    rows, space = list(prefix), Subspace(q, n, ())
+    for row in rows:
+        space = space.extend(row)
+    while len(rows) < n:
+        row = [rng.randrange(q) for _ in range(n)]
+        grown = space.extend(row)
+        if grown.dim > space.dim:
+            rows.append(row)
+            space = grown
+    return rows
+
+
+def _generator_pairs(q, n, rng):
+    """Random, coordinate-permutation and shared-prefix generator pairs."""
+    yield _random_rows(q, n, rng), _random_rows(q, n, rng)
+    ident = identity_rows(n)
+    yield ([ident[k] for k in rng.sample(range(n), n)],
+           [ident[k] for k in rng.sample(range(n), n)])
+    f = _random_rows(q, n, rng)
+    yield f, _random_rows(q, n, rng, f[:rng.randint(1, n - 1)])
+
+
+def _types(n, rng):
+    yield TypeVector.full(n)
+    yield TypeVector(n, tuple(sorted(rng.sample(range(1, n),
+                                                rng.randint(1, n - 1)))))
+
+
+def _assert_one_path(f, g):
+    dims = f.type.dims
+    path = chain_path(f.q, f.n, dims, chain_levels(f.subspaces),
+                      chain_levels(g.subspaces))
+    assert path == tuple(residual_rank(u, v)
+                         for u, v in zip(f.subspaces, g.subspaces))
+    assert path == pair_distance_profile(f, g)
+    return path
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_direct_path_equals_residual_rank_and_the_sweep(q):
+    """Per dimension of the type, the direct path equals residual_rank on
+    F_t and G_t and the sweep's profile, at n = 2..16, on full types and
+    general ones, for random, coordinate-permutation and shared-prefix
+    pairs.  Some pairs reach full rank before t_last, and some never."""
+    rng = random.Random(2500 + q)
+    full_early = never_full = 0
+    for n in range(2, 17):
+        for tv in _types(n, rng):
+            for rows_f, rows_g in _generator_pairs(q, n, rng):
+                f, g = (flag_from_matrix(q, n, tv, rows)
+                        for rows in (rows_f, rows_g))
+                path = _assert_one_path(f, g)
+                full_early += any(d == n - t for d, t
+                                  in zip(path[:-1], tv.dims))
+                never_full += path[-1] < n - tv.dims[-1]
+    assert full_early and never_full
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_direct_path_at_n_48(q):
+    rng = random.Random(48 + q)
+    tv = TypeVector(48, tuple(sorted(rng.sample(range(1, 48), 20))))
+    for rows_f, rows_g in _generator_pairs(q, 48, rng):
+        for type_ in (TypeVector.full(48), tv):
+            _assert_one_path(*(flag_from_matrix(q, 48, type_, rows)
+                               for rows in (rows_f, rows_g)))
+
+
+# ---------------------------------------------------------------------------
+# The two checks of projected_table
+# ---------------------------------------------------------------------------
+
+def _altered(path, j, value):
+    return path[:j] + (value,) + path[j + 1:]
+
+
+def test_a_sweep_profile_altered_at_one_pair_is_caught_by_analyze():
+    code = random_full_flag_code(3, 7, 5, random.Random(3))
+    profiles = list(pair_profiles(code))
+    profiles[4] = _altered(profiles[4], 2, profiles[4][2] + 1)
+    code._profiles = tuple(profiles)
+    with pytest.raises(ConsistencyError, match="flags 1 and 2: direct path"):
+        analyze(code)
+
+
+def test_a_sweep_profile_altered_at_one_pair_fails_the_cli(
+        monkeypatch, tmp_path, type_135_text, capsys):
+    """In the general-type branch: exit 3 with a consistency failure."""
+    path = tmp_path / "code.txt"
+    path.write_text(type_135_text)
+    original, calls = flags_module.pair_distance_profile, []
+
+    def altered(f, g):
+        calls.append(None)
+        profile = original(f, g)
+        return _altered(profile, 1, profile[1] - 1) if len(calls) == 2 \
+            else profile
+
+    monkeypatch.setattr(flags_module, "pair_distance_profile", altered)
+    assert cli.main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency failure: flags 0 and 2: direct path")
+
+
+@pytest.mark.parametrize("sweep_too", [False, True])
+def test_a_direct_zero_between_distinct_subspaces_is_caught(monkeypatch,
+                                                            sweep_too):
+    """δ_i forced to 0 for one pair whose F_i differ, at q = 2 on a full
+    code and at q = 5 on a general type.  With the sweep forced the same
+    way, only the count of equal subspaces can catch it."""
+    rng = random.Random(9)
+    codes = [random_full_flag_code(2, 6, 4, rng),
+             FlagCode(flag_from_matrix(5, 6, TypeVector(6, (2, 3, 5)),
+                                       random_full_flag(5, 6, rng).generator)
+                      for _ in range(4))]
+    original = flags_module.chain_path
+
+    def forced(q, n, dims, f_levels, g_levels):
+        path = original(q, n, dims, f_levels, g_levels)
+        return _altered(path, 1, 0) if (f_levels, g_levels) == target \
+            else path
+
+    monkeypatch.setattr(flags_module, "chain_path", forced)
+    for code in codes:
+        a, b = code.flags[:2]
+        assert a.subspaces[1] != b.subspaces[1]
+        target = (chain_levels(a.subspaces), chain_levels(b.subspaces))
+        if sweep_too:
+            profiles = list(pair_profiles(code))
+            profiles[0] = _altered(profiles[0], 1, 0)
+            code._profiles = tuple(profiles)
+        with pytest.raises(ConsistencyError, match=f"dimension "
+                           f"{code.type.dims[1]}: [0-9]+ pairs at d_I = 0"):
+            analyze(code) if code.is_full else projected_table(code)

@@ -256,9 +256,7 @@ def test_analyze_profiles_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("bad_i", range(1, 6))
 def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
     c = _five_flag_code()
-    direct = durfee_analysis.projected_parameters
-    monkeypatch.setattr(durfee_analysis, "projected_parameters",
-                        lambda code, i: (direct(code, i)[0],
-                                         direct(code, i)[1] + (i == bad_i)))
+    c._projected = tuple((card, d_i + (i == bad_i)) for i, (card, d_i)
+                         in enumerate(flags.projected_table(c), start=1))
     with pytest.raises(ConsistencyError, match=f"dimension {bad_i}: "):
         analyze(c)

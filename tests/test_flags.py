@@ -14,8 +14,8 @@ from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              RankDeficient, TypeMismatch)
 from flagcomb.flags import (_profile_gf2, _profile_gf3, _profile_rows,
-                            pair_distance_profile, random_full_flag,
-                            random_full_flag_code)
+                            pair_distance_profile, pair_profiles,
+                            random_full_flag, random_full_flag_code)
 from flagcomb.gfq_linalg import RowSpace, Subspace, subspace_from_rows
 
 from conftest import reversed_flag, standard_flag
@@ -397,14 +397,19 @@ def _raise(*_args):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_direct_side_never_calls_packed_sweep(monkeypatch, q):
+    """The direct side rebuilds the flags and computes every projected
+    parameter with both packed sweeps made to raise.  It only reads the
+    sweep profiles to check its paths against, so they are kept from the
+    first build of the code."""
     code = random_full_flag_code(q, 7, 5, random.Random(q))
     gens = [fl.generator for fl in code]
     expected = [(projected_code(code, i), projected_distance(code, i))
                 for i in range(1, 7)]
-    monkeypatch.setattr(flags_module, "_profile_gf2", _raise)
-    monkeypatch.setattr(flags_module, "_profile_gf3", _raise)
     rebuilt = FlagCode(flag_from_matrix(q, 7, TypeVector.full(7), m)
                        for m in gens)
+    rebuilt._profiles = pair_profiles(code)     # read by the path check only
+    monkeypatch.setattr(flags_module, "_profile_gf2", _raise)
+    monkeypatch.setattr(flags_module, "_profile_gf3", _raise)
     assert [(projected_code(rebuilt, i), projected_distance(rebuilt, i))
             for i in range(1, 7)] == expected
 

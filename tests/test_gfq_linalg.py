@@ -16,9 +16,9 @@ from flagcomb.flags import (Flag, TypeVector, _pack, _recheck_nesting,
                             flag_from_matrix, random_full_flag,
                             random_full_flag_code)
 from flagcomb.gfq_linalg import (MR_EXACT_BELOW, PACKED_Q, RowSpace,
-                                 Subspace, _pack_row,
-                                 _residual_rank, is_contained, is_prime,
-                                 require_prime, residual_rank, span_chain)
+                                 Subspace, _pack_row, is_contained, is_prime,
+                                 chain_levels, chain_path, require_prime,
+                                 residual_rank, span_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +284,22 @@ def _stacked_rank(u, v):
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
 def test_dim_sum_residuals_equal_stacked_rank(q, n):
+    """dim_sum and residual_rank on every pair of subspaces of F_q^n, with U
+    and V taken both as built from their bases and as an extend chain of
+    them."""
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
+    kept = {}
+    for u in subs:
+        built = Subspace(q, n, ())
+        for row in u.basis:
+            built = built.extend(row)
+        assert built == u and built.pivots == u.pivots
+        kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
-        assert dim_sum(u, v) == _stacked_rank(u, v)
+        stacked = _stacked_rank(u, v)
+        assert dim_sum(u, v) == stacked
+        assert residual_rank(u, v) == stacked - u.dim
+        assert residual_rank(kept[u], kept[v]) == stacked - u.dim
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +370,10 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
 def test_packed_residual_rank_equals_the_list_kernel(q, n):
-    """The packed residual rank against _residual_rank on every pair of
-    subspaces of F_q^n, with no cap and with each cap; U and V are taken
-    both as built from their bases and as an extend chain of them."""
+    """The packed direct path over one level, U's rows then V's, against
+    residual_rank on the list kernel, on every pair of subspaces of F_q^n;
+    U and V are taken both as built from their bases and as an extend
+    chain of them."""
     subs = [s for k in range(n + 1) for s in grassmannian(q, n, k)]
     kept = {}
     for u in subs:
@@ -369,11 +383,12 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
         assert built == u and built.pivots == u.pivots
         kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
-        pivots = RowSpace.from_rref(q, n, u.basis).pivots
-        for cap in (None, *range(1, n + 1)):
-            expected = _residual_rank(pivots, v.basis, q, cap)
-            assert residual_rank(u, v, cap) == expected
-            assert residual_rank(kept[u], kept[v], cap) == expected
+        expected = residual_rank(u, v)
+        assert expected == _stacked_rank(u, v) - u.dim
+        for a, b in ((u, v), (kept[u], kept[v])):
+            path = chain_path(q, n, (u.dim,), chain_levels((a,)),
+                              chain_levels((b,)))
+            assert path == (expected,)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -638,9 +653,10 @@ def test_extend_is_one_chain_step(q):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_nesting_recheck_never_calls_the_chain_builder(q, monkeypatch):
     """_recheck_nesting on prebuilt flags, with span_chain (and so
-    Subspace.extend) and residual_rank made to raise: it passes the nested
-    flags and still catches a swapped subspace, so the check cannot come
-    to call the kernel it checks, nor residual_rank's cap."""
+    Subspace.extend), residual_rank and the direct path made to raise: it
+    passes the nested flags and still catches a swapped subspace, so the
+    check cannot come to call the kernel it checks, nor one that relies on
+    the nesting it checks."""
     rng = random.Random(600 + q)
     tv = TypeVector(7, (1, 3, 5))
     built = [random_full_flag(q, 7, rng) for _ in range(2)]
@@ -654,7 +670,8 @@ def test_nesting_recheck_never_calls_the_chain_builder(q, monkeypatch):
         raise AssertionError("the nesting recheck called a kernel it checks")
 
     for module in (linalg_module, flags_module):
-        for name in ("span_chain", "residual_rank", "_residual_rank"):
+        for name in ("span_chain", "residual_rank", "chain_levels",
+                     "chain_path"):
             monkeypatch.setattr(module, name, boom, raising=False)
     for flag in built:
         _recheck_nesting(flag)

@@ -27,10 +27,11 @@ from math import factorial, prod
 
 import pytest
 
-from flagcomb import (Subspace, TypeVector, dim_sum, enumerate_paths,
+from flagcomb import (Subspace, TypeVector, enumerate_paths,
                       flag_from_matrix, grassmannian, path_from_flag_pair)
 from flagcomb.flags import Flag, pair_distance_profile
-from flagcomb.gfq_linalg import residual_rank
+from flagcomb.gfq_linalg import (chain_levels, chain_path, is_contained,
+                                 residual_rank)
 
 from conftest import standard_flag
 
@@ -90,7 +91,7 @@ def _full_flags(q, n):
     for k in range(1, n):
         level = list(grassmannian(q, n, k))
         chains = [c + (v,) for c in chains for v in level
-                  if not c or dim_sum(c[-1], v) == k]
+                  if not c or is_contained(c[-1], v)]
     whole = next(grassmannian(q, n, n))
     flags = []
     for chain in chains:
@@ -123,14 +124,14 @@ def test_path_weights_count_the_flags_at_each_path(q, n):
 @pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 3)])
 def test_every_pair_has_one_path_by_sweep_and_by_residual_rank(q, n):
     """Over every pair of full flags, the sweep's path (which stops once
-    F_t + G_t = F_q^n) equals residual_rank(F_t, G_t) at each t, both
-    uncapped and capped at min(t, n - t), the largest d_I at t."""
+    F_t + G_t = F_q^n) equals residual_rank(F_t, G_t) at each t, and the
+    direct path: one incremental rank over the two canonical chains."""
     flags = _full_flags(q, n)
-    caps = [min(t, n - t) for t in range(1, n)]
+    dims = tuple(range(1, n))
+    levels = {f: chain_levels(f.subspaces) for f in flags}
     for a, f in enumerate(flags):
         for g in flags[a:]:
             pairs = list(zip(f.subspaces, g.subspaces))
             path = pair_distance_profile(f, g)
             assert path == tuple(residual_rank(u, v) for u, v in pairs)
-            assert path == tuple(residual_rank(u, v, cap)
-                                 for (u, v), cap in zip(pairs, caps))
+            assert path == chain_path(q, n, dims, levels[f], levels[g])
