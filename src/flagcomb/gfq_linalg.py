@@ -148,40 +148,38 @@ class RowSpace:
 
 
 class Subspace:
-    """A subspace of F_q^n in canonical form, stored as its kernel's RREF
-    *pivots* (pivot bit -> packed row for q = 2, 3, else RowSpace's list),
-    checked once when built from a basis.  Equality, hashing and dim read
-    the rows in pivot order; a packed basis is unpacked on first read."""
+    """A subspace of F_q^n in canonical form: its RREF *rows* in pivot order
+    (packed for q = 2, 3, tuples for q >= 5) and *mask*, the OR of the
+    pivot bits, column 0 in the top bit, so the row at pivot bit b is
+    rows[(mask & -b).bit_count() - 1].  The form is checked once when built
+    from a basis.  Equality and hashing read the rows; a packed basis is
+    unpacked on first read."""
 
-    __slots__ = ("q", "ambient_n", "pivots", "_rows", "_basis")
+    __slots__ = ("q", "ambient_n", "rows", "mask", "_basis")
 
     def __init__(self, q: int, ambient_n: int,
                  basis: Sequence[Row] | None = None,
-                 pivots: dict | list | None = None):
-        self.q, self.ambient_n, self._basis = q, ambient_n, None
-        if pivots is None:      # from_rref checks the form
+                 rows: tuple | None = None, mask: int = 0):
+        self.q, self.ambient_n, self.rows, self.mask = q, ambient_n, rows, mask
+        self._basis = None if q in PACKED_Q else rows
+        if rows is None:        # from_rref checks the form
             require_prime(q)
             pivots = RowSpace.from_rref(q, ambient_n, basis).pivots
+            self._basis = self.rows = tuple(r for _, r in pivots)
+            self.mask = sum(1 << (ambient_n - 1 - c) for c, _ in pivots)
             if q in PACKED_Q:
-                self._basis = tuple(r for _, r in pivots)
-                pivots = {1 << (ambient_n - 1 - c): _pack_row(q, r)
-                          for c, r in pivots}
-        self.pivots = pivots
-        if q in PACKED_Q:   # a packed RREF row's top bit is its pivot bit
-            self._rows = tuple(sorted(pivots.values(), reverse=True))
-        else:
-            self._rows = self._basis = tuple(r for _, r in pivots)
+                self.rows = tuple([_pack_row(q, r) for r in self._basis])
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self._rows == other._rows
+        return (isinstance(other, Subspace) and self.rows == other.rows
                 and (self.q, self.ambient_n) == (other.q, other.ambient_n))
 
     def __hash__(self):
-        return hash((self.q, self.ambient_n, self._rows))
+        return hash(self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     @property
     def basis(self) -> tuple[Row, ...]:
@@ -189,7 +187,7 @@ class Subspace:
             n = self.ambient_n
             digits = (format(x, f"0{n}b") if self.q == 2 else format(
                 int(format(x[0], "b")) + 2 * int(format(x[1], "b")), f"0{n}d")
-                for x in self._rows)
+                for x in self.rows)
             self._basis = tuple(tuple(map(int, d)) for d in digits)
         return self._basis
 
@@ -197,7 +195,7 @@ class Subspace:
         """One step of span_chain: the span of this subspace and *row*."""
         chain = span_chain(self, (row,))
         return chain[0] if chain else Subspace(self.q, self.ambient_n,
-                                               pivots=self.pivots)
+                                               rows=self.rows, mask=self.mask)
 
 
 def subspace_from_rows(q: int, n: int,
@@ -247,7 +245,7 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
 # Packed kernel for q = 2, 3, column 0 in the top bit: an int per row for q = 2,
 # for q = 3 a (ones, twos) pair of bit-planes, where x - p is three ORs and
 # three XORs and -p swaps the planes (Kawahara, Aoki & Takagi, 2008).  A packed
-# RREF maps each pivot bit to its row, whose entry there is 1.  It shares no
+# RREF row's top bit is its pivot bit, where its entry is 1.  It shares no
 # code with the profile sweeps of flags, which the direct side cross-checks.
 # ---------------------------------------------------------------------------
 
@@ -276,86 +274,76 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
     """The spans of U and each prefix of *rows*, ending before the first row
     already in the span before it.  Rows are checked as RowSpace.add checks
     them at q >= 5, and by width and _pack_row at q = 2, 3, where a row is
-    reduced in one pass over its set bits at pivot columns: an RREF row is
-    zero at every pivot column but its own.  A row past the first *spans*
-    adds None, and at q = 2, 3 its residue is only forward-eliminated."""
+    reduced from its top set pivot bit down, with x & mask read again after
+    each step, so echelon rows reduce it as RREF rows do.  A kept row is
+    inserted at its pivot; while spans are built it is also cleared from
+    the rows above it.  A row past the first *spans* is only inserted and
+    adds None."""
     q, n = u.q, u.ambient_n
     if q not in PACKED_Q:   # takewhile adds rows until one is in the span
-        space = RowSpace(q, n, u.pivots)
-        return [Subspace(q, n, pivots=space.pivots)
+        space = RowSpace(q, n, [(r.index(1), r) for r in u.rows])
+        return [Subspace(q, n, rows=space.basis(), mask=sum(
+                    1 << (n - 1 - c) for c, _ in space.pivots))
                 if spans is None or k < spans else None
                 for k, _ in enumerate(takewhile(space.add, rows))]
-    pivots, mask, chain, tail = u.pivots, sum(u.pivots), [], {}
+    kept, mask, chain = list(u.rows), u.mask, []
     for row in rows:
         if len(row) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
         lo, hi = (_pack_row(q, row), 0) if q == 2 else _pack_row(q, row)
-        m = (lo | hi) & mask
-        while m:
-            b = m & -m
-            m ^= b
+        while m := (lo | hi) & mask:
+            b = 1 << m.bit_length() >> 1
+            p = kept[(mask & -b).bit_count() - 1]
             if q == 2:
-                lo ^= pivots[b]
+                lo ^= p
                 continue
-            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
-            s = (lo | plo) ^ (hi | phi)
-            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        while lo | hi:      # past the spans, forward elimination only
-            b = 1 << (lo | hi).bit_length() >> 1
-            x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
-            if len(chain) != spans or b not in tail:
-                break
-            if q == 2:
-                lo ^= tail[b]
-                continue
-            (lo, hi), (plo, phi) = x, tail[b]   # both with a leading 1
+            plo, phi = p if lo & b else p[::-1]
             s = (lo | plo) ^ (hi | phi)
             lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
         if not lo | hi:
             break
-        if len(chain) == spans:
-            tail[b] = x
-            continue
-        pivots = dict(pivots)
-        for c, p in pivots.items():     # clear bit b from the other rows
+        b = 1 << (lo | hi).bit_length() >> 1
+        x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
+        at = (mask & -b).bit_count()    # the rows above b come first
+        building = spans is None or len(chain) < spans
+        for i in range(at) if building else ():     # clear bit b from them
+            p = kept[i]
             if q == 2 and p & b:
-                pivots[c] = p ^ x
+                kept[i] = p ^ x
             elif q == 3 and (p[0] | p[1]) & b:
                 (plo, phi), (xlo, xhi) = p, x if p[0] & b else x[::-1]
                 s = (plo | xlo) ^ (phi | xhi)
-                pivots[c] = (phi | xlo) ^ s, (plo | xhi) ^ s
-        pivots[b], mask = x, mask | b
-        chain.append(Subspace(q, n, pivots=pivots))
-    return chain + [None] * len(tail)
+                kept[i] = (phi | xlo) ^ s, (plo | xhi) ^ s
+        kept.insert(at, x)
+        mask |= b
+        chain.append(Subspace(q, n, rows=tuple(kept), mask=mask)
+                     if building else None)
+    return chain
 
 
 def is_contained(u: Subspace, v: Subspace) -> bool:
-    """U ⊆ V: each stored row of U leaves a zero residue after one pass over
-    the pivots of V it has set (_reduce_row for q >= 5).  That shows it is a
-    combination of V's stored rows, even if they were not reduced."""
+    """U ⊆ V: each row of U leaves a zero residue after one pass over the
+    pivots of V it has set, V's row at bit b read by its index in the mask
+    (_reduce_row on RowSpace's (column, row) list for q >= 5).  That shows
+    it is a combination of V's stored rows, even if they were not reduced."""
     if u.ambient_n != v.ambient_n or u.q != v.q:
         raise AmbientMismatch(
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
-    q, pivots = v.q, v.pivots
+    q, rows, mask = v.q, v.rows, v.mask
     if q not in PACKED_Q:
-        return not any(any(_reduce_row(r, pivots, q)) for r in u.basis)
-    mask = sum(pivots)
-    if q == 2:
-        for x in u._rows:
-            m = x & mask
-            while m:
-                b = m & -m
-                m ^= b
-                x ^= pivots[b]
-            if x:
-                return False
-        return True
-    for lo, hi in u._rows:
+        pivots = [(r.index(1), r) for r in rows]
+        return not any(any(_reduce_row(r, pivots, q)) for r in u.rows)
+    for x in u.rows:
+        lo, hi = (x, 0) if q == 2 else x
         m = (lo | hi) & mask
         while m:
             b = m & -m
             m ^= b
-            plo, phi = pivots[b] if lo & b else pivots[b][::-1]
+            p = rows[(mask & -b).bit_count() - 1]
+            if q == 2:
+                lo ^= p
+                continue
+            plo, phi = p if lo & b else p[::-1]
             s = (lo | plo) ^ (hi | phi)
             lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
         if lo | hi:
@@ -370,14 +358,19 @@ def is_contained(u: Subspace, v: Subspace) -> bool:
 
 def chain_levels(chain: Sequence[Subspace]) -> tuple[tuple, ...]:
     """The stored RREF rows of each U_j of a nested chain U_1 ⊊ U_2 ⊊ ... at
-    the pivots that U_{j-1} lacks.  Their pivots differ and each row lies in
-    U_j, so in a nested chain the first j levels are a basis of U_j."""
-    levels, below = [], {}
-    packed = chain and chain[0].q in PACKED_Q
+    the pivot bits mask_j & ~mask_{j-1}, the pivots that U_{j-1} lacks.
+    Their pivots differ and each row lies in U_j, so in a nested chain the
+    first j levels are a basis of U_j."""
+    levels, below = [], 0
     for s in chain:
-        pivots = s.pivots if packed else dict(s.pivots)
-        levels.append(tuple([r for b, r in pivots.items() if b not in below]))
-        below = pivots
+        rows, mask, level = s.rows, s.mask, []
+        new = mask & ~below
+        while new:
+            b = new & -new
+            new ^= b
+            level.append(rows[(mask & -b).bit_count() - 1])
+        levels.append(tuple(level))
+        below = mask
     return tuple(levels)
 
 

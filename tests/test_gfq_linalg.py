@@ -200,6 +200,22 @@ def test_grassmannian_count_and_canonical_form(q, n, k):
         assert subspace_from_rows(q, n, s.basis) == s
 
 
+def test_equal_rows_over_other_fields_are_other_subspaces():
+    """A Subspace hashes its rows alone, so subspaces of F_5^n and F_7^n
+    with the same rows hash equal; they still compare unequal, and a set
+    keeps both.  So do packed rows that are equal in F_2^3 and F_2^4."""
+    for rows in ((), ((1, 0, 0),), ((1, 0, 3), (0, 1, 4))):
+        five, seven = Subspace(5, 3, rows), Subspace(7, 3, rows)
+        assert five.rows == seven.rows and hash(five) == hash(seven)
+        assert five != seven and seven != five
+        assert len({five, seven}) == 2 and len({five, seven, five}) == 2
+        assert {five, seven} == {Subspace(7, 3, rows), Subspace(5, 3, rows)}
+    narrow = Subspace(2, 3, ((1, 0, 0),))
+    wide = Subspace(2, 4, ((0, 1, 0, 0),))
+    assert narrow.rows == wide.rows and narrow != wide
+    assert len({narrow, wide}) == 2
+
+
 def test_injection_distance_is_a_metric():
     """Triangle inequality and symmetry, exhaustively on G_2(2, 4)."""
     subs = list(grassmannian(2, 4, 2))
@@ -277,6 +293,16 @@ def test_rowspace_from_rref_rejects_non_canonical(basis):
             Subspace(q, 3, basis)
 
 
+def _rref_form(s):
+    """(rows, mask) as RowSpace.from_rref reads them off s's basis: the rows
+    in pivot-column order, packed digit by digit for q = 2, 3, and the OR of
+    the pivot bits, column 0 in the top bit."""
+    q, n = s.q, s.ambient_n
+    pivots = RowSpace.from_rref(q, n, s.basis).pivots
+    rows = tuple(_digit_pack(q, r) if q in PACKED_Q else r for _, r in pivots)
+    return rows, sum(1 << (n - 1 - c) for c, _ in pivots)
+
+
 def _stacked_rank(u, v):
     """dim(U + V) by eliminating every row of both bases from scratch."""
     return subspace_from_rows(u.q, u.ambient_n, u.basis + v.basis).dim
@@ -293,7 +319,7 @@ def test_dim_sum_residuals_equal_stacked_rank(q, n):
         built = Subspace(q, n, ())
         for row in u.basis:
             built = built.extend(row)
-        assert built == u and built.pivots == u.pivots
+        assert built == u and (built.rows, built.mask) == _rref_form(u)
         kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
         stacked = _stacked_rank(u, v)
@@ -346,8 +372,8 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
     """Every F_i of a flag equals subspace_from_rows on the first t_i rows
     of its generator: equal both ways and hashed equal before its basis is
     read, then with RowSpace's basis (which subspace_from_rows keeps); the
-    pivots a flag keeps equal RowSpace.from_rref's on its basis, packed for
-    q = 2, 3, and those of a Subspace built from that basis."""
+    rows and mask a flag keeps equal those RowSpace.from_rref reads off its
+    basis, packed for q = 2, 3, and those of a Subspace built from it."""
     rng = random.Random(q)
     sizes = [2, 3, 4, 7, 12, 20] + ([33, 48] if q < 5 else [])
     for n in sizes:
@@ -361,11 +387,9 @@ def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
                 assert s == ref and ref == s and hash(s) == hash(ref)
                 assert s.dim == ref.dim == t
                 assert s.basis == ref.basis
-                checked = RowSpace.from_rref(q, n, s.basis).pivots
-                if q in PACKED_Q:
-                    checked = {1 << (n - 1 - c): _pack_row(q, r)
-                               for c, r in checked}
-                assert s.pivots == checked == Subspace(q, n, s.basis).pivots
+                rebuilt = Subspace(q, n, s.basis)
+                assert ((s.rows, s.mask) == _rref_form(s)
+                        == (rebuilt.rows, rebuilt.mask))
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
@@ -380,7 +404,7 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
         built = Subspace(q, n, ())
         for row in u.basis:
             built = built.extend(row)
-        assert built == u and built.pivots == u.pivots
+        assert built == u and (built.rows, built.mask) == _rref_form(u)
         kept[u] = built
     for u, v in itertools.product(subs, repeat=2):
         expected = residual_rank(u, v)
@@ -395,7 +419,7 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
 def test_extend_chain_equals_the_list_kernel_on_each_prefix(q):
     """Every prefix of an extend chain of random rows (dependent ones
     included) equals subspace_from_rows on the same rows in ==, hash,
-    pivots and basis; extending by a row already in the span, or by a
+    rows, mask and basis; extending by a row already in the span, or by a
     combination of the basis, gives an equal subspace."""
     rng = random.Random(170 + q)
     for n in [1, 2, 3, 5, 8, 16] + ([48] if q == 2 else []):
@@ -407,10 +431,12 @@ def test_extend_chain_equals_the_list_kernel_on_each_prefix(q):
             chain = chain.extend(row)
             ref = subspace_from_rows(q, n, rows[:k])
             assert chain == ref and ref == chain and hash(chain) == hash(ref)
-            assert chain.pivots == ref.pivots and chain.dim == ref.dim
+            assert ((chain.rows, chain.mask) == (ref.rows, ref.mask)
+                    == _rref_form(ref) and chain.dim == ref.dim)
             assert chain.basis == ref.basis
             again = chain.extend(rows[rng.randrange(k)])
-            assert again == chain and again.pivots == chain.pivots
+            assert again == chain
+            assert (again.rows, again.mask) == (chain.rows, chain.mask)
             if chain.dim:
                 coeffs = [rng.randrange(q) for _ in chain.basis]
                 mixed = [sum(c * e for c, e in zip(coeffs, col)) % q
@@ -419,15 +445,14 @@ def test_extend_chain_equals_the_list_kernel_on_each_prefix(q):
 
 
 def test_extend_leaves_the_extended_subspace_unchanged():
-    """extend returns a new subspace: the one extended keeps its pivots,
-    at packed and at list q."""
+    """extend returns a new subspace: the one extended keeps its rows and
+    mask, at packed and at list q."""
     for q in (2, 3, 5):
         base = subspace_from_rows(q, 3, [[1, 0, 0]])
-        pivots, rows = (dict(base.pivots) if q in PACKED_Q
-                        else list(base.pivots)), base.basis
+        form, rows = (base.rows, base.mask), base.basis
         grown = base.extend([0, 1, 1])
         assert grown.dim == 2 and base.dim == 1
-        assert base.pivots == pivots and base.basis == rows
+        assert (base.rows, base.mask) == form and base.basis == rows
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -545,10 +570,9 @@ def test_is_contained_equals_the_list_kernel(q, n):
         for i, j in itertools.combinations(range(len(rows)), 2):
             c = rng.randrange(1, q)
             rows[i] = [(a + c * b) % q for a, b in zip(rows[i], rows[j])]
-        pivots = [(r.index(1), tuple(r)) for r in rows]
-        if q in PACKED_Q:
-            pivots = {1 << (n - 1 - c): _pack_row(q, r) for c, r in pivots}
-        mixed = Subspace(q, n, pivots=pivots)
+        mixed = Subspace(q, n, rows=tuple(
+            _pack_row(q, r) if q in PACKED_Q else tuple(r) for r in rows),
+            mask=v.mask)
         for u in subs:
             assert not is_contained(u, mixed) or _inside(u, v)
 
@@ -586,27 +610,48 @@ def test_nesting_recheck_catches_a_planted_subspace(q, dims):
     assert caught >= 4 * len(tv.dims)
 
 
+def _list_chain(q, n, rows):
+    """The span of each prefix of *rows* on the list kernel."""
+    space, chain = RowSpace(q, n), []
+    for r in rows:
+        space.add(r)
+        chain.append(Subspace(q, n, space.basis()))
+    return chain
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("dims", [None, (1, 3, 5)], ids=["full", "135"])
 def test_a_dependent_row_ends_the_chain(q, dims):
-    """Row k a combination of rows 1..k-1 (zero included): span_chain ends
-    before it with the list kernel's k - 1 spans, and flag_from_matrix,
-    which reads every row, raises RankDeficient(k)."""
-    n, rng = 7, random.Random(400 + q)
-    for k in range(1, n + 1):
-        rows = list(random_full_flag(q, n, rng).generator)
-        coeffs = [rng.randrange(q) for _ in range(k - 1)]
-        rows[k - 1] = tuple(sum(c * e for c, e in zip(coeffs, col)) % q
-                            for col in zip(*rows[:k - 1] or [[0] * n]))
-        chain = span_chain(Subspace(q, n, ()), rows)
-        assert chain == [subspace_from_rows(q, n, rows[:t])
-                         for t in range(1, k)]
-        for spans in range(n + 1):  # past them, only independence is read
-            assert (span_chain(Subspace(q, n, ()), rows, spans)
-                    == chain[:spans] + [None] * (len(chain) - spans))
-        with pytest.raises(RankDeficient) as exc:
-            flag_from_matrix(q, n, _type(n, dims), rows)
-        assert exc.value.prefix == k
+    """Row k a combination of rows 1..k-1 (zero included), or of rows
+    j+1..k-1 only, all past t_last = j: span_chain ends before it with the
+    list kernel's k - 1 spans, also when it builds only the first spans,
+    and flag_from_matrix, which reads every row, raises RankDeficient(k).
+    Rows past the spans are kept in echelon form only, so the second input
+    is reduced right only if x & mask is read again after each step; n = 7,
+    and n = 33 at q = 2, 3, past one machine word of a packed row."""
+    for n in (7, 33) if q in PACKED_Q else (7,):
+        rng = random.Random(400 + q if n == 7 else f"{q}/{n}")
+        t_last = _type(n, dims).dims[-1]
+        for k in range(1, n + 1):
+            rows = list(random_full_flag(q, n, rng).generator)
+            starts = {0} | ({rng.randrange(1, k - 1)} if k > 2 else set())
+            if t_last < k - 1:
+                starts.add(t_last)
+            for j in sorted(starts):    # j > 0: no coefficient is zero
+                coeffs = [rng.randrange(bool(j), q) for _ in range(j, k - 1)]
+                rows[k - 1] = tuple(
+                    sum(c * e for c, e in zip(coeffs, col)) % q
+                    for col in zip(*rows[j:k - 1] or [[0] * n]))
+                chain = span_chain(Subspace(q, n, ()), rows)
+                assert chain == _list_chain(q, n, rows[:k - 1])
+                # past the spans, only independence is read
+                for spans in (range(n + 1) if n == 7
+                              else {0, j, j + 1, k - 1, n}):
+                    assert (span_chain(Subspace(q, n, ()), rows, spans)
+                            == chain[:spans] + [None] * (len(chain) - spans))
+                with pytest.raises(RankDeficient) as exc:
+                    flag_from_matrix(q, n, _type(n, dims), rows)
+                assert exc.value.prefix == k
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -633,7 +678,7 @@ def test_flag_from_matrix_builds_no_span_past_the_type(q, dims, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_extend_is_one_chain_step(q):
     """s.extend(row) is span_chain(s, [row])'s one span, or equals s when
-    the chain is empty because the row is in s, in ==, pivots and dim."""
+    the chain is empty because the row is in s, in ==, rows, mask and dim."""
     rng = random.Random(500 + q)
     for n in (1, 3, 6, 9):
         s = Subspace(q, n, ())
@@ -646,7 +691,8 @@ def test_extend_is_one_chain_step(q):
             step, grown = span_chain(s, [row]), s.extend(row)
             expected = step[0] if step else s
             assert len(step) == grown.dim - s.dim <= 1
-            assert grown == expected and grown.pivots == expected.pivots
+            assert grown == expected
+            assert (grown.rows, grown.mask) == (expected.rows, expected.mask)
             s = grown
 
 
