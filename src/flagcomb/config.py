@@ -32,8 +32,11 @@ def load_config() -> Config:
     path = os.environ.get(ENV_VAR)
     if not path:
         return Config()
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config {path}: {exc.strerror}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: expected a JSON object")
     known = {f.name for f in fields(Config)}

@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      RankDeficient, TypeMismatch)
-from .gfq_linalg import (Row, RowSpace, Subspace, chain_levels, chain_path,
-                         is_contained, require_prime, span_chain)
+from .gfq_linalg import (Row, Subspace, chain_levels, chain_path, is_contained,
+                         require_prime, span_chain)
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,16 @@ _BITS = b"01".ljust(256, b".")
 _ONES, _TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
 
 
-def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple | None:
-    """Rows packed for the bit-level profile sweeps, column 0 in the top
-    bit: for q = 2 one int per row; for q = 3 a (ones, twos) pair of
-    bit-planes per row; None for larger q, which keeps the list kernel."""
+def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple:
+    """Rows packed for the profile sweep, column 0 in the top bit: for q = 2
+    one int per row; for q = 3 a (ones, twos) pair of bit-planes per row;
+    for larger q the rows as they are."""
     if q == 2:
         return tuple(int(bytes(r).translate(_BITS), 2) for r in rows)
     if q == 3:
         return tuple((int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
                      for b in map(bytes, rows))
-    return None
+    return tuple(rows)
 
 
 class Flag:
@@ -170,85 +170,55 @@ def _check_same_type(f: Flag, g: Flag) -> None:
 def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
     """Per-index injection distances (d_I(F_{t_1},G_{t_1}), ...).
 
-    One incremental elimination sweep over the stacked generator prefixes:
-    at prefix t, dim(F_t + G_t) is the running rank and d_I = rank - t; no
-    row is added after a dimension whose rank is n, as it then stays n.
-    q = 2, 3 sweep the packed rows; larger q the reference list kernel.
+    One incremental forward elimination over the stacked generator
+    prefixes: at prefix t, dim(F_t + G_t) is the running rank and d_I =
+    rank - t; no row is added after a dimension whose rank is n, as it then
+    stays n.  A kept row is stored under its leading bit (column for q >= 5).
+    The rows are f._packed: ints reduced with XOR at q = 2, bit-plane pairs
+    at q = 3, where negation swaps the planes and x + p and x - p are each
+    three ORs and three XORs (Kawahara, Aoki & Takagi, 2008), and lists of
+    ints at larger q, their pivot rows scaled to lead with 1.
     """
     _check_same_type(f, g)
-    if f.q == 2:
-        return _profile_gf2(f, g)
-    if f.q == 3:
-        return _profile_gf3(f, g)
-    return _profile_rows(f, g)
-
-
-def _profile_rows(f: Flag, g: Flag) -> tuple[int, ...]:
-    """The profile sweep on the reference list kernel (RowSpace.add)."""
-    space = RowSpace(f.q, f.n)
-    frows = f.generator
-    grows = g.generator
-    out = []
-    prev = 0
+    q, n, fp, gp = f.q, f.n, f._packed, g._packed
+    own, rank, prev, out = [None] * (n + 1), 0, 0, []
     for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
-        for k in range(prev, t if space.rank < f.n else prev):
-            space.add(frows[k])
-            space.add(grows[k])
-        out.append(space.rank - t)
-        prev = t
-    return tuple(out)
-
-
-def _profile_gf2(f: Flag, g: Flag) -> tuple[int, ...]:
-    """The profile sweep over GF(2) rows packed as ints: XOR elimination,
-    each pivot row stored under its bit_length."""
-    pivots = [0] * (f.n + 1)
-    fp, gp = f._packed, g._packed
-    rank = prev = 0
-    out = []
-    for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
-        for k in range(prev, t if rank < f.n else prev):
+        for k in range(prev, t if rank < n else prev):
             for x in (fp[k], gp[k]):
-                while x:
-                    b = x.bit_length()
-                    p = pivots[b]
-                    if not p:
-                        pivots[b] = x
-                        rank += 1
-                        break
-                    x ^= p
-        out.append(rank - t)
-        prev = t
-    return tuple(out)
-
-
-def _profile_gf3(f: Flag, g: Flag) -> tuple[int, ...]:
-    """The profile sweep over GF(3) rows bitsliced into (ones, twos)
-    planes.  Negation swaps the planes; x + y and x - y are each three
-    ORs and three XORs (Kawahara, Aoki & Takagi, 2008).  Pivot rows are
-    stored with leading entry 1 under the bit_length of ones | twos."""
-    pivots: list[tuple[int, int] | None] = [None] * (f.n + 1)
-    fp, gp = f._packed, g._packed
-    rank = prev = 0
-    out = []
-    for t in f.type.dims:   # a full rank stays n: d_I = n - t from there on
-        for k in range(prev, t if rank < f.n else prev):
-            for lo, hi in (fp[k], gp[k]):
-                while lo | hi:
-                    b = (lo | hi).bit_length()
-                    p = pivots[b]
-                    lead_one = lo >> (b - 1)
-                    if p is None:
-                        pivots[b] = (lo, hi) if lead_one else (hi, lo)
-                        rank += 1
-                        break
-                    plo, phi = p
-                    if lead_one:        # x - p
-                        s = (lo | plo) ^ (hi | phi)
-                        lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-                    else:               # x + p
-                        s = (lo | phi) ^ (hi | plo)
-                        lo, hi = (hi | phi) ^ s, (lo | plo) ^ s
+                if q == 2:
+                    while x:
+                        b = x.bit_length()
+                        p = own[b]
+                        if p is None:
+                            own[b], rank = x, rank + 1
+                            break
+                        x ^= p
+                elif q == 3:
+                    lo, hi = x
+                    while lo | hi:
+                        b = (lo | hi).bit_length()
+                        p = own[b]
+                        lead_one = lo >> (b - 1)
+                        if p is None:
+                            own[b] = (lo, hi) if lead_one else (hi, lo)
+                            rank += 1
+                            break
+                        plo, phi = p
+                        if lead_one:        # x - p
+                            s = (lo | plo) ^ (hi | phi)
+                            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+                        else:               # x + p
+                            s = (lo | phi) ^ (hi | plo)
+                            lo, hi = (hi | phi) ^ s, (lo | plo) ^ s
+                else:
+                    for col in range(n):
+                        c = x[col]
+                        if c and (p := own[col]) is None:
+                            inv = pow(c, q - 2, q)
+                            own[col], rank = [e * inv % q for e in x], rank + 1
+                            break
+                        if c:
+                            x = [(a - c * b) % q for a, b in zip(x, p)]
         out.append(rank - t)
         prev = t
     return tuple(out)

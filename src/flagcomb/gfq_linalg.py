@@ -66,20 +66,9 @@ def require_prime(q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction on lists of ints: the kernel for q >= 5, and the reference
-# the packed kernel below is tested against.
+# Row reduction on lists of ints: the kernel of the chain for q >= 5, and the
+# reference the packed kernel below is tested against.
 # ---------------------------------------------------------------------------
-
-def _reduce_row(row: Sequence[int], pivots: list[tuple[int, Row]],
-                q: int) -> Sequence[int]:
-    """*row* reduced against the pivot rows (pivot col, row); the input is
-    returned as it is when no pivot column of it is nonzero."""
-    for col, prow in pivots:
-        c = row[col]
-        if c:
-            row = [(a - c * b) % q for a, b in zip(row, prow)]
-    return row
-
 
 class RowSpace:
     """A row space built incrementally, kept in reduced row-echelon form."""
@@ -121,7 +110,9 @@ class RowSpace:
         r = [index(e) % q for e in row]
         if len(r) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(r)}")
-        r = _reduce_row(r, self.pivots, q)
+        for pcol, prow in self.pivots:
+            if c := r[pcol]:
+                r = [(a - c * b) % q for a, b in zip(r, prow)]
         col = next((i for i, e in enumerate(r) if e), -1)
         if col < 0:
             return False
@@ -324,15 +315,21 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
 def is_contained(u: Subspace, v: Subspace) -> bool:
     """U ⊆ V: each row of U leaves a zero residue after one pass over the
     pivots of V it has set, V's row at bit b read by its index in the mask
-    (_reduce_row on RowSpace's (column, row) list for q >= 5).  That shows
-    it is a combination of V's stored rows, even if they were not reduced."""
+    (for q >= 5 over V's rows in order, each leading with 1 at its pivot).
+    That shows it is a combination of V's stored rows, even if they were
+    not reduced."""
     if u.ambient_n != v.ambient_n or u.q != v.q:
         raise AmbientMismatch(
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     q, rows, mask = v.q, v.rows, v.mask
     if q not in PACKED_Q:
-        pivots = [(r.index(1), r) for r in rows]
-        return not any(any(_reduce_row(r, pivots, q)) for r in u.rows)
+        for x in u.rows:
+            for p in rows:
+                if c := x[p.index(1)]:
+                    x = [(a - c * b) % q for a, b in zip(x, p)]
+            if any(x):
+                return False
+        return True
     for x in u.rows:
         lo, hi = (x, 0) if q == 2 else x
         m = (lo | hi) & mask

@@ -673,3 +673,20 @@ def test_cli_bad_config_exits_1(tmp_path, monkeypatch, capsys, doc):
     assert main(["paths", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["paths", "5"], ["render", "frame", "5"]],
+                         ids=["paths", "render"])
+@pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+def test_cli_unreadable_config_exits_1(tmp_path, monkeypatch, capsys, argv,
+                                       name):
+    """A config path that names no file, or a directory, is a bad config
+    (exit 1) named in the message, not an unreadable code file (exit 2)."""
+    (tmp_path / "a_directory").mkdir()
+    cfg = tmp_path / name
+    monkeypatch.setenv(ENV_VAR, str(cfg))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config {cfg}: ")
+    assert captured.err.count("\n") == 1

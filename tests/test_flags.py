@@ -13,10 +13,10 @@ from flagcomb import (FlagCode, TypeVector, codistance, flag_distance,
 from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              RankDeficient, TypeMismatch)
-from flagcomb.flags import (_profile_gf2, _profile_gf3, _profile_rows,
-                            pair_distance_profile, pair_profiles,
+from flagcomb.flags import (pair_distance_profile, pair_profiles,
                             random_full_flag, random_full_flag_code)
-from flagcomb.gfq_linalg import RowSpace, Subspace, subspace_from_rows
+from flagcomb.gfq_linalg import (RowSpace, Subspace, is_contained,
+                                 subspace_from_rows)
 
 from conftest import reversed_flag, standard_flag
 
@@ -292,7 +292,7 @@ def test_random_code_size_is_bounded_by_the_full_flags(rng, q, n, available):
 
 
 # ---------------------------------------------------------------------------
-# Packed profile sweeps against the list kernel, and the kernels' independence
+# The profile sweep against a stacked rank, and the kernels' independence
 # ---------------------------------------------------------------------------
 
 def _completion(q, n, prefix, rng):
@@ -311,7 +311,7 @@ def _completion(q, n, prefix, rng):
 @st.composite
 def _flag_pairs(draw):
     """A pair of flags of one random type, from one of four families."""
-    q = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((2, 3, 5, 7)))
     n = draw(st.integers(2, 12))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     dims = draw(st.lists(st.integers(1, n - 1), min_size=1, unique=True))
@@ -336,12 +336,12 @@ def _flag_pairs(draw):
 @given(_flag_pairs())
 @settings(max_examples=300, deadline=None)
 def test_packed_sweep_equals_list_kernel(pair):
+    """The sweep, both ways round, against both prefixes ranked afresh on
+    RowSpace at each dimension of the type, at q = 2, 3, 5 and 7."""
     f, g = pair
-    packed = _profile_gf2 if f.q == 2 else _profile_gf3
-    reference = _profile_rows(f, g)
-    assert packed(f, g) == reference
-    assert packed(g, f) == reference
+    reference = _sweep_reference(f, g)
     assert pair_distance_profile(f, g) == reference
+    assert pair_distance_profile(g, f) == reference
 
 
 def _sweep_reference(f, g):
@@ -364,14 +364,12 @@ def _exit_pairs(q, n, rng):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_sweep_exit_equals_a_sweep_that_never_stops(q):
-    """Every sweep that runs at q equals the reference on pairs that fill
-    F_q^n early, late or never, for the full type, random types and types
-    whose dimensions jump past the first t where F_t + G_t = F_q^n.  More
-    than 30 of the cases fill F_q^n before the type's last dimension, so
-    the exit is taken."""
+    """The sweep equals the reference on pairs that fill F_q^n early, late
+    or never, for the full type, random types and types whose dimensions
+    jump past the first t where F_t + G_t = F_q^n.  More than 30 of the
+    cases fill F_q^n before the type's last dimension, so the exit is
+    taken."""
     rng = random.Random(800 + q)
-    sweeps = [pair_distance_profile, _profile_rows]
-    sweeps += {2: [_profile_gf2], 3: [_profile_gf3]}.get(q, [])
     early = 0
     for n in range(2, 17):
         half = (n + 1) // 2
@@ -386,19 +384,19 @@ def test_sweep_exit_equals_a_sweep_that_never_stops(q):
                         for rows in (f_rows, g_rows))
                 want = _sweep_reference(f, g)
                 early += any(d == n - t for t, d in zip(dims[:-1], want))
-                for sweep in sweeps:
-                    assert sweep(f, g) == sweep(g, f) == want, (sweep, dims)
+                assert (pair_distance_profile(f, g)
+                        == pair_distance_profile(g, f) == want), dims
     assert early > 30
 
 
 def _raise(*_args):
-    raise AssertionError("the direct side called a packed sweep")
+    raise AssertionError("called a function patched to raise")
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_direct_side_never_calls_packed_sweep(monkeypatch, q):
     """The direct side rebuilds the flags and computes every projected
-    parameter with both packed sweeps made to raise.  It only reads the
+    parameter with the profile sweep made to raise.  It only reads the
     sweep profiles to check its paths against, so they are kept from the
     first build of the code."""
     code = random_full_flag_code(q, 7, 5, random.Random(q))
@@ -408,8 +406,7 @@ def test_direct_side_never_calls_packed_sweep(monkeypatch, q):
     rebuilt = FlagCode(flag_from_matrix(q, 7, TypeVector.full(7), m)
                        for m in gens)
     rebuilt._profiles = pair_profiles(code)     # read by the path check only
-    monkeypatch.setattr(flags_module, "_profile_gf2", _raise)
-    monkeypatch.setattr(flags_module, "_profile_gf3", _raise)
+    monkeypatch.setattr(flags_module, "pair_distance_profile", _raise)
     assert [(projected_code(rebuilt, i), projected_distance(rebuilt, i))
             for i in range(1, 7)] == expected
 
@@ -420,7 +417,33 @@ def test_wrong_packed_profile_is_caught(monkeypatch, q):
     projected parameters then disagree with the direct ones."""
     code = random_full_flag_code(q, 6, 4, random.Random(5))
     maximal = tuple(min(i, 6 - i) for i in range(1, 6))
-    monkeypatch.setattr(flags_module, f"_profile_gf{q}",
+    monkeypatch.setattr(flags_module, "pair_distance_profile",
                         lambda f, g: maximal)
     with pytest.raises(ConsistencyError):
         analyze(FlagCode(code.flags))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_sweep_and_nesting_recheck_never_call_rowspace_add(monkeypatch, q):
+    """At q >= 5 the chain runs RowSpace.add, and the profile sweep and
+    is_contained each run a loop of their own: with RowSpace.add made to
+    raise, both return what they returned before, on pairs that share a
+    prefix and pairs that do not, and on nested and unnested subspaces."""
+    rng = random.Random(900 + q)
+    n, tv = 8, TypeVector.full(8)
+    f_rows = _completion(q, n, [], rng)
+    flags = [flag_from_matrix(q, n, tv, rows) for rows in (
+        f_rows, _completion(q, n, f_rows[:3], rng), _completion(q, n, [], rng))]
+    spaces = [s for fl in flags for s in fl.subspaces]
+
+    def results():
+        return ([pair_distance_profile(f, g)
+                 for f, g in itertools.permutations(flags, 2)],
+                [is_contained(u, v) for u, v in itertools.product(spaces,
+                                                                  repeat=2)])
+
+    before = results()
+    assert {True, False} <= set(before[1])
+    assert any(0 in profile for profile in before[0])
+    monkeypatch.setattr(RowSpace, "add", _raise)
+    assert results() == before
