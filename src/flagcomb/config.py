@@ -37,6 +37,8 @@ def load_config() -> Config:
             raw = json.load(fh)
     except OSError as exc:
         raise ValueError(f"config {path}: {exc.strerror}") from exc
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise ValueError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: expected a JSON object")
     known = {f.name for f in fields(Config)}

@@ -132,8 +132,8 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
             raise RankDeficient(t_last, f"only {len(rows)} rows for type {type_.dims}")
         if len(rows) > n:
             raise RankDeficient(n + 1, f"{len(rows)} rows in F_{q}^{n}")
-        chain = span_chain(Subspace(q, n, ()), rows, t_last)
-    except TypeError as exc:    # bytes() at q = 2, 3, RowSpace.add above
+        chain = span_chain(Subspace(q, n, rows=(), mask=0), rows, t_last)
+    except TypeError as exc:    # bytes() at q = 2, 3, index() above
         raise TypeMismatch("row entries must be integers") from exc
     if len(chain) < len(rows):
         raise RankDeficient(len(chain) + 1)

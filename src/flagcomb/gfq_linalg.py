@@ -9,7 +9,7 @@ dim(U) + dim(V) - dim(U+V), never through explicit intersection bases.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product, takewhile
+from itertools import chain, combinations, product
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -66,8 +66,8 @@ def require_prime(q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction on lists of ints: the kernel of the chain for q >= 5, and the
-# reference the packed kernel below is tested against.
+# Row reduction on lists of ints: the reference that defines canonical form,
+# and that the chain below is tested against.  No flag is built on it.
 # ---------------------------------------------------------------------------
 
 class RowSpace:
@@ -75,33 +75,10 @@ class RowSpace:
 
     __slots__ = ("q", "n", "pivots")
 
-    def __init__(self, q: int, n: int, pivots: Sequence[tuple[int, Row]] = ()):
-        self.q = q
-        self.n = n
+    def __init__(self, q: int, n: int):
+        self.q, self.n = q, n
         # list of (pivot column, row tuple), sorted by pivot column
-        self.pivots: list[tuple[int, Row]] = list(pivots)
-
-    @classmethod
-    def from_rref(cls, q: int, n: int, basis: Sequence[Row]) -> "RowSpace":
-        """A RowSpace seeded from a basis that is already canonical RREF.
-
-        Only checks the form, with no elimination: every row has n entries
-        in range(q) and a leading 1, the pivots strictly increase, and each
-        pivot column is zero in every other row; else ValueError.
-        The rows below a pivot are zero in its column by their leading
-        zeros, so only that column of the rows above is read.
-        """
-        space = cls(q, n)
-        prev = -1
-        for row in basis:
-            col = row.index(1) if len(row) == n and 1 in row else -1
-            if (col <= prev or any(row[:col])
-                    or not all(0 <= e < q for e in row)
-                    or any([r[col] for _, r in space.pivots])):
-                raise ValueError(f"basis is not in canonical RREF: {basis}")
-            space.pivots.append((col, tuple(row)))
-            prev = col
-        return space
+        self.pivots: list[tuple[int, Row]] = []
 
     def add(self, row: Sequence[int]) -> bool:
         """Add a row of n int entries, reduced mod q (TypeError on a float or
@@ -142,9 +119,10 @@ class Subspace:
     """A subspace of F_q^n in canonical form: its RREF *rows* in pivot order
     (packed for q = 2, 3, tuples for q >= 5) and *mask*, the OR of the
     pivot bits, column 0 in the top bit, so the row at pivot bit b is
-    rows[(mask & -b).bit_count() - 1].  The form is checked once when built
-    from a basis.  Equality and hashing read the rows; a packed basis is
-    unpacked on first read."""
+    rows[(mask & -b).bit_count() - 1].  A basis is taken only if RowSpace
+    gives it back unchanged, the one definition of canonical form; else, a
+    wrong width or a non-int entry too, ValueError.  Equality and hashing
+    read the rows; a packed basis is unpacked on first read."""
 
     __slots__ = ("q", "ambient_n", "rows", "mask", "_basis")
 
@@ -153,11 +131,18 @@ class Subspace:
                  rows: tuple | None = None, mask: int = 0):
         self.q, self.ambient_n, self.rows, self.mask = q, ambient_n, rows, mask
         self._basis = None if q in PACKED_Q else rows
-        if rows is None:        # from_rref checks the form
+        if rows is None:
             require_prime(q)
-            pivots = RowSpace.from_rref(q, ambient_n, basis).pivots
-            self._basis = self.rows = tuple(r for _, r in pivots)
-            self.mask = sum(1 << (ambient_n - 1 - c) for c, _ in pivots)
+            space = RowSpace(q, ambient_n)
+            try:
+                basis = tuple(map(tuple, basis))
+                canonical = all(map(space.add, basis)) and space.basis() == basis
+            except (TypeError, ColumnCountMismatch):
+                canonical = False
+            if not canonical:
+                raise ValueError(f"basis is not in canonical RREF: {basis}")
+            self._basis = self.rows = space.basis()
+            self.mask = sum(1 << (ambient_n - 1 - c) for c, _ in space.pivots)
             if q in PACKED_Q:
                 self.rows = tuple([_pack_row(q, r) for r in self._basis])
 
@@ -192,8 +177,8 @@ class Subspace:
 def subspace_from_rows(q: int, n: int,
                        rows: Iterable[Iterable[int]]) -> Subspace:
     """Span of the given rows as a canonical Subspace of F_q^n, built on
-    the list kernel at every q: the reference that the packed kernel's
-    Subspace.extend chains are tested against.  Every row must have n
+    the list kernel at every q: the reference that the chains of
+    Subspace.extend are tested against.  Every row must have n
     entries; RowSpace.add reduces them mod q."""
     require_prime(q)
     space = RowSpace(q, n)
@@ -203,13 +188,13 @@ def subspace_from_rows(q: int, n: int,
 
 
 def residual_rank(u: Subspace, v: Subspace) -> int:
-    """dim(U + V) - dim U: V's rows added to a RowSpace seeded with U's
-    canonical basis, on the list kernel at every q."""
+    """dim(U + V) - dim U: U's canonical basis, then V's, added to one
+    RowSpace, on the list kernel at every q."""
     if u.ambient_n != v.ambient_n or u.q != v.q:
         raise AmbientMismatch(
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
-    space = RowSpace(u.q, u.ambient_n, [(r.index(1), r) for r in u.basis])
-    return sum(map(space.add, v.basis))
+    space = RowSpace(u.q, u.ambient_n)
+    return sum(map(space.add, u.basis + v.basis)) - u.dim
 
 
 def dim_sum(u: Subspace, v: Subspace) -> int:
@@ -263,48 +248,57 @@ def _pack_row(q: int, row: Sequence[int]):
 def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
                spans: int | None = None) -> list[Subspace | None]:
     """The spans of U and each prefix of *rows*, ending before the first row
-    already in the span before it.  Rows are checked as RowSpace.add checks
-    them at q >= 5, and by width and _pack_row at q = 2, 3, where a row is
-    reduced from its top set pivot bit down, with x & mask read again after
-    each step, so echelon rows reduce it as RREF rows do.  A kept row is
-    inserted at its pivot; while spans are built it is also cleared from
-    the rows above it.  A row past the first *spans* is only inserted and
-    adds None."""
+    already in the span before it.  Rows are checked by width, and as
+    RowSpace.add checks them at q >= 5, by _pack_row at q = 2, 3.  A row is
+    reduced over the kept rows in pivot order (packed: from its top set
+    pivot bit, x & mask read again after each step), so echelon rows reduce
+    it as RREF rows do.  A kept row, its lead 1, is inserted at its pivot;
+    while spans are built it is also cleared from the rows above it.  A row
+    past the first *spans* is only inserted and adds None."""
     q, n = u.q, u.ambient_n
-    if q not in PACKED_Q:   # takewhile adds rows until one is in the span
-        space = RowSpace(q, n, [(r.index(1), r) for r in u.rows])
-        return [Subspace(q, n, rows=space.basis(), mask=sum(
-                    1 << (n - 1 - c) for c, _ in space.pivots))
-                if spans is None or k < spans else None
-                for k, _ in enumerate(takewhile(space.add, rows))]
     kept, mask, chain = list(u.rows), u.mask, []
     for row in rows:
         if len(row) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
-        lo, hi = (_pack_row(q, row), 0) if q == 2 else _pack_row(q, row)
-        while m := (lo | hi) & mask:
-            b = 1 << m.bit_length() >> 1
-            p = kept[(mask & -b).bit_count() - 1]
-            if q == 2:
-                lo ^= p
-                continue
-            plo, phi = p if lo & b else p[::-1]
-            s = (lo | plo) ^ (hi | phi)
-            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        if not lo | hi:
-            break
-        b = 1 << (lo | hi).bit_length() >> 1
-        x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
+        if q not in PACKED_Q:   # each kept row leads with 1 at its pivot
+            x = [index(e) % q for e in row]
+            for p in kept:
+                if c := x[p.index(1)]:
+                    x = [(a - c * e) % q for a, e in zip(x, p)]
+            col = next((i for i, e in enumerate(x) if e), n)
+            if col == n:
+                break
+            inv = pow(x[col], q - 2, q)
+            x, b = tuple([e * inv % q for e in x]), 1 << (n - 1 - col)
+        else:
+            lo, hi = (_pack_row(q, row), 0) if q == 2 else _pack_row(q, row)
+            while m := (lo | hi) & mask:
+                b = 1 << m.bit_length() >> 1
+                p = kept[(mask & -b).bit_count() - 1]
+                if q == 2:
+                    lo ^= p
+                    continue
+                plo, phi = p if lo & b else p[::-1]
+                s = (lo | plo) ^ (hi | phi)
+                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+            if not lo | hi:
+                break
+            b = 1 << (lo | hi).bit_length() >> 1
+            x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
         at = (mask & -b).bit_count()    # the rows above b come first
         building = spans is None or len(chain) < spans
         for i in range(at) if building else ():     # clear bit b from them
             p = kept[i]
-            if q == 2 and p & b:
-                kept[i] = p ^ x
-            elif q == 3 and (p[0] | p[1]) & b:
-                (plo, phi), (xlo, xhi) = p, x if p[0] & b else x[::-1]
-                s = (plo | xlo) ^ (phi | xhi)
-                kept[i] = (phi | xlo) ^ s, (plo | xhi) ^ s
+            if q == 2:
+                if p & b:
+                    kept[i] = p ^ x
+            elif q == 3:
+                if (p[0] | p[1]) & b:
+                    (plo, phi), (xlo, xhi) = p, x if p[0] & b else x[::-1]
+                    s = (plo | xlo) ^ (phi | xhi)
+                    kept[i] = (phi | xlo) ^ s, (plo | xhi) ^ s
+            elif c := p[col]:
+                kept[i] = tuple([(a - c * e) % q for a, e in zip(p, x)])
         kept.insert(at, x)
         mask |= b
         chain.append(Subspace(q, n, rows=tuple(kept), mask=mask)

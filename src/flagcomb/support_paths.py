@@ -30,6 +30,8 @@ def first_violation(deltas: Sequence[int], n: int) -> Optional[tuple[int, str]]:
     """First index breaking a distance-path invariant, or None if valid."""
     if not isinstance(n, int):
         return (0, f"n={n!r} is not an integer")
+    if not deltas:
+        return (0, "a path needs at least one delta")
     if len(deltas) != n + 1:
         return (0, f"expected {n + 1} deltas, got {len(deltas)}")
     if deltas[0] != 0:

@@ -13,7 +13,7 @@ from flagcomb import (DistancePath, cli, config, enumerate_embedded_partitions,
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
-from flagcomb.errors import InvalidFlag, ParseError
+from flagcomb.errors import InvalidFlag, InvalidPath, ParseError
 from flagcomb.render import RenderSpec, render
 
 
@@ -407,6 +407,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("deltas", ["", ","])
+def test_cli_realize_with_no_deltas_exits_1(capsys, deltas):
+    """An empty delta list reads as n = -1: an invalid path (exit 1), where
+    it raised IndexError out of main."""
+    with pytest.raises(InvalidPath):
+        DistancePath(-1, ())
+    assert main(["realize", "2", deltas]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def _partitions_reference(n, u):
     """The text of `partitions n [-u u] --list`, built from the public
     enumerator and underlying_distribution."""
@@ -663,16 +676,22 @@ def test_cli_header_bounded_before_allocation(tmp_path, capsys, text):
     '{"max_n_flag_exhaustive": true}',
     '{"max_n_combinatorics": null}',
     "{not json",
+    b"\xff\xfe",
 ])
 def test_cli_bad_config_exits_1(tmp_path, monkeypatch, capsys, doc):
+    """Any bad config, one that is not JSON or not UTF-8 included, exits 1
+    with a message that names the config file."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(doc)
+    if isinstance(doc, bytes):
+        cfg.write_bytes(doc)
+    else:
+        cfg.write_text(doc)
     monkeypatch.setenv(ENV_VAR, str(cfg))
     with pytest.raises(ValueError):
         load_config()
     assert main(["paths", "5"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: config {cfg}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["paths", "5"], ["render", "frame", "5"]],

@@ -267,10 +267,14 @@ def test_is_prime_refuses_beyond_exact_range():
 
 
 def test_rowspace_from_rref_matches_incremental_build():
+    """RowSpace.add gives each enumerated RREF basis back unchanged, and a
+    Subspace built from it keeps it."""
     for s in grassmannian(3, 4, 2):
-        seeded = RowSpace.from_rref(3, 4, s.basis)
-        assert seeded.basis() == s.basis and seeded.rank == 2
-    assert RowSpace.from_rref(2, 3, ()).rank == 0
+        space = RowSpace(3, 4)
+        assert all(map(space.add, s.basis))
+        assert space.basis() == s.basis and space.rank == 2
+        assert Subspace(3, 4, s.basis).basis == s.basis
+    assert Subspace(2, 3, ()).dim == 0
 
 
 @pytest.mark.parametrize("basis", [
@@ -284,23 +288,25 @@ def test_rowspace_from_rref_matches_incremental_build():
     ((2, 1, 0),),                # leading 2, then a nonzero entry
     ((1, 9, 0),),                # an entry >= q
     ((1, -3, 0),),               # a negative entry
+    ((1.0, 0, 0),),              # a float entry equal to an int
+    ((1, 0.5, 0),),              # a float entry
+    ((1, "a", 0),),              # a str entry
+    (("1", "0", "0"),),          # str digits
 ])
 def test_rowspace_from_rref_rejects_non_canonical(basis):
-    with pytest.raises(ValueError):
-        RowSpace.from_rref(3, 3, basis)
-    for q in (3, 5, 7):     # a Subspace checks its basis at every q
+    for q in (2, 3, 5, 7):  # a Subspace checks its basis at every q
         with pytest.raises(ValueError):
             Subspace(q, 3, basis)
 
 
 def _rref_form(s):
-    """(rows, mask) as RowSpace.from_rref reads them off s's basis: the rows
-    in pivot-column order, packed digit by digit for q = 2, 3, and the OR of
-    the pivot bits, column 0 in the top bit."""
+    """(rows, mask) read off s's basis: the rows in pivot-column order,
+    packed digit by digit for q = 2, 3, and the OR of the pivot bits, the
+    first nonzero column of each row, column 0 in the top bit."""
     q, n = s.q, s.ambient_n
-    pivots = RowSpace.from_rref(q, n, s.basis).pivots
-    rows = tuple(_digit_pack(q, r) if q in PACKED_Q else r for _, r in pivots)
-    return rows, sum(1 << (n - 1 - c) for c, _ in pivots)
+    rows = tuple(_digit_pack(q, r) if q in PACKED_Q else r for r in s.basis)
+    return rows, sum(1 << (n - 1 - next(c for c, e in enumerate(r) if e))
+                     for r in s.basis)
 
 
 def _stacked_rank(u, v):
@@ -329,11 +335,13 @@ def test_dim_sum_residuals_equal_stacked_rank(q, n):
 
 
 # ---------------------------------------------------------------------------
-# RowSpace.from_rref checks each pivot column on its own
+# Subspace's round trip accepts exactly the canonical RREF bases
 # ---------------------------------------------------------------------------
 
 def _transposing_check(n, basis):
-    """The form check as it read with the whole basis transposed."""
+    """Canonical RREF by a check of its own: leading 1s in increasing
+    columns, and each pivot column, read off the transposed basis, zero in
+    every other row."""
     prev = -1
     cols = []
     for row in basis:
@@ -354,7 +362,7 @@ def test_from_rref_accepts_and_rejects_as_the_transposing_check():
         basis = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
                       for _ in range(k))
         try:
-            RowSpace.from_rref(3, n, basis)
+            Subspace(3, n, basis)
             ok = True
         except ValueError:
             ok = False
@@ -367,15 +375,16 @@ def test_from_rref_accepts_and_rejects_as_the_transposing_check():
 # The packed kernel (q = 2, 3) against the list kernel
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 131, 2 ** 61 - 1])
 def test_flag_subspaces_equal_the_list_kernel_on_each_prefix(q):
     """Every F_i of a flag equals subspace_from_rows on the first t_i rows
     of its generator: equal both ways and hashed equal before its basis is
     read, then with RowSpace's basis (which subspace_from_rows keeps); the
-    rows and mask a flag keeps equal those RowSpace.from_rref reads off its
-    basis, packed for q = 2, 3, and those of a Subspace built from it."""
+    rows and mask a flag keeps equal those read off its basis, packed for
+    q = 2, 3, and those of a Subspace built from it."""
     rng = random.Random(q)
-    sizes = [2, 3, 4, 7, 12, 20] + ([33, 48] if q < 5 else [])
+    sizes = ([2, 3, 4, 7] if q > 7 else [2, 3, 4, 7, 12, 20]
+             + ([33, 48] if q < 5 else []))
     for n in sizes:
         for full in (True, False):
             k = n - 1 if full else rng.randint(1, n - 1)
@@ -415,14 +424,16 @@ def test_packed_residual_rank_equals_the_list_kernel(q, n):
             assert path == (expected,)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 131, 2 ** 61 - 1])
 def test_extend_chain_equals_the_list_kernel_on_each_prefix(q):
     """Every prefix of an extend chain of random rows (dependent ones
     included) equals subspace_from_rows on the same rows in ==, hash,
     rows, mask and basis; extending by a row already in the span, or by a
-    combination of the basis, gives an equal subspace."""
+    combination of the basis, gives an equal subspace.  q = 131 and
+    2^61 - 1 reach inverses by pow and entries past one byte."""
     rng = random.Random(170 + q)
-    for n in [1, 2, 3, 5, 8, 16] + ([48] if q == 2 else []):
+    for n in ([1, 2, 3, 5, 8] if q > 7 else
+              [1, 2, 3, 5, 8, 16] + ([48] if q == 2 else [])):
         rows = [[rng.randrange(q) if rng.random() < 0.7 else 0
                  for _ in range(n)] for _ in range(n + 3)]
         rows[n // 2] = list(rows[0])         # a repeat, already in the span
@@ -723,6 +734,38 @@ def test_nesting_recheck_never_calls_the_chain_builder(q, monkeypatch):
         _recheck_nesting(flag)
     with pytest.raises(RankDeficient, match="not nested"):
         _recheck_nesting(swapped)
+
+
+@pytest.mark.parametrize("q", [5, 7, 131])
+def test_no_flag_is_built_on_the_list_kernel(q, monkeypatch):
+    """With RowSpace.add made to raise, flag_from_matrix (full type and
+    (1, 3, 5)), Subspace.extend and random_full_flag at q >= 5 give the
+    subspaces they gave without the patch, in ==, rows and mask: the chain
+    is not built on the reference it is tested against."""
+    n = 7
+
+    def build():
+        rng = random.Random(800 + q)
+        flag = random_full_flag(q, n, rng)
+        subs = list(flag.subspaces)
+        for dims in (None, (1, 3, 5)):
+            subs += flag_from_matrix(q, n, _type(n, dims),
+                                     flag.generator).subspaces
+        s = Subspace(q, n, ())
+        for row in flag.generator[:3] + flag.generator[:2]:
+            s = s.extend(row)
+            subs.append(s)
+        return subs
+
+    def boom(self, row):
+        raise AssertionError("RowSpace.add ran")
+
+    before = build()
+    monkeypatch.setattr(RowSpace, "add", boom)
+    after = build()
+    assert after == before
+    assert [(s.rows, s.mask) for s in after] == [(s.rows, s.mask)
+                                                 for s in before]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Fuzzing the input contract: code files drawn at random, text and JSON.
+"""Fuzzing the input contract: code files drawn at random, text and JSON,
+and the number arguments of the other commands.
 
 Whatever the file holds, parse_code either returns a code or raises
 ParseError, and `flagcomb analyze` exits 0, 1, 2 or 3 without letting an
-exception escape.  Sizes stay small so each example runs in milliseconds.
+exception escape; so does every command on the argument strings drawn.
+Sizes stay small so each example runs in milliseconds.
 """
 
 import json
@@ -110,3 +112,28 @@ def test_fuzz_text_code_files(tmp_path_factory, text):
 @given(text=json_files())
 def test_fuzz_json_code_files(tmp_path_factory, text):
     _check(text, tmp_path_factory)
+
+
+# at most three tokens of five characters: at most nine deltas, so n <= 8
+TOKENS = st.text(alphabet="0123456789,- \tx_+.\u0661", max_size=5)
+SMALL_N = st.integers(-2, 8).map(str)
+
+
+@st.composite
+def argvs(draw):
+    """A small argv for a command that reads numbers off its arguments."""
+    n, word = draw(SMALL_N), draw(SMALL_N | TOKENS)
+    tokens = draw(st.lists(TOKENS, max_size=3))
+    return draw(st.sampled_from([
+        ["realize", word, *tokens],
+        ["render", "path", n, "--deltas", *tokens],
+        ["render", "staircase", n, "--partition", *tokens],
+        ["paths", n, "-d", word],
+        ["partitions", n, "-u", word],
+    ]))
+
+
+@FUZZ
+@given(argv=argvs())
+def test_fuzz_cli_arguments(argv):
+    assert main(argv) in {0, 1, 2, 3}
