@@ -19,11 +19,12 @@ from itertools import product
 from typing import Optional
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
-                     OffsetOutOfRange, RectangleOutsideFrame, SingletonCode)
+                     OffsetOutOfRange, RectangleOutsideFrame, SingletonCode,
+                     within)
 from .ferrers import (EmbeddedPartition, StaircasePath, _class_rows,
                       partition_of_staircase, staircase_class)
 from .flags import (FlagCode, codistance, max_distance, min_distance,
-                    projected_parameters, projected_table)
+                    projected_table)
 from .support_paths import DistancePath, paths_of_code
 
 
@@ -42,7 +43,7 @@ class DurfeeRectangle:
 
 def durfee_rectangle(p: EmbeddedPartition, k: int) -> DurfeeRectangle:
     """Largest r with λ_r >= r + k (0 when no row qualifies)."""
-    if not 0 <= k <= p.n - 2:
+    if not within(0, k, p.n - 2):
         raise OffsetOutOfRange(f"k={k} not in [0, {p.n - 2}]")
     r = 0
     for t, lam in enumerate(p.parts, start=1):
@@ -57,7 +58,7 @@ def durfee_rectangle_transposed(p: EmbeddedPartition, k: int) -> int:
     Used for projected dimensions above n/2 (k = 2i - n there): a c x (c+k)
     rectangle fits iff λ_{c+k} >= c.
     """
-    if not 0 <= k <= p.n - 2:
+    if not within(0, k, p.n - 2):
         raise OffsetOutOfRange(f"k={k} not in [0, {p.n - 2}]")
     c = 0
     for t, lam in enumerate(p.parts, start=1):
@@ -69,7 +70,7 @@ def durfee_rectangle_transposed(p: EmbeddedPartition, k: int) -> int:
 def black_dots_in_rectangle(a: int, b: int, n: int) -> int:
     """Black cells of a corner-anchored a x b rectangle in FF(n):
     ceil(ab/2) for n even, floor(ab/2) for n odd."""
-    if not (1 <= a <= n - 1 and 1 <= b <= n - a):
+    if not (within(1, a, n - 1) and within(1, b, n - a)):
         raise RectangleOutsideFrame(f"{a}x{b} does not fit in FF({n})")
     if n % 2 == 0:
         return (a * b + 1) // 2
@@ -132,28 +133,13 @@ def _law_table(gamma: frozenset[DistancePath]) -> dict[int, tuple[int, ...]]:
     return _by_dimension({_class_law(p) for p in gamma})
 
 
-def _durfee_sets(table: dict[int, tuple[int, ...]],
-                 n: int) -> dict[int, tuple[int, ...]]:
-    """D_k, k ascending, from the rectangle table: the sizes at i = (n - k)/2."""
-    if not table:
-        return {}
-    out = {}
-    for i in range(n // 2, 0, -1):
-        rows = table[i]
-        if rows[0] > i:
-            raise ConsistencyError(f"rectangle with {rows[0]} rows exceeds "
-                                   f"the bound for k={n - 2 * i}")
-        out[n - 2 * i] = rows
-    return out
-
-
 def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
     """D_k(C) for every k with k ≡ n (mod 2), 0 <= k <= n-2.
 
-    Values are the distinct rectangle row counts, sorted descending.  A
-    singleton code has no flag pairs and yields an empty map.
+    Values are the distinct rectangle row counts, sorted descending, read
+    off analyze's kept report.  A singleton code yields an empty map.
     """
-    return _durfee_sets(_law_table(paths_of_code(c)), c.n)
+    return analyze(c).durfee_sets
 
 
 def check_separability(dbar: int, n: int, i: int) -> bool:
@@ -161,7 +147,7 @@ def check_separability(dbar: int, n: int, i: int) -> bool:
 
     When true, |C| = |C_i| = ... = |C_{n-i}| is guaranteed.
     """
-    if not 1 <= i <= n // 2:
+    if not within(1, i, n // 2):
         raise IndexOutOfRange(f"i={i} not in [1, {n // 2}]")
     return dbar < (i * (n - i) + 1) // 2
 
@@ -173,37 +159,16 @@ def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
     i* = min(i, n-i):  r_1 < i* means no two flags share F_i, so
     |C_i| = |C| and d_I(C_i) = i* - r_1; r_1 = i* alone means C_i is a
     singleton; r_1 = i* with a second value gives d_I(C_i) = i* - r_2.
-    The derivation is cross-checked against the directly computed
-    parameters before returning.
+    It is read off analyze's kept report, which cross-checks it against
+    the directly computed parameters.
     """
     if not c.is_full:
         raise NotFullFlag("rectangle analysis needs a full code")
     if len(c) < 2:
         raise SingletonCode("need at least two flags")
-    n = c.n
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
-    vals = _law_table(paths_of_code(c))[i]
-    return _checked_projected(vals, n, i, len(c), projected_parameters(c, i))
-
-
-def _checked_projected(vals: tuple[int, ...], n: int, i: int, size: int,
-                       direct: tuple[int, int]) -> tuple[bool, int]:
-    """rectangle_to_projected from the rectangle sizes *vals*; the direct
-    (|C_i|, d_I(C_i)) must agree, else ConsistencyError."""
-    i_eff = min(i, n - i)
-    if vals[0] < i_eff:
-        derived = (True, i_eff - vals[0])
-    elif len(vals) == 1:
-        # every pair shares the i-th subspace: C_i is a singleton
-        derived = (size == 1, 0)
-    else:
-        derived = (False, i_eff - vals[1])
-    if derived != (direct[0] == size, direct[1]):
-        raise ConsistencyError(
-            f"dimension {i}: rectangles {vals} give {derived}, "
-            f"direct computation gives {direct}")
-    return derived
+    if not within(1, i, c.n - 1):
+        raise IndexOutOfRange(f"i={i} not in [1, {c.n - 1}]")
+    return analyze(c).derived[i]
 
 
 def flag_distance_bounds(n: int, i: int, cardinality_equal: bool,
@@ -213,14 +178,14 @@ def flag_distance_bounds(n: int, i: int, cardinality_equal: bool,
     Equal cardinalities: [d_i^2, D^n - ceil((i-d_i)(n-i-d_i)/2)];
     otherwise: [0, D^n - ceil(i(n-i)/2)].  Symmetric in i <-> n-i.
     """
-    if not 1 <= i <= n - 1:
+    if not within(1, i, n - 1):
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
     dn = max_distance(n)
     if not cardinality_equal:
         return 0, dn - ((i * (n - i) + 1) // 2)
     if d_i is None:
         raise ValueError("d_i is required when cardinalities are equal")
-    if not 1 <= d_i <= min(i, n - i):
+    if not within(1, d_i, min(i, n - i)):
         raise IndexOutOfRange(f"d_i={d_i} not in [1, {min(i, n - i)}]")
     rest = (i - d_i) * (n - i - d_i)
     return d_i * d_i, dn - ((rest + 1) // 2)
@@ -231,17 +196,20 @@ def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
 
     The three equivalent characterizations — zero codistance, Γ(C) being
     exactly the maximum path, and F(C) = {null} (n even) or {null, (1)}
-    (n odd) — are each evaluated; disagreement raises ConsistencyError.
+    (n odd) — are each evaluated by analyze, which raises ConsistencyError
+    unless they agree; so each is reported as its kept optimum.
     """
     if not c.is_full:
         raise NotFullFlag("optimum-distance check needs a full code")
     if len(c) < 2:
         raise SingletonCode("need at least two flags")
-    return _optimum_conditions(codistance(c), paths_of_code(c), c.n)
+    optimum = analyze(c).optimum
+    return optimum, dict.fromkeys(
+        ("codistance_zero", "unique_max_path", "ferrers_set"), optimum)
 
 
 def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
-                        n: int) -> tuple[bool, dict[str, bool]]:
+                        n: int) -> bool:
     f_opt = ({EmbeddedPartition(n, ())} if n % 2 == 0 else
              {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))})
     conds = {
@@ -255,12 +223,13 @@ def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
     votes = set(conds.values())
     if len(votes) > 1:
         raise ConsistencyError(f"optimum-distance conditions disagree: {conds}")
-    return votes.pop(), conds
+    return votes.pop()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeAnalysis:
-    """Every direct and theorem-derived parameter of a full flag code."""
+    """Every direct and theorem-derived parameter of a full flag code; one
+    report is kept per code and shared by every reader, so it is frozen."""
 
     q: int
     n: int
@@ -281,10 +250,15 @@ def analyze(c: FlagCode) -> CodeAnalysis:
     """Full §-by-§ analysis with hard cross-checking.
 
     Any disagreement between a theorem-derived value and the directly
-    computed one aborts with ConsistencyError.
+    computed one aborts with ConsistencyError and keeps nothing.  The first
+    call that succeeds keeps its report on the code, and every later call
+    and each view of it (durfee_sets_of_code, rectangle_to_projected,
+    is_optimum_distance) returns or reads that one shared report.
     """
     if not c.is_full:
         raise NotFullFlag("analyze needs a full flag code")
+    if c._analysis is not None:
+        return c._analysis
     n, size = c.n, len(c)
     d_f = min_distance(c)
     dbar = codistance(c)
@@ -292,15 +266,30 @@ def analyze(c: FlagCode) -> CodeAnalysis:
     projected = dict(enumerate(projected_table(c), start=1))
 
     if size < 2:
-        return CodeAnalysis(c.q, n, size, d_f, dbar, projected, {}, {},
-                            {}, {}, None, True)
+        c._analysis = CodeAnalysis(c.q, n, size, d_f, dbar, projected, {},
+                                   {}, {}, {}, None, True)
+        return c._analysis
 
     gamma = paths_of_code(c)
     table = _law_table(gamma)
-    durfee = _durfee_sets(table, n)
+    # D_k, k ascending, from the rectangle table: the sizes at i = (n - k)/2
+    durfee = {n - 2 * i: table[i] for i in range(n // 2, 0, -1)}
+    for k, rows in durfee.items():
+        if rows[0] > (n - k) // 2:
+            raise ConsistencyError(f"rectangle with {rows[0]} rows exceeds "
+                                   f"the bound for k={k}")
 
-    derived = {i: _checked_projected(table[i], n, i, size, projected[i])
-               for i in range(1, n)}
+    derived = {}
+    for i, vals in table.items():
+        # as rectangle_to_projected states it: the law keeps r_1 <= i*, so
+        # d_I(C_i) is i* less the largest size below i*, 0 if there is none
+        i_eff = min(i, n - i)
+        r = next((v for v in vals if v < i_eff), i_eff)
+        derived[i] = (vals[0] < i_eff, i_eff - r)
+        if derived[i] != (projected[i][0] == size, projected[i][1]):
+            raise ConsistencyError(
+                f"dimension {i}: rectangles {vals} give {derived[i]}, "
+                f"direct computation gives {projected[i]}")
 
     separability = {}
     for i in range(1, n // 2 + 1):
@@ -322,7 +311,7 @@ def analyze(c: FlagCode) -> CodeAnalysis:
             raise ConsistencyError(
                 f"d_f = {d_f} outside [{lo}, {hi}] at dimension {i}")
 
-    optimum, _ = _optimum_conditions(dbar, gamma, n)
-
-    return CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived, durfee,
-                        separability, bounds, optimum, False)
+    c._analysis = CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived,
+                               durfee, separability, bounds,
+                               _optimum_conditions(dbar, gamma, n), False)
+    return c._analysis

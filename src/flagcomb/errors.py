@@ -1,6 +1,13 @@
 """Exception hierarchy shared by every flagcomb module."""
 
 
+def within(lo: int, x: int, hi: int) -> bool:
+    """The range test of every index check: lo <= x <= hi with x and hi ints
+    (a bool is one), so a float index, or a bound from a float size, is out
+    of range.  Every caller passes an int literal as lo."""
+    return isinstance(x, int) and isinstance(hi, int) and lo <= x <= hi
+
+
 class FlagcombError(Exception):
     """Base class for all library errors."""
 

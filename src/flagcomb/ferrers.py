@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import config
 from .errors import (CellOutsideFrame, ConsistencyError, FrameMismatch,
-                     NotAPartition, NotEmbedded)
+                     NotAPartition, NotEmbedded, within)
 from .flags import max_distance
 from .support_paths import DistancePath, enumerate_paths, path_distance
 
@@ -32,9 +32,9 @@ RED = "red"
 
 def cell_color(n: int, i: int, j: int) -> str:
     """Color of the frame cell in row i, position j from the right."""
-    if not 1 <= i <= n - 1:
+    if not within(1, i, n - 1):
         raise CellOutsideFrame(f"row {i} not in [1, {n - 1}]")
-    if not 1 <= j <= n - i:
+    if not within(1, j, n - i):
         raise CellOutsideFrame(f"position {j} not in [1, {n - i}] (row {i})")
     return BLACK if (n + i + j) % 2 == 0 else RED
 

@@ -20,7 +20,7 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
-                     RankDeficient, TypeMismatch)
+                     RankDeficient, TypeMismatch, within)
 from .gfq_linalg import (Row, Subspace, chain_levels, chain_path, is_contained,
                          require_prime, span_chain)
 
@@ -156,7 +156,7 @@ def _recheck_nesting(flag: Flag) -> None:
 
 def projection(f: Flag, i: int) -> Subspace:
     """The i-th subspace p_i(F) = F_i (1-based in the type vector)."""
-    if not 1 <= i <= f.type.length:
+    if not within(1, i, f.type.length):
         raise IndexOutOfRange(f"i={i} not in [1, {f.type.length}]")
     return f.subspaces[i - 1]
 
@@ -231,15 +231,16 @@ def flag_distance(f: Flag, g: Flag) -> int:
 
 def max_distance(n: int) -> int:
     """D^n = floor(n^2 / 4), the maximum full-flag distance."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need n >= 2, got {n!r}")
     return n * n // 4
 
 
 class FlagCode:
     """A set of flags of a common type, deduplicated at construction."""
 
-    __slots__ = ("q", "n", "type", "flags", "_profiles", "_projected")
+    __slots__ = ("q", "n", "type", "flags", "_profiles", "_projected",
+                 "_analysis")
 
     def __init__(self, flags: Iterable[Flag]):
         self.flags: tuple[Flag, ...] = tuple(dict.fromkeys(flags))
@@ -251,6 +252,7 @@ class FlagCode:
         self.q, self.n, self.type = first.q, first.n, first.type
         self._profiles: tuple[tuple[int, ...], ...] | None = None
         self._projected: tuple[tuple[int, int], ...] | None = None
+        self._analysis = None       # durfee_analysis.analyze's report
 
     def __len__(self):
         return len(self.flags)
@@ -291,7 +293,7 @@ def codistance(c: FlagCode) -> int:
 
 def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
     """C_i = {p_i(F) : F in C}, deduplicated (first-seen order)."""
-    if not 1 <= i <= c.type.length:
+    if not within(1, i, c.type.length):
         raise IndexOutOfRange(f"i={i} not in [1, {c.type.length}]")
     seen: dict[Subspace, None] = {}
     for fl in c:
@@ -336,7 +338,7 @@ def projected_table(c: FlagCode) -> tuple[tuple[int, int], ...]:
 def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
     """(|C_i|, d_I(C_i)) for the i-th dimension of the type, read off
     projected_table; d_I is 0 for a singleton."""
-    if not 1 <= i <= c.type.length:
+    if not within(1, i, c.type.length):
         raise IndexOutOfRange(f"i={i} not in [1, {c.type.length}]")
     return projected_table(c)[i - 1]
 

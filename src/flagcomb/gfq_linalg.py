@@ -317,9 +317,10 @@ def is_contained(u: Subspace, v: Subspace) -> bool:
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
     q, rows, mask = v.q, v.rows, v.mask
     if q not in PACKED_Q:
+        pivots = [(p.index(1), p) for p in rows]     # listed once per call
         for x in u.rows:
-            for p in rows:
-                if c := x[p.index(1)]:
+            for col, p in pivots:
+                if c := x[col]:
                     x = [(a - c * b) % q for a, b in zip(x, p)]
             if any(x):
                 return False

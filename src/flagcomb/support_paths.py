@@ -14,14 +14,14 @@ from typing import Iterator, Optional, Sequence
 
 from . import config
 from .errors import (IndexOutOfRange, InvalidPath, NotFullFlag,
-                     RealizationNotFound)
+                     RealizationNotFound, within)
 from .flags import Flag, FlagCode, TypeVector, flag_from_matrix, \
     max_distance, pair_distance_profile, pair_profiles
 
 
 def range_r(i: int, n: int) -> frozenset[int]:
     """R(i, n) = {0, ..., min(i, n-i)}: attainable distances in G_q(i, n)."""
-    if not 0 <= i <= n:
+    if not within(0, i, n):
         raise IndexOutOfRange(f"i={i} not in [0, {n}]")
     return frozenset(range(min(i, n - i) + 1))
 

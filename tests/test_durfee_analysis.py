@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from flagcomb import durfee_analysis, flags
+from flagcomb import durfee_analysis, flags, support_paths
 from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, TypeVector,
                       analyze, black_dots_in_rectangle,
                       check_separability, codistance, durfee_rectangle,
@@ -12,10 +14,12 @@ from flagcomb import (DistancePath, EmbeddedPartition, FlagCode, TypeVector,
                       enumerate_paths, partition_of_staircase,
                       splitting_value, staircase_class)
 from flagcomb.durfee_analysis import durfee_rectangle_transposed
-from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
-                             OffsetOutOfRange, RectangleOutsideFrame,
-                             SingletonCode)
-from flagcomb.flags import random_full_flag_code
+from flagcomb.errors import (CellOutsideFrame, ConsistencyError,
+                             IndexOutOfRange, NotFullFlag, OffsetOutOfRange,
+                             RectangleOutsideFrame, SingletonCode)
+from flagcomb.ferrers import cell_color
+from flagcomb.flags import projection, random_full_flag_code
+from flagcomb.support_paths import range_r
 
 from conftest import reversed_flag, standard_flag
 
@@ -260,3 +264,153 @@ def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
                          in enumerate(flags.projected_table(c), start=1))
     with pytest.raises(ConsistencyError, match=f"dimension {bad_i}: "):
         analyze(c)
+
+
+# ---------------------------------------------------------------------------
+# The kept report: analyze runs once per code, and durfee_sets_of_code,
+# rectangle_to_projected and is_optimum_distance only read it.
+# ---------------------------------------------------------------------------
+
+def _views(c):
+    return (durfee_sets_of_code(c),
+            [rectangle_to_projected(c, i) for i in range(1, c.n)],
+            is_optimum_distance(c))
+
+
+def test_analyze_keeps_one_report_per_code():
+    c = _five_flag_code()
+    report = analyze(c)
+    assert analyze(c) is report
+    assert analyze(_five_flag_code()) is not report
+    assert analyze(_five_flag_code()) == report
+
+
+def test_views_read_the_kept_report(monkeypatch):
+    c = _five_flag_code()
+    report = analyze(c)
+    counted = [_record_calls(monkeypatch, module, name)
+               for module, name in [(durfee_analysis, "paths_of_code"),
+                                    (support_paths, "paths_of_code"),
+                                    (durfee_analysis, "_law_table"),
+                                    (flags, "pair_distance_profile"),
+                                    (flags, "chain_path")]]
+    durfee, derived, (ok, conds) = _views(c)
+    assert counted == [[]] * 5
+    assert durfee == report.durfee_sets
+    assert derived == [report.derived[i] for i in range(1, c.n)]
+    assert conds == dict.fromkeys(
+        ("codistance_zero", "unique_max_path", "ferrers_set"), ok)
+    assert ok == report.optimum
+
+
+def test_views_before_analyze_run_it_once(monkeypatch):
+    c = _five_flag_code()
+    gamma = _record_calls(monkeypatch, durfee_analysis, "paths_of_code")
+    views = _views(c)
+    assert len(gamma) == 1
+    assert views == _views(_five_flag_code())
+
+
+def test_failed_analyze_keeps_nothing():
+    c = _five_flag_code()
+    c._projected = tuple((card, d_i + (i == 2)) for i, (card, d_i)
+                         in enumerate(flags.projected_table(c), start=1))
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="dimension 2: "):
+            analyze(c)
+        assert c._analysis is None
+    for view in (durfee_sets_of_code, is_optimum_distance,
+                 lambda code: rectangle_to_projected(code, 1)):
+        with pytest.raises(ConsistencyError, match="dimension 2: "):
+            view(c)
+
+
+def test_report_is_frozen():
+    report = analyze(_five_flag_code())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.d_f = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.optimum = not report.optimum
+
+
+@pytest.mark.parametrize("analyzed", [False, True])
+def test_view_error_order_is_unchanged(type_135_code, analyzed):
+    """NotFullFlag, then SingletonCode, then IndexOutOfRange, whether or
+    not the code already holds a report."""
+    singleton, pair = (FlagCode([standard_flag(2, 4)]),
+                       _extremal_code(2, 4))
+    if analyzed:
+        analyze(singleton)
+        analyze(pair)
+    for general in (type_135_code, FlagCode(type_135_code.flags[:1])):
+        for view in (durfee_sets_of_code, is_optimum_distance,
+                     lambda code: rectangle_to_projected(code, 99)):
+            with pytest.raises(NotFullFlag):
+                view(general)
+    assert durfee_sets_of_code(singleton) == {}
+    for view in (is_optimum_distance,
+                 lambda code: rectangle_to_projected(code, 99)):
+        with pytest.raises(SingletonCode):
+            view(singleton)
+    for i in (0, 4, 2.5, "2"):
+        with pytest.raises(IndexOutOfRange):
+            rectangle_to_projected(pair, i)
+
+
+# ---------------------------------------------------------------------------
+# A non-int index or size is out of range, not a TypeError or KeyError
+# ---------------------------------------------------------------------------
+
+_PAIR, _PART = _extremal_code(2, 5), EmbeddedPartition(6, (3, 1))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: flag_distance_bounds(5, 2.5, False),
+                 IndexOutOfRange, id="flag_distance_bounds(5, 2.5, False)"),
+    pytest.param(lambda: flag_distance_bounds(5, 2, True, 1.0),
+                 IndexOutOfRange, id="flag_distance_bounds(5, 2, True, 1.0)"),
+    pytest.param(lambda: max_distance(5.0), ValueError,
+                 id="max_distance(5.0)"),
+    pytest.param(lambda: black_dots_in_rectangle(1.5, 1, 4),
+                 RectangleOutsideFrame,
+                 id="black_dots_in_rectangle(1.5, 1, 4)"),
+    pytest.param(lambda: black_dots_in_rectangle(1, 1, 4.0),
+                 RectangleOutsideFrame,
+                 id="black_dots_in_rectangle(1, 1, 4.0)"),
+    pytest.param(lambda: check_separability(0, 5, 1.5), IndexOutOfRange,
+                 id="check_separability(0, 5, 1.5)"),
+    pytest.param(lambda: check_separability(0, 5.0, 1), IndexOutOfRange,
+                 id="check_separability(0, 5.0, 1)"),
+    pytest.param(lambda: durfee_rectangle(_PART, 0.5), OffsetOutOfRange,
+                 id="durfee_rectangle(p, 0.5)"),
+    pytest.param(lambda: durfee_rectangle_transposed(_PART, 1.0),
+                 OffsetOutOfRange, id="durfee_rectangle_transposed(p, 1.0)"),
+    pytest.param(lambda: cell_color(4, 1, 1.0), CellOutsideFrame,
+                 id="cell_color(4, 1, 1.0)"),
+    pytest.param(lambda: cell_color(4, 1.0, 1), CellOutsideFrame,
+                 id="cell_color(4, 1.0, 1)"),
+    pytest.param(lambda: rectangle_to_projected(_PAIR, 2.5), IndexOutOfRange,
+                 id="rectangle_to_projected(c, 2.5)"),
+    pytest.param(lambda: projection(_PAIR.flags[0], 2.5), IndexOutOfRange,
+                 id="projection(f, 2.5)"),
+    pytest.param(lambda: projected_code(_PAIR, 2.5), IndexOutOfRange,
+                 id="projected_code(c, 2.5)"),
+    pytest.param(lambda: projected_distance(_PAIR, 2.5), IndexOutOfRange,
+                 id="projected_distance(c, 2.5)"),
+    pytest.param(lambda: range_r(1.0, 3), IndexOutOfRange,
+                 id="range_r(1.0, 3)"),
+    pytest.param(lambda: range_r(1, 3.0), IndexOutOfRange,
+                 id="range_r(1, 3.0)"),
+])
+def test_non_int_index_or_size_is_out_of_range(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_bool_index_stays_accepted():
+    assert flag_distance_bounds(5, True, False) == flag_distance_bounds(
+        5, 1, False)
+    assert cell_color(4, True, True) == cell_color(4, 1, 1)
+    assert range_r(True, 3) == range_r(1, 3)
+    assert rectangle_to_projected(_PAIR, True) == rectangle_to_projected(
+        _PAIR, 1)
