@@ -12,7 +12,6 @@ parse to the next, so each call pays only for its own command.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -71,7 +70,8 @@ def cmd_analyze(args) -> int:
     if code.is_full:
         report = analyze(code)
         if args.json:
-            print(json.dumps(dataclasses.asdict(report), indent=2))
+            # the fields in order; the read-only maps are dumped as dicts
+            print(json.dumps(vars(report), indent=2, default=dict))
             return 0
         print(f"full flag code on F_{report.q}^{report.n}")
         print(f"|C| = {report.size}")

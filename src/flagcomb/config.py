@@ -52,8 +52,11 @@ def load_config() -> Config:
 
 
 def check_n(n: int, max_n: int | None = None) -> None:
-    """Raise EnumerationLimitExceeded if n is over max_n (the configured
-    max_n_combinatorics if None), and ValueError if n < 2."""
+    """Raise ValueError if n is not an int, EnumerationLimitExceeded if it is
+    over max_n (the configured max_n_combinatorics if None), and ValueError
+    if n < 2."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if max_n is None:
         max_n = load_config().max_n_combinatorics
     if n > max_n:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      OffsetOutOfRange, RectangleOutsideFrame, SingletonCode,
@@ -120,24 +121,33 @@ def _class_law(p: DistancePath) -> tuple[int, ...]:
     return tuple(min(i, p.n - i) - p.deltas[i] for i in range(1, p.n))
 
 
-def _law_table(gamma: frozenset[DistancePath]) -> dict[int, tuple[int, ...]]:
+class _LawTable(dict):
+    """The law table, and in .classes each class's law, rows and ends."""
+
+
+def _law_table(gamma: frozenset[DistancePath]) -> _LawTable:
     """_rect_table(F(C)) read off Γ(C) by the class law, in O(|Γ(C)| n).
     The first and the last staircase of each class (every plateau turned
     right-down, every one down-right) must obey it, else ConsistencyError."""
+    classes = []
     for p in gamma:
-        n, law, rows = p.n, _class_law(p), _class_rows(p)
+        n, law, rows, ends = p.n, _class_law(p), _class_rows(p), []
         for s in {tuple(r[0] for r in rows), tuple(r[-1] for r in rows)}:
-            if _rect_sizes(partition_of_staircase(StaircasePath(n, s))) != law:
+            ends.append(partition_of_staircase(StaircasePath(n, s)))
+            if _rect_sizes(ends[-1]) != law:
                 raise ConsistencyError(f"staircase {s} of path {p.deltas} "
                                        f"breaks the class law {law}")
-    return _by_dimension({_class_law(p) for p in gamma})
+        classes.append((law, rows, ends))
+    table = _LawTable(_by_dimension({law for law, _, _ in classes}))
+    table.classes = classes
+    return table
 
 
-def durfee_sets_of_code(c: FlagCode) -> dict[int, tuple[int, ...]]:
+def durfee_sets_of_code(c: FlagCode) -> Mapping[int, tuple[int, ...]]:
     """D_k(C) for every k with k ≡ n (mod 2), 0 <= k <= n-2.
 
     Values are the distinct rectangle row counts, sorted descending, read
-    off analyze's kept report.  A singleton code yields an empty map.
+    off analyze's kept report, read-only.  A singleton code yields {}.
     """
     return analyze(c).durfee_sets
 
@@ -209,16 +219,17 @@ def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
 
 
 def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
-                        n: int) -> bool:
+                        table: _LawTable, n: int) -> bool:
     f_opt = ({EmbeddedPartition(n, ())} if n % 2 == 0 else
              {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))})
     conds = {
         "codistance_zero": dbar == 0,
         "unique_max_path": {p.deltas for p in gamma}
                            == {tuple(min(i, n - i) for i in range(n + 1))},
-        # F(C) ⊆ f_opt, walked lazily: only the maximum path's class meets it
-        "ferrers_set": all(partition_of_staircase(StaircasePath(n, s)) in f_opt
-                           for p in gamma for s in product(*_class_rows(p))),
+        # F(C) ⊆ f_opt: only a class whose two ends lie in f_opt is walked
+        "ferrers_set": all(f_opt.issuperset(ends) and all(
+            partition_of_staircase(StaircasePath(n, s)) in f_opt
+            for s in product(*rows)) for _, rows, ends in table.classes),
     }
     votes = set(conds.values())
     if len(votes) > 1:
@@ -229,21 +240,28 @@ def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
 @dataclass(frozen=True)
 class CodeAnalysis:
     """Every direct and theorem-derived parameter of a full flag code; one
-    report is kept per code and shared by every reader, so it is frozen."""
+    report is kept per code and shared by every reader, so it is frozen and
+    its maps are read-only views of the dicts it is built from."""
 
     q: int
     n: int
     size: int
     d_f: int
     codistance: int
-    projected: dict[int, tuple[int, int]]        # i -> (|C_i|, d_I(C_i))
-    derived: dict[int, tuple[bool, int]]         # i -> (|C_i|=|C|?, d_I)
-    durfee_sets: dict[int, tuple[int, ...]]      # k -> descending r values
-    separability: dict[int, bool]                # i -> hypothesis holds
-    bounds: dict[int, tuple[int, int]]           # i -> d_f interval
+    projected: Mapping[int, tuple[int, int]]     # i -> (|C_i|, d_I(C_i))
+    derived: Mapping[int, tuple[bool, int]]      # i -> (|C_i|=|C|?, d_I)
+    durfee_sets: Mapping[int, tuple[int, ...]]   # k -> descending r values
+    separability: Mapping[int, bool]             # i -> hypothesis holds
+    bounds: Mapping[int, tuple[int, int]]        # i -> d_f interval
     optimum: Optional[bool]
     no_pairs: bool
     consistent: bool = True
+
+    def __post_init__(self):
+        for name in ("projected", "derived", "durfee_sets", "separability",
+                     "bounds"):
+            view = MappingProxyType(getattr(self, name))
+            object.__setattr__(self, name, view)
 
 
 def analyze(c: FlagCode) -> CodeAnalysis:
@@ -313,5 +331,6 @@ def analyze(c: FlagCode) -> CodeAnalysis:
 
     c._analysis = CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived,
                                durfee, separability, bounds,
-                               _optimum_conditions(dbar, gamma, n), False)
+                               _optimum_conditions(dbar, gamma, table, n),
+                               False)
     return c._analysis

@@ -76,6 +76,13 @@ class EmbeddedPartition:
         return not self.parts
 
 
+def _embedded(n: int, parts: tuple[int, ...]) -> EmbeddedPartition:
+    """EmbeddedPartition(n, parts) for parts already shown embedded."""
+    p = object.__new__(EmbeddedPartition)
+    p.__dict__.update(n=n, parts=parts)
+    return p
+
+
 def black_cells(p: EmbeddedPartition) -> frozenset[tuple[int, int]]:
     """The set of black frame cells covered by the subdiagram of p."""
     n = p.n
@@ -192,11 +199,10 @@ def staircase_of_partition(p: EmbeddedPartition) -> StaircasePath:
 
 
 def partition_of_staircase(s: StaircasePath) -> EmbeddedPartition:
-    """Strip trailing zero rows of the profile."""
-    parts = list(s.profile)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return EmbeddedPartition(s.n, tuple(parts))
+    """Strip the zero rows, the last ones as the profile does not increase.
+    StaircasePath checked 0 <= λ_i <= min(λ_{i-1}, n - i) on its n - 1 int
+    rows, so the rest is embedded by construction: is_embedded is not run."""
+    return _embedded(s.n, s.profile[:s.n - 1 - s.profile.count(0)])
 
 
 def skeleton_of_staircase(s: StaircasePath) -> DistancePath:
@@ -328,12 +334,8 @@ def enumerate_embedded_partitions(
         max_n: Optional[int] = None) -> list[EmbeddedPartition]:
     """All embedded partitions of FF(n) (null included), lexicographic;
     with splitting_filter=u, only those of splitting value u."""
-    out = []
-    for parts, _, _ in iter_partitions(n, splitting_filter, max_n=max_n):
-        p = object.__new__(EmbeddedPartition)   # checked: skip __post_init__
-        p.__dict__.update(n=n, parts=parts)
-        out.append(p)
-    return out
+    return [_embedded(n, parts) for parts, _, _
+            in iter_partitions(n, splitting_filter, max_n=max_n)]
 
 
 def splittings_by_value(n: int, *, max_n: Optional[int] = None

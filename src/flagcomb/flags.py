@@ -231,8 +231,10 @@ def flag_distance(f: Flag, g: Flag) -> int:
 
 def max_distance(n: int) -> int:
     """D^n = floor(n^2 / 4), the maximum full-flag distance."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need n >= 2, got {n!r}")
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     return n * n // 4
 
 

@@ -307,40 +307,45 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
 
 
 def is_contained(u: Subspace, v: Subspace) -> bool:
-    """U ⊆ V: each row of U leaves a zero residue after one pass over the
-    pivots of V it has set, V's row at bit b read by its index in the mask
-    (for q >= 5 over V's rows in order, each leading with 1 at its pivot).
-    That shows it is a combination of V's stored rows, even if they were
-    not reduced."""
+    """U ⊆ V iff every pivot of U is a pivot of V, and U's rows, each cleared
+    at V's other pivots by V's rows there, equal V's rows at U's pivots.
+    V's rows are split by the mask once per call, one popcount per pivot V
+    has beyond U's, so a flag step of one dimension costs one XOR or plane
+    step per row and a list comparison.  An equality shows each row of U is
+    a combination of V's stored rows, so the test is sound for a V that is
+    not reduced; it is complete for a canonical U and V."""
     if u.ambient_n != v.ambient_n or u.q != v.q:
         raise AmbientMismatch(
             f"F_{u.q}^{u.ambient_n} vs F_{v.q}^{v.ambient_n}")
-    q, rows, mask = v.q, v.rows, v.mask
-    if q not in PACKED_Q:
-        pivots = [(p.index(1), p) for p in rows]     # listed once per call
-        for x in u.rows:
-            for col, p in pivots:
-                if c := x[col]:
-                    x = [(a - c * b) % q for a, b in zip(x, p)]
-            if any(x):
-                return False
-        return True
-    for x in u.rows:
-        lo, hi = (x, 0) if q == 2 else x
-        m = (lo | hi) & mask
-        while m:
-            b = m & -m
-            m ^= b
-            p = rows[(mask & -b).bit_count() - 1]
-            if q == 2:
-                lo ^= p
-                continue
-            plo, phi = p if lo & b else p[::-1]
-            s = (lo | plo) ^ (hi | phi)
-            lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-        if lo | hi:
-            return False
-    return True
+    q, mask, umask = v.q, v.mask, u.mask
+    m = mask ^ umask
+    if not m:                   # the same pivots: U ⊆ V iff U = V
+        return u.rows == v.rows
+    if m & umask:               # a pivot of U that V lacks
+        return False
+    xs, own = u.rows, list(v.rows)
+    while m:                    # lowest bit first, so the row indices fall
+        b = m & -m
+        m ^= b
+        e, ys = own.pop((mask & -b).bit_count() - 1), []
+        if q == 2:
+            for x in xs:
+                ys.append(x ^ e if x & b else x)
+        elif q == 3:
+            for lo, hi in xs:
+                if (lo | hi) & b:
+                    elo, ehi = e if lo & b else e[::-1]
+                    s = (lo | elo) ^ (hi | ehi)
+                    lo, hi = (hi | elo) ^ s, (lo | ehi) ^ s
+                ys.append((lo, hi))
+        else:
+            col = v.ambient_n - b.bit_length()
+            for x in xs:
+                c = x[col]
+                ys.append(tuple([(a - c * f) % q for a, f in zip(x, e)])
+                          if c else x)
+        xs = ys
+    return xs == own
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from flagcomb.durfee_analysis import durfee_rectangle_transposed
 from flagcomb.errors import (CellOutsideFrame, ConsistencyError,
                              IndexOutOfRange, NotFullFlag, OffsetOutOfRange,
                              RectangleOutsideFrame, SingletonCode)
-from flagcomb.ferrers import cell_color
+from flagcomb.ferrers import StaircasePath, cell_color
 from flagcomb.flags import projection, random_full_flag_code
 from flagcomb.support_paths import range_r
 
@@ -333,6 +333,25 @@ def test_report_is_frozen():
         report.optimum = not report.optimum
 
 
+@pytest.mark.parametrize("field", ["projected", "derived", "durfee_sets",
+                                   "separability", "bounds"])
+def test_report_maps_are_read_only(field):
+    """A write into the kept report's maps raises, and every later reader
+    sees what a fresh analysis of the same flags gives."""
+    c = _five_flag_code()
+    mapping = getattr(analyze(c), field)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = (99, 99)
+    with pytest.raises(TypeError):
+        del mapping[key]
+    fresh = analyze(_five_flag_code())
+    assert analyze(c) == fresh
+    assert durfee_sets_of_code(c) == fresh.durfee_sets
+    assert [rectangle_to_projected(c, i) for i in range(1, c.n)] == [
+        fresh.derived[i] for i in range(1, c.n)]
+
+
 @pytest.mark.parametrize("analyzed", [False, True])
 def test_view_error_order_is_unchanged(type_135_code, analyzed):
     """NotFullFlag, then SingletonCode, then IndexOutOfRange, whether or
@@ -414,3 +433,54 @@ def test_bool_index_stays_accepted():
     assert range_r(True, 3) == range_r(1, 3)
     assert rectangle_to_projected(_PAIR, True) == rectangle_to_projected(
         _PAIR, 1)
+
+
+# ---------------------------------------------------------------------------
+# Each staircase class is built once per analyze, for the law check and the
+# optimum vote both
+# ---------------------------------------------------------------------------
+
+def _plateau_code(n=12):
+    """Three coordinate flags on F_2^n whose pair paths have 5 to 9 plateaus;
+    row r of a generator is e_{w(r)}."""
+    base = list(range(n))
+    perms = [base, base[1:7] + [0] + base[7:],
+             base[:4] + base[5:11] + [4] + base[11:]]
+    return FlagCode([flag_from_matrix(2, n, TypeVector.full(n),
+                                      [[int(col == w) for col in range(n)]
+                                       for w in perm])
+                     for perm in perms])
+
+
+def _count_staircases(monkeypatch):
+    built, check = [], StaircasePath.__post_init__
+    monkeypatch.setattr(StaircasePath, "__post_init__",
+                        lambda self: (built.append(self.profile), check(self)))
+    return built
+
+
+def test_analyze_reads_each_class_rows_once(monkeypatch):
+    code = _plateau_code()
+    gamma = paths_of_code(code)
+    calls = _record_calls(monkeypatch, durfee_analysis, "_class_rows")
+    analyze(code)
+    assert len(gamma) == 3
+    assert len(calls) == len(gamma) and {p for (p,) in calls} == gamma
+
+
+def test_optimum_vote_walks_only_classes_inside_the_optimum_set(
+        monkeypatch):
+    """Every class of the plateau code has an extreme partition outside
+    {null, (1)}, so the vote builds no staircase; an optimum code's class
+    lies inside, so the vote walks all of it (two staircases at n = 7)."""
+    for code, optimum in ((_plateau_code(), False),
+                          (_extremal_code(2, 7), True)):
+        gamma = paths_of_code(code)
+        table = durfee_analysis._law_table(gamma)
+        walked = [s.profile for p in gamma for s in staircase_class(p)
+                  if optimum]
+        built = _count_staircases(monkeypatch)
+        assert durfee_analysis._optimum_conditions(
+            codistance(code), gamma, table, code.n) is optimum
+        assert built == walked and len(walked) == 2 * optimum
+        monkeypatch.undo()

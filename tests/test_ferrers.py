@@ -417,6 +417,17 @@ def test_grow_raises_exactly_when_the_constructor_raises(n):
             assert (p.parts + (v,) in grown) == accepted, (p.parts, v)
 
 
+@pytest.mark.parametrize("call", [
+    enumerate_paths, enumerate_embedded_partitions, count_paths_by_distance,
+    splittings_by_value, count_partitions_by_value],
+    ids=lambda call: call.__name__)
+def test_a_float_n_is_not_an_int(call):
+    """A float n is refused as a non-int, not read as n < 2 nor passed on
+    to range()."""
+    with pytest.raises(ValueError, match="n must be an int, got 5.0"):
+        call(5.0)
+
+
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_partition_layer_needs_n_at_least_2(n):
     with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
@@ -465,3 +476,14 @@ def test_bijection_dps_agree_past_the_enumerators(n):
     assert paths == splittings[::-1]
     assert sum(paths) == motzkin(n)
     assert sum(splittings) < sum(count_partitions_by_value(n)) == catalan(n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_partition_of_staircase_equals_the_validated_build(n):
+    """partition_of_staircase skips is_embedded; on every staircase of every
+    class it still gives what the validating constructor gives."""
+    for p in enumerate_paths(n):
+        for s in staircase_class(p):
+            got = partition_of_staircase(s)
+            want = EmbeddedPartition(n, tuple(x for x in s.profile if x))
+            assert got == want and type(got.parts) is tuple, s.profile

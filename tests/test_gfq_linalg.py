@@ -588,6 +588,49 @@ def test_is_contained_equals_the_list_kernel(q, n):
             assert not is_contained(u, mixed) or _inside(u, v)
 
 
+def _steps_of_two_and_three(n):
+    """The type (2, 5, 7, 10, ...) of F_q^n: steps of codimension 2 and 3."""
+    dims = itertools.accumulate(itertools.cycle((2, 3)))
+    return TypeVector(n, tuple(itertools.takewhile(lambda t: t < n, dims)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [16, 32])
+def test_is_contained_on_general_type_chains(q, n):
+    """Steps of codimension 2 and 3, past one machine word at n = 32:
+    is_contained agrees with the list kernel on every pair of subspaces of
+    two flags.  Each step F_i ⊆ F_{i+1} fails with a row planted at a pivot
+    F_{i+1} lacks, and with e_c added to a row of F_i, c right of the row's
+    pivot and no pivot of F_{i+1}, so that the pivots stay."""
+    rng, tv = random.Random(f"contained/{q}/{n}"), _steps_of_two_and_three(n)
+    f, g = (flag_from_matrix(q, n, tv, random_full_flag(q, n, rng).generator)
+            for _ in range(2))
+    for u, v in itertools.product(f.subspaces + g.subspaces, repeat=2):
+        assert is_contained(u, v) == _inside(u, v)
+    shifted = 0
+    for small, big in zip(f.subspaces, f.subspaces[1:]):
+        free = [c for c in range(n) if not big.mask >> (n - 1 - c) & 1]
+        c = rng.choice(free)
+        unit = tuple(int(j == c) for j in range(n))
+        planted = subspace_from_rows(q, n, small.basis + (unit,))
+        assert planted.mask & ~big.mask
+        assert not is_contained(planted, big) and not _inside(planted, big)
+        rows = [list(r) for r in small.basis]
+        for r in rows:
+            right = [c for c in free if c > r.index(1)]
+            if right:
+                c = rng.choice(right)
+                r[c] = (r[c] + rng.randrange(1, q)) % q
+                break
+        else:
+            continue
+        planted = Subspace(q, n, tuple(map(tuple, rows)))
+        assert planted.mask == small.mask
+        assert not is_contained(planted, big) and not _inside(planted, big)
+        shifted += 1
+    assert shifted == len(tv.dims) - 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("dims", [None, (1, 3, 5)], ids=["full", "135"])
 def test_nesting_recheck_catches_a_planted_subspace(q, dims):
