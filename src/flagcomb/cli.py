@@ -6,7 +6,9 @@ cross-check or verification failed).
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused after, and argparse keeps no state from one
-parse to the next, so each call pays only for its own command.
+parse to the next, so each call pays only for its own command.  At module
+level only config, errors and counting are imported; each command imports
+the other modules it runs in its body, so a shell call loads no more.
 """
 
 from __future__ import annotations
@@ -20,17 +22,10 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from . import config
-from .codefile import parse_code, serialize_code, serialize_code_json
-from .durfee_analysis import analyze
+from .counting import (count_partitions_by_value, count_paths_by_distance,
+                       count_splittings_by_value, max_distance)
 from .errors import (ConsistencyError, EnumerationLimitExceeded,
                      FlagcombError, ParseError)
-from .ferrers import (count_partitions_by_value, count_splittings_by_value,
-                      iter_partitions)
-from .flags import FlagCode, max_distance, min_distance, projected_table
-from .render import FORMATS, TARGETS, RenderSpec, render
-from .support_paths import (DistancePath, count_paths_by_distance,
-                            iter_paths, pick_area, realize_path)
-from .verify import run_verification
 
 
 BIJECTION_DP_MAX_N = 60     # bijection's counting-DP range ends here
@@ -61,14 +56,15 @@ def _cap(n: int, cap: int, force: bool, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from . import codefile, durfee_analysis, flags
     with open(args.codefile, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"code file is not UTF-8: {exc}") from exc
-    code = parse_code(text)
+    code = codefile.parse_code(text)
     if code.is_full:
-        report = analyze(code)
+        report = durfee_analysis.analyze(code)
         if args.json:
             # the fields in order; the read-only maps are dumped as dicts
             print(json.dumps(vars(report), indent=2, default=dict))
@@ -98,15 +94,15 @@ def cmd_analyze(args) -> int:
 
     # general type: projected parameters only
     dims = code.type.dims
-    projected = dict(enumerate(projected_table(code), start=1))
+    projected = dict(enumerate(flags.projected_table(code), start=1))
     if args.json:
         print(json.dumps({"q": code.q, "n": code.n, "type": list(dims),
-                          "size": len(code), "d_f": min_distance(code),
+                          "size": len(code), "d_f": flags.min_distance(code),
                           "projected": projected}, indent=2))
         return 0
     print(f"flag code of type {dims} on F_{code.q}^{code.n}")
     print(f"|C| = {len(code)}")
-    print(f"d_f = {min_distance(code)}")
+    print(f"d_f = {flags.min_distance(code)}")
     for (idx, (card, di)), t in zip(projected.items(), dims):
         print(f"  i={idx} (dim {t}): |C_i|={card}, d_I(C_i)={di}")
     print("combinatorial sections skipped: full flags only")
@@ -124,10 +120,12 @@ def cmd_paths(args) -> int:
     for d, count in by_d.items():
         print(f"{d:<2} {count}")
     if args.list:
+        from . import support_paths
         print("deltas  d  area")
         listed = Counter()
-        for p, d in iter_paths(args.n, args.distance, max_n=cap):
-            print(f"{','.join(map(str, p.deltas))}  {d}  {pick_area(p)}")
+        for p, d in support_paths.iter_paths(args.n, args.distance, max_n=cap):
+            area = support_paths.pick_area(p)
+            print(f"{','.join(map(str, p.deltas))}  {d}  {area}")
             listed[d] += 1
         if listed != by_d:
             raise ConsistencyError("path list disagrees with the DP")
@@ -153,34 +151,37 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from . import codefile, flags, support_paths
     deltas = _parse_deltas(args.deltas)
     n = len(deltas) - 1
-    path = DistancePath(n, deltas)  # raises InvalidPath with index
-    f, g = realize_path(path, args.q)
+    path = support_paths.DistancePath(n, deltas)  # raises InvalidPath
+    f, g = support_paths.realize_path(path, args.q)
     if f == g:
         print("warning: zero path realizes as two identical flags "
               "(not a valid 2-element code)", file=sys.stderr)
-        code = FlagCode([f])
+        code = flags.FlagCode([f])
     else:
-        code = FlagCode([f, g])
-    sys.stdout.write(serialize_code_json(code) if args.json
-                     else serialize_code(code))
+        code = flags.FlagCode([f, g])
+    sys.stdout.write(codefile.serialize_code_json(code) if args.json
+                     else codefile.serialize_code(code))
     return 0
 
 
 def cmd_render(args) -> int:
-    spec = RenderSpec(
+    from . import render
+    spec = render.RenderSpec(
         target=args.target,
         fmt=args.format,
         n=args.n,
         deltas=_parse_deltas(args.deltas) if args.deltas else None,
         partition=_parse_deltas(args.partition) if args.partition else None,
     )
-    print(render(spec))
+    print(render.render(spec))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     try:
         qs = tuple(int(t) for t in args.q.split(","))
     except ValueError:
@@ -189,8 +190,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    report, ok = run_verification(n_max=args.n_max, qs=qs,
-                                  trials=args.trials, seed=args.seed)
+    report, ok = verify.run_verification(n_max=args.n_max, qs=qs,
+                                         trials=args.trials, seed=args.seed)
     print(report)
     if not ok:
         raise ConsistencyError("verification suite failed")
@@ -206,8 +207,10 @@ def cmd_partitions(args) -> int:
     print(f"embedded partitions of FF({args.n})"
           + (f" with splitting value {u}" if u is not None else ""))
     if args.list:
+        from . import ferrers
         listed = 0
-        for parts, counts, value in iter_partitions(args.n, u, max_n=cap):
+        for parts, counts, value in ferrers.iter_partitions(args.n, u,
+                                                            max_n=cap):
             label = ",".join(map(str, parts)) if parts else "null"
             print(f"({label})  u={value}  U=({','.join(map(str, counts))})")
             listed += 1
@@ -254,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("render", help="draw a diagram")
-    p.add_argument("target", choices=TARGETS)
+    p.add_argument("target", choices=config.TARGETS)
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=FORMATS, default="ascii")
+    p.add_argument("--format", choices=config.FORMATS, default="ascii")
     p.add_argument("--deltas", nargs="*", default=None)
     p.add_argument("--partition", nargs="*", default=None)
     p.set_defaults(func=cmd_render)

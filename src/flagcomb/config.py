@@ -1,8 +1,9 @@
-"""Runtime limits for exhaustive enumerations.
+"""Runtime limits for exhaustive enumerations, and render's choices.
 
 The defaults keep every exhaustive sweep at desk scale.  A JSON file
 pointed to by the FLAGCOMB_CONFIG environment variable may override them,
-e.g. {"max_n_combinatorics": 16}.
+e.g. {"max_n_combinatorics": 16}.  The CLI parser reads render's target
+and format names here, so that building it loads nothing of render.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import EnumerationLimitExceeded
 ENV_VAR = "FLAGCOMB_CONFIG"
 
 DEFAULT_MAX_N_COMBINATORICS = 14   # paths / partitions / frames
+
+TARGETS = ("support", "enriched", "frame", "path", "staircase")  # render
+FORMATS = ("ascii", "svg")
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      OffsetOutOfRange, RectangleOutsideFrame, SingletonCode,
                      within)
 from .ferrers import (EmbeddedPartition, StaircasePath, _class_rows,
                       partition_of_staircase, staircase_class)
-from .flags import (FlagCode, codistance, max_distance, min_distance,
-                    projected_table)
+from .flags import FlagCode, codistance, min_distance, projected_table
 from .support_paths import DistancePath, paths_of_code
 
 

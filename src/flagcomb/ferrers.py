@@ -21,9 +21,9 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from . import config
+from .counting import max_distance
 from .errors import (CellOutsideFrame, ConsistencyError, FrameMismatch,
                      NotAPartition, NotEmbedded, within)
-from .flags import max_distance
 from .support_paths import DistancePath, enumerate_paths, path_distance
 
 BLACK = "black"
@@ -350,55 +350,6 @@ def splittings_by_value(n: int, *, max_n: Optional[int] = None
             groups[value].add(counts)
     return {u: frozenset(UnderlyingDistribution(n, c) for c in g)
             for u, g in groups.items()}
-
-
-def _count_by_value(n: int, distinct: bool) -> list[int]:
-    """Counts by value u in [0, D^n] of the embedded partitions of FF(n),
-    or with distinct=True of its distinct splittings; shares nothing with
-    _walk.  Row r maps each last part v to the counts by value of the
-    prefixes ending in v, one int with a w-byte digit per value (Kronecker
-    substitution).  A part v <= min(last, n - r) adds ⌊(v + (n + r) mod 2)/2⌋
-    black cells, a shift by that many digits; a running sum over last >= v
-    gives each row in O(n) int sums.  No digit carries: it counts partitions
-    in FF(n), at most Catalan(n) < 4^n < 2^(8w) for w = n // 4 + 1.  Values
-    end at D^n, the whole frame's, and to_bytes raises on a term past it.
-
-    For splittings, v is the greedy part: the largest λ <= min(λ_prev, n - r)
-    with the row's count c.  Any partition with the same counts stays at or
-    below it row by row, so each count vector has one greedy partition.  The
-    largest part with count c is 2c + 1 - (n + r) mod 2; a v of the other
-    parity (the least part with its count) is greedy only when the bound is
-    v: λ_prev = v, or v = n - r.  A count 0 (v = 1, n + r even) is not
-    counted, so each vector counts once, at its last nonzero count; a count
-    0 with λ = 0 ends the vector, as the walk's end does.
-    """
-    dn, w = max_distance(n), n // 4 + 1
-    out, by_last = 1, {n - 1: 1}    # the null partition; row 1 bounds by n - 1
-    for r in range(1, n):
-        odd = (n + r) % 2
-        # run: the sum over last >= v, where last <= n - r + 1
-        run, row = by_last.get(n - r + 1, 0), {}
-        for v in range(n - r, 0, -1):
-            run += by_last.get(v, 0)
-            c = (v + odd) // 2
-            src = (by_last.get(v, 0) if distinct and (v + odd) % 2 == 0
-                   and v < n - r else run)
-            row[v] = src << 8 * w * c
-            if c or not distinct:
-                out += row[v]
-        by_last = row
-    b = out.to_bytes((dn + 1) * w, "little")
-    return [int.from_bytes(b[k:k + w], "little") for k in range(0, len(b), w)]
-
-
-def count_partitions_by_value(n: int) -> list[int]:
-    """The number of embedded partitions of FF(n) of each splitting value."""
-    return _count_by_value(n, False)
-
-
-def count_splittings_by_value(n: int) -> list[int]:
-    """The number of distinct splittings of FF(n) of each value."""
-    return _count_by_value(n, True)
 
 
 def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution]:

@@ -19,6 +19,7 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
+from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      RankDeficient, TypeMismatch, within)
 from .gfq_linalg import (Row, Subspace, chain_levels, chain_path, is_contained,
@@ -227,15 +228,6 @@ def pair_distance_profile(f: Flag, g: Flag) -> tuple[int, ...]:
 def flag_distance(f: Flag, g: Flag) -> int:
     """d_f(F, F') = sum of per-dimension injection distances."""
     return sum(pair_distance_profile(f, g))
-
-
-def max_distance(n: int) -> int:
-    """D^n = floor(n^2 / 4), the maximum full-flag distance."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return n * n // 4
 
 
 class FlagCode:

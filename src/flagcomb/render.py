@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import check_n
+from .config import FORMATS, TARGETS, check_n
 from .errors import InvalidSpec
 from .ferrers import BLACK, EmbeddedPartition, cell_color, staircase_of_partition
 from .support_paths import DistancePath
-
-TARGETS = ("support", "enriched", "frame", "path", "staircase")
-FORMATS = ("ascii", "svg")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import config
+from .counting import max_distance
 from .errors import (IndexOutOfRange, InvalidPath, NotFullFlag,
                      RealizationNotFound, within)
-from .flags import Flag, FlagCode, TypeVector, flag_from_matrix, \
-    max_distance, pair_distance_profile, pair_profiles
+from .flags import (Flag, FlagCode, TypeVector, flag_from_matrix,
+                    pair_distance_profile, pair_profiles)
 
 
 def range_r(i: int, n: int) -> frozenset[int]:
@@ -165,24 +166,6 @@ def iter_paths(n: int, distance_filter: Optional[int] = None, *,
                        max(0, deltas[-1] - 1) - 1, -1):
             if distance_filter is None or acc + d <= distance_filter:
                 stack.append((deltas + (d,), acc + d))
-
-
-def count_paths_by_distance(n: int) -> list[int]:
-    """The number of distance paths on S(n) of each distance d in [0, D^n],
-    by a walk over i = 1..n with state (δ_i, running sum): for each δ_i, the
-    counts of the prefixes by sum, one int with a w-byte digit per sum
-    (Kronecker substitution).  A descent to 0 completes each prefix to a
-    distinct path, so every digit is at most Motzkin(n) < 3^n < 2^(8w),
-    w = n // 4 + 1, and none carries.  δ_i <= min(i, n-i) bounds every sum
-    by D^n, and to_bytes raises past it.  Shares nothing with iter_paths.
-    """
-    dn, w = max_distance(n), n // 4 + 1
-    by_delta = [1]                             # i = 0: δ_0 = 0, sum 0
-    for i in range(1, n + 1):                  # from δ_{i-1} in d-1, d, d+1
-        by_delta = [sum(by_delta[max(0, d - 1):d + 2]) << 8 * w * d
-                    for d in range(min(i, n - i) + 1)]
-    b = by_delta[0].to_bytes((dn + 1) * w, "little")
-    return [int.from_bytes(b[k:k + w], "little") for k in range(0, len(b), w)]
 
 
 def _find_permutation(deltas: Sequence[int], n: int) -> list[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, Sequence
 
+from .counting import max_distance
 from .durfee_analysis import (analyze, black_dots_in_rectangle,
                               durfee_rectangle, durfee_rectangle_transposed,
                               ferrers_subdiagrams_of_code)
@@ -19,8 +20,8 @@ from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       splitting_value, staircase_class,
                       staircase_of_partition)
 from .errors import InvalidPath, RealizationNotFound
-from .flags import (max_distance, pair_distance_profile, pair_profiles,
-                    random_full_flag, random_full_flag_code)
+from .flags import (pair_distance_profile, pair_profiles, random_full_flag,
+                    random_full_flag_code)
 from .gfq_linalg import (grassmannian, injection_distance, require_prime,
                          subspace_from_rows, subspace_distance)
 from .support_paths import (enumerate_paths, first_violation,

@@ -1,6 +1,6 @@
 """The packed counting DPs against the list DPs they replaced.
 
-``count_paths_by_distance`` and ``ferrers._count_by_value`` keep each
+``count_paths_by_distance`` and ``counting._count_by_value`` keep each
 polynomial as one int with a fixed-width digit per power.  The references
 below keep it as a list and add the lists entry by entry, with the same
 recurrences; a digit that carried into its neighbour, or a width too small
@@ -11,12 +11,10 @@ from operator import add
 
 import pytest
 
-import flagcomb.ferrers as ferrers_module
-import flagcomb.support_paths as paths_module
-from flagcomb.ferrers import (count_partitions_by_value,
-                              count_splittings_by_value)
-from flagcomb.flags import max_distance
-from flagcomb.support_paths import count_paths_by_distance
+from flagcomb import counting
+from flagcomb.counting import (count_partitions_by_value,
+                               count_paths_by_distance,
+                               count_splittings_by_value, max_distance)
 
 SIZES = [*range(2, 31), 40, 50, 60]
 
@@ -64,12 +62,11 @@ def test_packed_dps_equal_the_list_dps(n):
     assert count_splittings_by_value(n) == _by_value_lists(n, True)
 
 
-@pytest.mark.parametrize("module, count", [
-    (paths_module, count_paths_by_distance),
-    (ferrers_module, count_partitions_by_value)])
-def test_a_term_past_dn_raises(module, count, monkeypatch):
+@pytest.mark.parametrize("count", [count_paths_by_distance,
+                                   count_partitions_by_value])
+def test_a_term_past_dn_raises(count, monkeypatch):
     """The unpacking reads exactly D^n + 1 digits, so a polynomial with a
     nonzero term past them raises rather than being cut off."""
-    monkeypatch.setattr(module, "max_distance", lambda n: n * n // 4 - 1)
+    monkeypatch.setattr(counting, "max_distance", lambda n: n * n // 4 - 1)
     with pytest.raises(OverflowError):
         count(8)

@@ -3,7 +3,8 @@
 Written on the standard library's ast, as a lint step of its own: a
 module-level function or class must be named somewhere in src/flagcomb
 outside its own definition (a call, an attribute, an import), and an
-import by the package __init__ counts, as that re-exports it."""
+export of the package __init__ counts: it names each export in a string
+of its table, from which PEP 562's __getattr__ loads it."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "flagcomb"
 ALLOWED = {
     "durfee_analysis._rect_table":
         "the reference tests/test_law_table.py checks the law table against",
+    "__init__.__getattr__": "PEP 562: the import system calls it",
+    "__init__.__dir__": "PEP 562: dir() calls it",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -39,6 +42,11 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
             if own:
                 defined.append((module, own))
             used.update(name for name in _names(node) if name != own)
+        if module == "__init__":
+            used.update(word for n in ast.walk(ast.parse(source))
+                        if isinstance(n, ast.Constant)
+                        and isinstance(n.value, str)
+                        for word in n.value.split())
     return [f"{module}.{name}" for module, name in defined
             if name not in used]
 
@@ -59,8 +67,10 @@ def test_checker_flags_a_planted_unused_function():
     sources = {
         "a": ("def used():\n    return 1\n\n\n"
               "def unused(k):\n    return unused(k - 1) if k else used()\n\n\n"
-              "class Exported:\n    pass\n"),
-        "__init__": "from .a import Exported\n",
-        "b": "from .a import used as u\n\nX = u()\n",
+              "class Exported:\n    pass\n\n\n"
+              "def exported_too():\n    pass\n"),
+        "__init__": '_EXPORTS = {"a": """Exported\n    exported_too"""}\n',
+        # a string names a definition only in __init__'s export table
+        "b": '"""unused is named here"""\nfrom .a import used as u\n\nX = u()\n',
     }
     assert unused_definitions(sources) == ["a.unused"]

@@ -3,6 +3,7 @@ against residual_rank at each dimension of the type and against the
 profile sweep, and the two checks projected_table makes with it."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -152,6 +153,9 @@ def test_a_direct_zero_between_distinct_subspaces_is_caught(monkeypatch,
             profiles = list(pair_profiles(code))
             profiles[0] = _altered(profiles[0], 1, 0)
             code._profiles = tuple(profiles)
-        with pytest.raises(ConsistencyError, match=f"dimension "
-                           f"{code.type.dims[1]}: [0-9]+ pairs at d_I = 0"):
+        shared = sum(f.subspaces[1] == g.subspaces[1]
+                      for f, g in combinations(code.flags, 2))
+        with pytest.raises(ConsistencyError, match=(
+                f"^dimension {code.type.dims[1]}: {shared + 1} pairs at "
+                f"d_I = 0, {shared} share it$")):
             analyze(code) if code.is_full else projected_table(code)

@@ -266,6 +266,25 @@ def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
         analyze(c)
 
 
+def test_a_rectangle_past_its_bound_is_a_consistency_failure(monkeypatch):
+    """A law table with a 3-row rectangle at i = 2, past the bound
+    (n - k)/2 = 2 for k = n - 4 = 2; the real sizes there are at most 2."""
+    c = _five_flag_code()
+    real = durfee_analysis._law_table
+
+    def planted(gamma):
+        table = real(gamma)
+        assert max(table[2]) <= 2
+        table[2] = (3, *table[2])
+        return table
+
+    monkeypatch.setattr(durfee_analysis, "_law_table", planted)
+    with pytest.raises(ConsistencyError, match="^rectangle with 3 rows "
+                                               "exceeds the bound for k=2$"):
+        analyze(c)
+    assert c._analysis is None
+
+
 # ---------------------------------------------------------------------------
 # The kept report: analyze runs once per code, and durfee_sets_of_code,
 # rectangle_to_projected and is_optimum_distance only read it.

@@ -16,10 +16,11 @@ from flagcomb import (DistancePath, EmbeddedPartition,
                       staircase_of_partition, underlying_distribution)
 from flagcomb.errors import (CellOutsideFrame, EnumerationLimitExceeded,
                              FrameMismatch, NotAPartition, NotEmbedded)
-from flagcomb.ferrers import (BLACK, RED, black_cells, count_partitions_by_value,
-                              count_splittings_by_value, splittings_by_value,
+from flagcomb.counting import (count_partitions_by_value,
+                               count_paths_by_distance,
+                               count_splittings_by_value)
+from flagcomb.ferrers import (BLACK, RED, black_cells, splittings_by_value,
                               trace_staircase)
-from flagcomb.support_paths import count_paths_by_distance
 
 
 def catalan(n):

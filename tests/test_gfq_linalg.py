@@ -557,6 +557,19 @@ def test_nesting_recheck_rejects_a_hand_built_flag(q):
         _recheck_nesting(Flag(q, 3, tv, rows, (kept_small, kept_big)))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_nesting_recheck_rejects_two_equal_consecutive_subspaces(q):
+    """F_1 = F_2 = <e_1>: each lies inside the other, so only the check
+    that the dimensions strictly increase can raise."""
+    tv = TypeVector(3, (1, 2))
+    rows = ((1, 0, 0), (0, 1, 0))
+    line = subspace_from_rows(q, 3, rows[:1])
+    with pytest.raises(RankDeficient,
+                       match="^dimensions do not strictly increase$") as exc:
+        _recheck_nesting(Flag(q, 3, tv, rows, (line, line)))
+    assert exc.value.prefix == 1
+
+
 def _inside(u, v):
     """U ⊆ V by the list kernel: stacking U's basis on V's adds no rank."""
     return subspace_from_rows(u.q, u.ambient_n, v.basis + u.basis).dim == v.dim

@@ -14,8 +14,9 @@ from flagcomb import (DistancePath, EmbeddedPartition, FlagCode,
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
                              InvalidPath, NotAPartition, NotFullFlag)
 from flagcomb.flags import random_full_flag, random_full_flag_code
-from flagcomb.support_paths import (_find_permutation, count_paths_by_distance,
-                                    first_violation, iter_paths)
+from flagcomb.counting import count_paths_by_distance
+from flagcomb.support_paths import (_find_permutation, first_violation,
+                                    iter_paths)
 
 from conftest import reversed_flag, standard_flag
 
