@@ -6,9 +6,10 @@ cross-check or verification failed).
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused after, and argparse keeps no state from one
-parse to the next, so each call pays only for its own command.  At module
-level only config, errors and counting are imported; each command imports
-the other modules it runs in its body, so a shell call loads no more.
+parse to the next, so each call pays only for its own command.  Of the
+package, only config, errors and counting are imported at module level;
+each command imports the other modules it runs in its body, so a shell
+call loads only what its command needs.
 """
 
 from __future__ import annotations
