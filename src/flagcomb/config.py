@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import EnumerationLimitExceeded
 
@@ -22,8 +22,7 @@ TARGETS = ("support", "enriched", "frame", "path", "staircase")  # render
 FORMATS = ("ascii", "svg")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     max_n_combinatorics: int = DEFAULT_MAX_N_COMBINATORICS
 
 
@@ -45,9 +44,8 @@ def load_config() -> Config:
         raise ValueError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: expected a JSON object")
-    known = {f.name for f in fields(Config)}
     for key, value in raw.items():
-        if key not in known:
+        if key not in Config._fields:
             raise ValueError(f"config {path}: unknown key {key!r}")
         if type(value) is not int or value < 0:
             raise ValueError(f"config {path}: {key} must be a non-negative "

@@ -4,10 +4,11 @@ A flag is encoded by a single stacked generator matrix with prefix-span
 semantics: the i-th subspace of the flag is the span of the first t_i rows.
 Full flags on F_q^n use an invertible n x n generator (the first n-1 rows
 carry the subspaces, row n completes invertibility).  Flag equality is by
-the tuple of canonical subspaces, not by generator matrices.  Pair distance
-profiles sweep the generators; the projected-code parameters come from one
-table per code, built from a direct path per flag pair over the canonical
-chains and checked against those profiles pair by pair.
+the tuple of canonical subspaces, not by generator matrices.  One pass over
+the flag pairs of a code runs, per pair, the profile sweep over the
+generators and a direct path over the canonical chains, checks the two
+equal, and keeps only the number of pairs at each distinct path: d_f,
+Γ(C) and the projected-code parameters are all read off those counts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
@@ -233,8 +235,7 @@ def flag_distance(f: Flag, g: Flag) -> int:
 class FlagCode:
     """A set of flags of a common type, deduplicated at construction."""
 
-    __slots__ = ("q", "n", "type", "flags", "_profiles", "_projected",
-                 "_analysis")
+    __slots__ = ("q", "n", "type", "flags", "_pairs", "_analysis")
 
     def __init__(self, flags: Iterable[Flag]):
         self.flags: tuple[Flag, ...] = tuple(dict.fromkeys(flags))
@@ -244,8 +245,7 @@ class FlagCode:
         if any(fl._key[:3] != first._key[:3] for fl in self.flags):
             raise TypeMismatch("flags of mixed q/n/type in one code")
         self.q, self.n, self.type = first.q, first.n, first.type
-        self._profiles: tuple[tuple[int, ...], ...] | None = None
-        self._projected: tuple[tuple[int, int], ...] | None = None
+        self._pairs = None          # pair_pass's (counts, table)
         self._analysis = None       # durfee_analysis.analyze's report
 
     def __len__(self):
@@ -259,23 +259,54 @@ class FlagCode:
         return self.type.is_full
 
 
-def pair_profiles(c: FlagCode) -> tuple[tuple[int, ...], ...]:
-    """Distance profiles of all unordered pairs of distinct flags, in the
-    order (0,1), (0,2), ..., (1,2), ...; a code is immutable, so they are
-    computed on first use and kept."""
-    if c._profiles is None:
-        flags = c.flags
-        c._profiles = tuple(pair_distance_profile(flags[a], flags[b])
-                            for a in range(len(flags))
-                            for b in range(a + 1, len(flags)))
-    return c._profiles
+def pair_pass(c: FlagCode) -> tuple[Mapping[tuple[int, ...], int],
+                                    tuple[tuple[int, int], ...]]:
+    """One pass over the unordered pairs of distinct flags, in the order
+    (0,1), (0,2), ..., (1,2), ...: the number of pairs at each distinct
+    path, in first-seen order, and (|C_i|, d_I(C_i)) at each dimension t_i
+    of the type.  A code is immutable, so both are computed on first use
+    and kept, and nothing per pair is.
+
+    A pair's direct path is chain_path over the two canonical chains, which
+    shares no code with its sweep profile, pair_distance_profile.  |C_i|
+    comes from Subspace hashing; d_I(C_i) is the least positive δ_i over
+    the paths, 0 for a singleton.  ConsistencyError unless δ_i = 0 for as
+    many pairs as share F_{t_i}, at each i, and then unless every direct
+    path equals its pair's sweep profile."""
+    if c._pairs is None:
+        flags, dims = c.flags, c.type.dims
+        levels = [chain_levels(fl.subspaces) for fl in flags]
+        counts: dict[tuple[int, ...], int] = {}
+        mismatch = None
+        for a, b in combinations(range(len(flags)), 2):
+            path = chain_path(c.q, c.n, dims, levels[a], levels[b])
+            counts[path] = counts.get(path, 0) + 1
+            profile = pair_distance_profile(flags[a], flags[b])
+            if path != profile and mismatch is None:
+                mismatch = (f"flags {a} and {b}: direct path {path}, "
+                            f"sweep profile {profile}")
+        table = []
+        for j, (t, col) in enumerate(zip(dims, zip(*(fl.subspaces
+                                                     for fl in flags)))):
+            distinct = set(col)
+            shared = 0 if len(distinct) == len(col) else sum(
+                m * (m - 1) // 2 for m in Counter(col).values())
+            zeros = sum(m for p, m in counts.items() if not p[j])
+            if zeros != shared:
+                raise ConsistencyError(f"dimension {t}: {zeros} "
+                                       f"pairs at d_I = 0, {shared} share it")
+            table.append((len(distinct),
+                          min((p[j] for p in counts if p[j]), default=0)))
+        if mismatch:
+            raise ConsistencyError(mismatch)
+        c._pairs = MappingProxyType(counts), tuple(table)
+    return c._pairs
 
 
 def min_distance(c: FlagCode) -> int:
-    """Minimum pairwise flag distance; 0 for a singleton code."""
-    if len(c) < 2:
-        return 0
-    return min(sum(p) for p in pair_profiles(c))
+    """Minimum pairwise flag distance, the least sum of a path of the pair
+    pass; 0 for a singleton code."""
+    return min(map(sum, pair_pass(c)[0]), default=0)
 
 
 def codistance(c: FlagCode) -> int:
@@ -296,37 +327,9 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
 
 
 def projected_table(c: FlagCode) -> tuple[tuple[int, int], ...]:
-    """(|C_i|, d_I(C_i)) at each dimension t_i of the type, computed on first
-    use and kept.  The direct path of each flag pair is chain_path over the
-    two canonical chains, which shares no code with the profile sweeps.
-    |C_i| comes from Subspace hashing; d_I(C_i) is the least positive δ_i
-    over the pairs, 0 for a singleton.  ConsistencyError unless δ_i = 0 for
-    as many pairs as share F_{t_i}, at each i, and unless every direct path
-    equals its pair's sweep profile."""
-    if c._projected is None:
-        flags, dims = c.flags, c.type.dims
-        levels = [chain_levels(fl.subspaces) for fl in flags]
-        pairs = list(combinations(range(len(flags)), 2))
-        paths = tuple(chain_path(c.q, c.n, dims, levels[a], levels[b])
-                      for a, b in pairs)
-        table = []
-        for t, deltas, col in zip(dims, list(zip(*paths)) or [()] * len(dims),
-                                  zip(*(fl.subspaces for fl in flags))):
-            distinct = set(col)
-            shared = 0 if len(distinct) == len(col) else sum(
-                m * (m - 1) // 2 for m in Counter(col).values())
-            if deltas.count(0) != shared:
-                raise ConsistencyError(f"dimension {t}: {deltas.count(0)} "
-                                       f"pairs at d_I = 0, {shared} share it")
-            table.append((len(distinct), min(filter(None, deltas), default=0)))
-        profiles = pair_profiles(c)
-        if paths != profiles:
-            (a, b), path, profile = next(
-                x for x in zip(pairs, paths, profiles) if x[1] != x[2])
-            raise ConsistencyError(f"flags {a} and {b}: direct path {path}, "
-                                   f"sweep profile {profile}")
-        c._projected = tuple(table)
-    return c._projected
+    """(|C_i|, d_I(C_i)) at each dimension t_i of the type, as the pair pass
+    keeps it."""
+    return pair_pass(c)[1]
 
 
 def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from .counting import max_distance
 from .errors import (IndexOutOfRange, InvalidPath, NotFullFlag,
                      RealizationNotFound, within)
 from .flags import (Flag, FlagCode, TypeVector, flag_from_matrix,
-                    pair_distance_profile, pair_profiles)
+                    pair_distance_profile, pair_pass)
 
 
 def range_r(i: int, n: int) -> frozenset[int]:
@@ -231,9 +231,9 @@ def realize_path(p: DistancePath, q: int) -> tuple[Flag, Flag]:
 
 def paths_of_code(c: FlagCode) -> frozenset[DistancePath]:
     """Γ(C): the distance paths of all unordered pairs of distinct flags, one
-    DistancePath (so one validation) per distinct profile, in pair order."""
+    DistancePath (so one validation) per distinct path of the pair pass, in
+    first-seen pair order."""
     if not c.is_full:
         raise NotFullFlag("Γ(C) is defined for full flag codes")
     n = c.n
-    return frozenset(DistancePath(n, (0, *profile, 0))
-                     for profile in dict.fromkeys(pair_profiles(c)))
+    return frozenset(DistancePath(n, (0, *path, 0)) for path in pair_pass(c)[0])

@@ -20,7 +20,7 @@ from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       splitting_value, staircase_class,
                       staircase_of_partition)
 from .errors import InvalidPath, RealizationNotFound
-from .flags import (pair_distance_profile, pair_profiles, random_full_flag,
+from .flags import (pair_distance_profile, pair_pass, random_full_flag,
                     random_full_flag_code)
 from .gfq_linalg import (grassmannian, injection_distance, require_prime,
                          subspace_from_rows, subspace_distance)
@@ -241,7 +241,7 @@ def _check_code_theorems(rng, n_max, qs, trials):
             else:
                 rect = {durfee_rectangle_transposed(p, 2 * i - n)
                         for p in subdiagrams}
-            direct = {min(i, n - i) - prof[i - 1] for prof in pair_profiles(c)}
+            direct = {min(i, n - i) - prof[i - 1] for prof in pair_pass(c)[0]}
             if rect != direct:
                 yield f"rectangle law fails n={n} q={q} i={i}"
 

@@ -1,20 +1,24 @@
 """The direct path of a flag pair (chain_path over the canonical chains)
 against residual_rank at each dimension of the type and against the
-profile sweep, and the two checks projected_table makes with it."""
+profile sweep, the two checks the pair pass makes with it, and the pair
+pass's counts against per-pair lists."""
 
 import random
+from collections import Counter
 from itertools import combinations
+from typing import Mapping
 
 import pytest
 
 import flagcomb.flags as flags_module
 from flagcomb import FlagCode, TypeVector, analyze, cli, flag_from_matrix
 from flagcomb.errors import ConsistencyError
-from flagcomb.flags import (pair_distance_profile, pair_profiles,
+from flagcomb.flags import (min_distance, pair_distance_profile, pair_pass,
                             projected_table, random_full_flag,
                             random_full_flag_code)
 from flagcomb.gfq_linalg import (Subspace, chain_levels, chain_path,
                                  residual_rank)
+from flagcomb.support_paths import DistancePath, paths_of_code
 
 from conftest import identity_rows
 
@@ -98,11 +102,23 @@ def _altered(path, j, value):
     return path[:j] + (value,) + path[j + 1:]
 
 
-def test_a_sweep_profile_altered_at_one_pair_is_caught_by_analyze():
+def _sweep_altered_at(monkeypatch, pair, j, value):
+    """Make the sweep's profile of the flag pair *pair* read value(δ) in
+    place of δ at index j; every other pair keeps its profile."""
+    original = flags_module.pair_distance_profile
+
+    def altered(f, g):
+        profile = original(f, g)
+        return (_altered(profile, j, value(profile[j])) if (f, g) == pair
+                else profile)
+
+    monkeypatch.setattr(flags_module, "pair_distance_profile", altered)
+
+
+def test_a_sweep_profile_altered_at_one_pair_is_caught_by_analyze(
+        monkeypatch):
     code = random_full_flag_code(3, 7, 5, random.Random(3))
-    profiles = list(pair_profiles(code))
-    profiles[4] = _altered(profiles[4], 2, profiles[4][2] + 1)
-    code._profiles = tuple(profiles)
+    _sweep_altered_at(monkeypatch, code.flags[1:3], 2, lambda d: d + 1)
     with pytest.raises(ConsistencyError, match="flags 1 and 2: direct path"):
         analyze(code)
 
@@ -150,12 +166,122 @@ def test_a_direct_zero_between_distinct_subspaces_is_caught(monkeypatch,
         assert a.subspaces[1] != b.subspaces[1]
         target = (chain_levels(a.subspaces), chain_levels(b.subspaces))
         if sweep_too:
-            profiles = list(pair_profiles(code))
-            profiles[0] = _altered(profiles[0], 1, 0)
-            code._profiles = tuple(profiles)
+            _sweep_altered_at(monkeypatch, (a, b), 1, lambda d: 0)
         shared = sum(f.subspaces[1] == g.subspaces[1]
                       for f, g in combinations(code.flags, 2))
         with pytest.raises(ConsistencyError, match=(
                 f"^dimension {code.type.dims[1]}: {shared + 1} pairs at "
                 f"d_I = 0, {shared} share it$")):
             analyze(code) if code.is_full else projected_table(code)
+
+
+def test_min_distance_on_a_general_type_runs_the_path_check(monkeypatch,
+                                                            type_135_code):
+    """d_f of a general-type code is read off the checked pair pass, so a
+    direct path altered at one pair fails min_distance too."""
+    a, b = type_135_code.flags[:2]
+    target = (chain_levels(a.subspaces), chain_levels(b.subspaces))
+    original = flags_module.chain_path
+
+    def altered(q, n, dims, f_levels, g_levels):
+        path = original(q, n, dims, f_levels, g_levels)
+        assert path[0]      # no zero made or lost: the path check fires
+        return (_altered(path, 0, path[0] + 1)
+                if (f_levels, g_levels) == target else path)
+
+    monkeypatch.setattr(flags_module, "chain_path", altered)
+    with pytest.raises(ConsistencyError, match=(
+            r"^flags 0 and 1: direct path \(2, 3, 1\), "
+            r"sweep profile \(1, 3, 1\)$")):
+        min_distance(type_135_code)
+
+
+# ---------------------------------------------------------------------------
+# The pair pass against per-pair lists
+# ---------------------------------------------------------------------------
+
+def _per_pair_reference(code):
+    """The projected table, d_f, Γ(C) as a list of paths in first-seen pair
+    order, and the count of pairs by path, from one list of sweep profiles
+    and one list of direct paths per pair, the direct paths transposed by
+    dimension."""
+    flags, dims = code.flags, code.type.dims
+    pairs = list(combinations(flags, 2))
+    profiles = [pair_distance_profile(f, g) for f, g in pairs]
+    paths = [chain_path(code.q, code.n, dims, chain_levels(f.subspaces),
+                        chain_levels(g.subspaces)) for f, g in pairs]
+    assert paths == profiles
+    table = tuple((len({fl.subspaces[j] for fl in flags}),
+                   min([d for d in deltas if d], default=0))
+                  for j, deltas in enumerate(zip(*paths) if paths
+                                             else [()] * len(dims)))
+    return (table, min(map(sum, profiles), default=0),
+            list(dict.fromkeys(profiles)), Counter(paths))
+
+
+def _codes(q, rng):
+    """Random full codes, full codes whose flags share prefixes of one
+    generator, general-type codes and a singleton, at n = 3..8."""
+    for n in range(3, 9):
+        size = rng.randint(2, 9)
+        yield random_full_flag_code(q, n, size, rng)
+        base, full = _random_rows(q, n, rng), TypeVector.full(n)
+        yield FlagCode(flag_from_matrix(q, n, full, _random_rows(
+            q, n, rng, base[:rng.randint(0, n - 1)])) for _ in range(size))
+        tv = TypeVector(n, tuple(sorted(rng.sample(range(1, n),
+                                                   rng.randint(1, n - 2)))))
+        yield FlagCode(flag_from_matrix(q, n, tv, _random_rows(q, n, rng))
+                       for _ in range(size))
+    yield random_full_flag_code(q, 4, 1, rng)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_pair_pass_equals_the_per_pair_lists(q):
+    """The kept table, d_f and Γ(C) equal the per-pair reference on
+    random, shared-prefix and general-type codes; the kept counts are the
+    reference's, in its first-seen order, and shared subspaces occur."""
+    shared = 0
+    for code in _codes(q, random.Random(3200 + q)):
+        table, d_f, gamma, counts = _per_pair_reference(code)
+        kept = pair_pass(code)[0]
+        assert projected_table(code) == table
+        assert min_distance(code) == d_f
+        assert list(kept) == gamma and dict(kept) == counts
+        if code.is_full:
+            assert paths_of_code(code) == frozenset(
+                DistancePath(code.n, (0, *path, 0)) for path in gamma)
+        shared += any(card < len(code) for card, _ in table)
+    assert shared
+
+
+def _sized(obj, seen):
+    """The length of every container reachable from *obj*, through
+    containers, __slots__ and instance dicts."""
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, type(None))):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (tuple, list, set, frozenset, dict, Mapping)):
+        yield len(obj)
+        items = [*obj.keys(), *obj.values()] if isinstance(
+            obj, (dict, Mapping)) else obj
+    else:
+        slots = [s for k in type(obj).__mro__
+                 for s in getattr(k, "__slots__", ())]
+        items = [*getattr(obj, "__dict__", {}).values(),
+                 *(getattr(obj, s) for s in slots if hasattr(obj, s))]
+    for item in items:
+        yield from _sized(item, seen)
+
+
+def test_analyze_keeps_nothing_per_pair():
+    """After analyze of 300 flags (44,850 pairs) the kept pair record has
+    one entry per path of Γ(C), and nothing the code holds is sized by its
+    pairs."""
+    code = random_full_flag_code(2, 12, 300, random.Random(15))
+    analyze(code)
+    pairs = 300 * 299 // 2
+    counts, table = code._pairs
+    gamma = paths_of_code(code)
+    assert len(counts) == len(gamma) < len(code)
+    assert sum(counts.values()) == pairs and len(table) == 11
+    assert max(_sized(code, set())) == len(code)

@@ -257,11 +257,20 @@ def test_analyze_profiles_each_pair_once(monkeypatch):
     assert expanded == []
 
 
+def _projected_table_off_at(monkeypatch, bad_i):
+    """analyze reads a projected table whose d_I(C_i) is one too large at
+    dimension bad_i, and the true one everywhere else."""
+    def planted(c):
+        return tuple((card, d_i + (i == bad_i)) for i, (card, d_i)
+                     in enumerate(flags.projected_table(c), start=1))
+
+    monkeypatch.setattr(durfee_analysis, "projected_table", planted)
+
+
 @pytest.mark.parametrize("bad_i", range(1, 6))
 def test_analyze_still_cross_checks_every_dimension(monkeypatch, bad_i):
     c = _five_flag_code()
-    c._projected = tuple((card, d_i + (i == bad_i)) for i, (card, d_i)
-                         in enumerate(flags.projected_table(c), start=1))
+    _projected_table_off_at(monkeypatch, bad_i)
     with pytest.raises(ConsistencyError, match=f"dimension {bad_i}: "):
         analyze(c)
 
@@ -330,10 +339,9 @@ def test_views_before_analyze_run_it_once(monkeypatch):
     assert views == _views(_five_flag_code())
 
 
-def test_failed_analyze_keeps_nothing():
+def test_failed_analyze_keeps_nothing(monkeypatch):
     c = _five_flag_code()
-    c._projected = tuple((card, d_i + (i == 2)) for i, (card, d_i)
-                         in enumerate(flags.projected_table(c), start=1))
+    _projected_table_off_at(monkeypatch, 2)
     for _ in range(2):
         with pytest.raises(ConsistencyError, match="dimension 2: "):
             analyze(c)

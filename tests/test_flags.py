@@ -13,8 +13,8 @@ from flagcomb import (FlagCode, TypeVector, codistance, flag_distance,
 from flagcomb.durfee_analysis import analyze
 from flagcomb.errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                              RankDeficient, TypeMismatch)
-from flagcomb.flags import (pair_distance_profile, pair_profiles,
-                            random_full_flag, random_full_flag_code)
+from flagcomb.flags import (pair_distance_profile, random_full_flag,
+                            random_full_flag_code)
 from flagcomb.gfq_linalg import (RowSpace, Subspace, is_contained,
                                  subspace_from_rows)
 
@@ -396,17 +396,19 @@ def _raise(*_args):
 @pytest.mark.parametrize("q", [2, 3])
 def test_direct_side_never_calls_packed_sweep(monkeypatch, q):
     """The direct side rebuilds the flags and computes every projected
-    parameter with the profile sweep made to raise.  It only reads the
-    sweep profiles to check its paths against, so they are kept from the
-    first build of the code."""
+    parameter with the profile sweep replaced by a lookup of the profiles
+    of the first build, which runs no elimination.  The pair pass reads
+    the sweep profiles only to check its paths against."""
     code = random_full_flag_code(q, 7, 5, random.Random(q))
     gens = [fl.generator for fl in code]
     expected = [(projected_code(code, i), projected_distance(code, i))
                 for i in range(1, 7)]
     rebuilt = FlagCode(flag_from_matrix(q, 7, TypeVector.full(7), m)
                        for m in gens)
-    rebuilt._profiles = pair_profiles(code)     # read by the path check only
-    monkeypatch.setattr(flags_module, "pair_distance_profile", _raise)
+    kept = {pair: pair_distance_profile(*pair)
+            for pair in itertools.combinations(code.flags, 2)}
+    monkeypatch.setattr(flags_module, "pair_distance_profile",
+                        lambda f, g: kept[f, g])
     assert [(projected_code(rebuilt, i), projected_distance(rebuilt, i))
             for i in range(1, 7)] == expected
 

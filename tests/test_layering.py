@@ -129,6 +129,16 @@ def test_counting_commands_load_only_the_counting_dps():
                              "flagcomb.counting", "flagcomb.errors"]
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """config.Config is a NamedTuple, so no command pays for dataclasses
+    and, through it, inspect, ast, dis and tokenize."""
+    out = _loaded_after("import sys\nimport flagcomb.cli\nout = {'std': [\n"
+                        "    m for m in ('dataclasses', 'inspect')\n"
+                        "    if m in sys.modules]}\n")
+    assert out["std"] == []
+    assert "flagcomb.config" in out["loaded"]
+
+
 def test_analyze_loads_neither_render_nor_verify(tmp_path):
     code = tmp_path / "code.txt"
     code.write_text(CODE)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from flagcomb import (DistancePath, EmbeddedPartition, FlagCode,
                       StaircasePath, TypeVector, enumerate_paths,
-                      flag_distance, max_distance, path_codistance,
+                      flag_distance, flag_from_matrix, flags, max_distance,
+                      path_codistance,
                       path_distance, path_from_flag_pair, paths_of_code,
                       pick_area, plateau_count, range_r, realize_path,
                       support_paths, validate_path)
@@ -366,8 +367,12 @@ def test_paths_of_code_equals_the_paths_of_every_pair():
 
 def test_paths_of_code_validates_each_distinct_profile_once(monkeypatch):
     """A repeated profile is validated once, and an invalid one after it
-    still raises InvalidPath."""
-    c = FlagCode([standard_flag(2, 4), reversed_flag(2, 4)])
+    still raises InvalidPath.  Both pair kernels read the planted paths in
+    pair order, so the pair pass's checks agree with them; no two of the
+    three flags share a subspace, and no planted path has a zero."""
+    skew = flag_from_matrix(2, 4, TypeVector.full(4), [
+        [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    c = FlagCode([standard_flag(2, 4), reversed_flag(2, 4), skew])
     checked = []
 
     def counting(deltas, n):
@@ -375,8 +380,10 @@ def test_paths_of_code_validates_each_distinct_profile_once(monkeypatch):
         return first_violation(deltas, n)
 
     monkeypatch.setattr(support_paths, "first_violation", counting)
-    monkeypatch.setattr(support_paths, "pair_profiles",
-                        lambda code: ((1, 2, 1), (1, 2, 1), (3, 2, 1)))
+    for kernel in ("chain_path", "pair_distance_profile"):
+        planted = iter([(1, 2, 1), (1, 2, 1), (3, 2, 1)])
+        monkeypatch.setattr(flags, kernel,
+                            lambda *_args, planted=planted: next(planted))
     with pytest.raises(InvalidPath, match="delta_1=3"):
         paths_of_code(c)
     assert checked == [(0, 1, 2, 1, 0), (0, 3, 2, 1, 0)]
