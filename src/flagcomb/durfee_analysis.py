@@ -6,10 +6,9 @@ rectangles whose column count exceeds the row count by k = n - 2i encode,
 dimension by dimension, whether flags of C share i-th subspaces and what
 the minimum injection distance of the projected code C_i is; the class law
 reads their sizes off the paths.  Everything derived here from rectangles
-is cross-checked against the projected parameters of flags.projected_table,
-read off the one pass over the flag pairs that counts each pair's direct
-path (one incremental rank over the canonical chains) by distinct path — a
-mismatch is a hard ConsistencyError, never a warning.
+is cross-checked against the projected parameters of flags.pair_pass, one
+incremental rank per flag pair over the canonical chains, counted by
+distinct path — a mismatch is a hard ConsistencyError, never a warning.
 """
 
 from __future__ import annotations

@@ -261,18 +261,15 @@ class FlagCode:
 
 def pair_pass(c: FlagCode) -> tuple[Mapping[tuple[int, ...], int],
                                     tuple[tuple[int, int], ...]]:
-    """One pass over the unordered pairs of distinct flags, in the order
-    (0,1), (0,2), ..., (1,2), ...: the number of pairs at each distinct
-    path, in first-seen order, and (|C_i|, d_I(C_i)) at each dimension t_i
-    of the type.  A code is immutable, so both are computed on first use
-    and kept, and nothing per pair is.
-
-    A pair's direct path is chain_path over the two canonical chains, which
-    shares no code with its sweep profile, pair_distance_profile.  |C_i|
-    comes from Subspace hashing; d_I(C_i) is the least positive δ_i over
-    the paths, 0 for a singleton.  ConsistencyError unless δ_i = 0 for as
-    many pairs as share F_{t_i}, at each i, and then unless every direct
-    path equals its pair's sweep profile."""
+    """One pass over the pairs of distinct flags, in the order (0,1),
+    (0,2), ..., (1,2), ...: the number of pairs at each distinct path, in
+    first-seen order, and (|C_i|, d_I(C_i)) at each dimension t_i, kept on
+    the code (nothing per pair is).  A pair's direct path is chain_path over
+    the canonical chains, which shares no code with pair_distance_profile.
+    |C_i| comes from Subspace hashing; d_I(C_i) is the least positive δ_i,
+    0 for a singleton.  ConsistencyError unless δ_i = 0 for as many pairs
+    as share F_{t_i}, at each i, then unless each path equals its pair's
+    sweep profile."""
     if c._pairs is None:
         flags, dims = c.flags, c.type.dims
         levels = [chain_levels(fl.subspaces) for fl in flags]
@@ -304,8 +301,7 @@ def pair_pass(c: FlagCode) -> tuple[Mapping[tuple[int, ...], int],
 
 
 def min_distance(c: FlagCode) -> int:
-    """Minimum pairwise flag distance, the least sum of a path of the pair
-    pass; 0 for a singleton code."""
+    """Minimum pairwise flag distance, the least path sum; 0 for one flag."""
     return min(map(sum, pair_pass(c)[0]), default=0)
 
 
@@ -327,8 +323,7 @@ def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
 
 
 def projected_table(c: FlagCode) -> tuple[tuple[int, int], ...]:
-    """(|C_i|, d_I(C_i)) at each dimension t_i of the type, as the pair pass
-    keeps it."""
+    """(|C_i|, d_I(C_i)) at each dimension t_i of the type, from pair_pass."""
     return pair_pass(c)[1]
 
 

@@ -230,9 +230,8 @@ def realize_path(p: DistancePath, q: int) -> tuple[Flag, Flag]:
 
 
 def paths_of_code(c: FlagCode) -> frozenset[DistancePath]:
-    """Γ(C): the distance paths of all unordered pairs of distinct flags, one
-    DistancePath (so one validation) per distinct path of the pair pass, in
-    first-seen pair order."""
+    """Γ(C): the distance paths of all pairs of distinct flags, one
+    DistancePath (so one validation) per path pair_pass counts, in order."""
     if not c.is_full:
         raise NotFullFlag("Γ(C) is defined for full flag codes")
     n = c.n
