@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import prod
+from operator import not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -282,18 +283,17 @@ def pair_pass(c: FlagCode) -> tuple[Mapping[tuple[int, ...], int],
             if path != profile and mismatch is None:
                 mismatch = (f"flags {a} and {b}: direct path {path}, "
                             f"sweep profile {profile}")
-        table = []
-        for j, (t, col) in enumerate(zip(dims, zip(*(fl.subspaces
-                                                     for fl in flags)))):
+        table, weights = [], list(counts.values())
+        for t, deltas, col in zip(dims, list(zip(*counts)) or [()] * len(dims),
+                                  zip(*(fl.subspaces for fl in flags))):
             distinct = set(col)
             shared = 0 if len(distinct) == len(col) else sum(
                 m * (m - 1) // 2 for m in Counter(col).values())
-            zeros = sum(m for p, m in counts.items() if not p[j])
+            zeros = sum(compress(weights, map(not_, deltas)))
             if zeros != shared:
                 raise ConsistencyError(f"dimension {t}: {zeros} "
                                        f"pairs at d_I = 0, {shared} share it")
-            table.append((len(distinct),
-                          min((p[j] for p in counts if p[j]), default=0)))
+            table.append((len(distinct), min(filter(None, deltas), default=0)))
         if mismatch:
             raise ConsistencyError(mismatch)
         c._pairs = MappingProxyType(counts), tuple(table)
