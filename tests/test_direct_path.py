@@ -5,8 +5,8 @@ pass's counts against per-pair lists."""
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Mapping
 
 import pytest
 
@@ -260,10 +260,10 @@ def _sized(obj, seen):
     if id(obj) in seen or isinstance(obj, (str, bytes, int, type(None))):
         return
     seen.add(id(obj))
-    if isinstance(obj, (tuple, list, set, frozenset, dict, Mapping)):
+    if isinstance(obj, (tuple, list, set, frozenset, Mapping)):
         yield len(obj)
-        items = [*obj.keys(), *obj.values()] if isinstance(
-            obj, (dict, Mapping)) else obj
+        items = ([*obj.keys(), *obj.values()] if isinstance(obj, Mapping)
+                 else obj)
     else:
         slots = [s for k in type(obj).__mro__
                  for s in getattr(k, "__slots__", ())]

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from flagcomb import (DistancePath, EmbeddedPartition, FlagCode,
                       StaircasePath, TypeVector, enumerate_paths,
                       flag_distance, flag_from_matrix, flags, max_distance,
-                      path_codistance,
-                      path_distance, path_from_flag_pair, paths_of_code,
-                      pick_area, plateau_count, range_r, realize_path,
-                      support_paths, validate_path)
+                      path_codistance, path_distance, path_from_flag_pair,
+                      paths_of_code, pick_area, plateau_count, range_r,
+                      realize_path, support_paths, validate_path)
 from flagcomb.errors import (EnumerationLimitExceeded, IndexOutOfRange,
                              InvalidPath, NotAPartition, NotFullFlag)
 from flagcomb.flags import random_full_flag, random_full_flag_code
