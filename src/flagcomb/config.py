@@ -12,7 +12,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .errors import EnumerationLimitExceeded
+from .errors import EnumerationLimitExceeded, check_int
 
 ENV_VAR = "FLAGCOMB_CONFIG"
 
@@ -54,14 +54,11 @@ def load_config() -> Config:
 
 
 def check_n(n: int, max_n: int | None = None) -> None:
-    """Raise ValueError if n is not an int, EnumerationLimitExceeded if it is
-    over max_n (the configured max_n_combinatorics if None), and ValueError
-    if n < 2."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
+    """Raise ValueError unless n is an int >= 2 and max_n an int, and
+    EnumerationLimitExceeded if n is over max_n (the configured
+    max_n_combinatorics if None)."""
+    check_int("n", n, 2)
     if max_n is None:
         max_n = load_config().max_n_combinatorics
-    if n > max_n:
+    if n > check_int("max_n", max_n):
         raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")

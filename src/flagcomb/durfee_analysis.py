@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      OffsetOutOfRange, RectangleOutsideFrame, SingletonCode,
-                     within)
+                     check_int)
 from .ferrers import (EmbeddedPartition, StaircasePath, _class_rows,
                       partition_of_staircase, staircase_class)
 from .flags import FlagCode, codistance, min_distance, projected_table
@@ -44,8 +44,7 @@ class DurfeeRectangle:
 
 def durfee_rectangle(p: EmbeddedPartition, k: int) -> DurfeeRectangle:
     """Largest r with λ_r >= r + k (0 when no row qualifies)."""
-    if not within(0, k, p.n - 2):
-        raise OffsetOutOfRange(f"k={k} not in [0, {p.n - 2}]")
+    check_int("k", k, 0, p.n - 2, OffsetOutOfRange)
     r = 0
     for t, lam in enumerate(p.parts, start=1):
         if lam >= t + k:
@@ -59,8 +58,7 @@ def durfee_rectangle_transposed(p: EmbeddedPartition, k: int) -> int:
     Used for projected dimensions above n/2 (k = 2i - n there): a c x (c+k)
     rectangle fits iff λ_{c+k} >= c.
     """
-    if not within(0, k, p.n - 2):
-        raise OffsetOutOfRange(f"k={k} not in [0, {p.n - 2}]")
+    check_int("k", k, 0, p.n - 2, OffsetOutOfRange)
     c = 0
     for t, lam in enumerate(p.parts, start=1):
         if t - k >= 1 and lam >= t - k:
@@ -71,8 +69,9 @@ def durfee_rectangle_transposed(p: EmbeddedPartition, k: int) -> int:
 def black_dots_in_rectangle(a: int, b: int, n: int) -> int:
     """Black cells of a corner-anchored a x b rectangle in FF(n):
     ceil(ab/2) for n even, floor(ab/2) for n odd."""
-    if not (within(1, a, n - 1) and within(1, b, n - a)):
-        raise RectangleOutsideFrame(f"{a}x{b} does not fit in FF({n})")
+    check_int("n", n, error=RectangleOutsideFrame)
+    check_int("a", a, 1, n - 1, RectangleOutsideFrame)
+    check_int("b", b, 1, n - a, RectangleOutsideFrame)
     if n % 2 == 0:
         return (a * b + 1) // 2
     return a * b // 2
@@ -157,8 +156,9 @@ def check_separability(dbar: int, n: int, i: int) -> bool:
 
     When true, |C| = |C_i| = ... = |C_{n-i}| is guaranteed.
     """
-    if not within(1, i, n // 2):
-        raise IndexOutOfRange(f"i={i} not in [1, {n // 2}]")
+    check_int("dbar", dbar)
+    check_int("n", n, error=IndexOutOfRange)
+    check_int("i", i, 1, n // 2, IndexOutOfRange)
     return dbar < (i * (n - i) + 1) // 2
 
 
@@ -176,8 +176,7 @@ def rectangle_to_projected(c: FlagCode, i: int) -> tuple[bool, int]:
         raise NotFullFlag("rectangle analysis needs a full code")
     if len(c) < 2:
         raise SingletonCode("need at least two flags")
-    if not within(1, i, c.n - 1):
-        raise IndexOutOfRange(f"i={i} not in [1, {c.n - 1}]")
+    check_int("i", i, 1, c.n - 1, IndexOutOfRange)
     return analyze(c).derived[i]
 
 
@@ -188,15 +187,14 @@ def flag_distance_bounds(n: int, i: int, cardinality_equal: bool,
     Equal cardinalities: [d_i^2, D^n - ceil((i-d_i)(n-i-d_i)/2)];
     otherwise: [0, D^n - ceil(i(n-i)/2)].  Symmetric in i <-> n-i.
     """
-    if not within(1, i, n - 1):
-        raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
+    check_int("n", n, error=IndexOutOfRange)
+    check_int("i", i, 1, n - 1, IndexOutOfRange)
     dn = max_distance(n)
     if not cardinality_equal:
         return 0, dn - ((i * (n - i) + 1) // 2)
     if d_i is None:
         raise ValueError("d_i is required when cardinalities are equal")
-    if not within(1, d_i, min(i, n - i)):
-        raise IndexOutOfRange(f"d_i={d_i} not in [1, {min(i, n - i)}]")
+    check_int("d_i", d_i, 1, min(i, n - i), IndexOutOfRange)
     rest = (i - d_i) * (n - i - d_i)
     return d_i * d_i, dn - ((rest + 1) // 2)
 

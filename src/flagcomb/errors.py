@@ -1,11 +1,19 @@
-"""Exception hierarchy shared by every flagcomb module."""
+"""Every flagcomb module's exception classes, and its one int check."""
 
 
-def within(lo: int, x: int, hi: int) -> bool:
-    """The range test of every index check: lo <= x <= hi with x and hi ints
-    (a bool is one), so a float index, or a bound from a float size, is out
-    of range.  Every caller passes an int literal as lo."""
-    return isinstance(x, int) and isinstance(hi, int) and lo <= x <= hi
+def check_int(name: str, x, lo: int | None = None, hi: int | None = None,
+              error: type[Exception] = ValueError):
+    """x, if it is an int in [lo, hi] (x >= lo without hi, any int without
+    lo), else error naming *name*.  An int is isinstance(x, int), so bools
+    and int subclasses count; the JSON file formats keep type(v) is int
+    (codefile._integer, config.load_config): JSON true and 1.0 are no ints."""
+    if not isinstance(x, int):
+        raise error(f"{name} must be an int, got {x!r}")
+    if hi is not None and not lo <= x <= hi:
+        raise error(f"{name}={x} not in [{lo}, {hi}]")
+    if lo is not None and x < lo:
+        raise error(f"need {name} >= {lo}, got {x}")
+    return x
 
 
 class FlagcombError(Exception):

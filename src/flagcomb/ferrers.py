@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 from . import config
 from .counting import max_distance
 from .errors import (CellOutsideFrame, ConsistencyError, FrameMismatch,
-                     NotAPartition, NotEmbedded, within)
+                     NotAPartition, NotEmbedded, check_int)
 from .support_paths import DistancePath, enumerate_paths, path_distance
 
 BLACK = "black"
@@ -32,17 +32,15 @@ RED = "red"
 
 def cell_color(n: int, i: int, j: int) -> str:
     """Color of the frame cell in row i, position j from the right."""
-    if not within(1, i, n - 1):
-        raise CellOutsideFrame(f"row {i} not in [1, {n - 1}]")
-    if not within(1, j, n - i):
-        raise CellOutsideFrame(f"position {j} not in [1, {n - i}] (row {i})")
+    check_int("n", n, error=CellOutsideFrame)
+    check_int("i", i, 1, n - 1, CellOutsideFrame)
+    check_int("j", j, 1, n - i, CellOutsideFrame)
     return BLACK if (n + i + j) % 2 == 0 else RED
 
 
 def is_embedded(parts: Sequence[int], n: int) -> bool:
     """Does the partition fit inside FF(n)?  (λ_i <= n - i, m <= n-1)."""
-    if not isinstance(n, int):
-        raise NotAPartition(f"frame size {n!r} is not an integer")
+    check_int("n", n, error=NotAPartition)
     prev = None
     for p in parts:
         if not isinstance(p, int) or p <= 0:
@@ -155,10 +153,9 @@ class StaircasePath:
 
     def __post_init__(self):
         object.__setattr__(self, "profile", tuple(self.profile))
-        n = self.n
-        if not isinstance(n, int) or len(self.profile) != n - 1:
-            raise ValueError(f"profile must have n - 1 rows for an int n, "
-                             f"got n = {n!r}: {self.profile}")
+        n = check_int("n", self.n)
+        if len(self.profile) != n - 1:
+            raise ValueError(f"profile must have n - 1 rows, got {self.profile}")
         prev = n - 1
         for i, lam in enumerate(self.profile, start=1):
             if not (isinstance(lam, int) and 0 <= lam <= min(prev, n - i)):
@@ -324,6 +321,8 @@ def iter_partitions(n: int, splitting_filter: Optional[int] = None, *,
     partitions of enumerate_embedded_partitions, in its order; the walk
     prunes past splitting_filter=u and the nodes below u are dropped here."""
     u = splitting_filter
+    if u is not None:
+        check_int("splitting_filter", u)
     for node in _walk(n, u, max_n):
         if u is None or node[2] == u:
             yield node
@@ -358,8 +357,7 @@ def splittings_of_codistance(n: int, u: int) -> frozenset[UnderlyingDistribution
     Distinct means distinct underlying black diagrams: distributions are
     identified after stripping trailing zeros.
     """
-    if not 0 <= u <= max_distance(n):
-        raise ValueError(f"u={u} not in [0, {max_distance(n)}]")
+    check_int("u", u, 0, max_distance(n))
     return splittings_by_value(n)[u]
 
 

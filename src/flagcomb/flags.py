@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
-                     RankDeficient, TypeMismatch, within)
+                     RankDeficient, TypeMismatch, check_int)
 from .gfq_linalg import (Row, Subspace, chain_levels, chain_path, is_contained,
                          require_prime, span_chain)
 
@@ -37,8 +37,7 @@ class TypeVector:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"ambient dimension must be an int >= 2, got {self.n!r}")
+        check_int("n", self.n, 2)
         if not self.dims:
             raise ValueError("empty type vector")
         prev = 0
@@ -51,7 +50,7 @@ class TypeVector:
 
     @classmethod
     def full(cls, n: int) -> "TypeVector":
-        return cls(n, tuple(range(1, n)))
+        return cls(n, tuple(range(1, check_int("n", n))))
 
     @property
     def is_full(self) -> bool:
@@ -124,7 +123,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     one span_chain over the rows stands at row t_i, at every q.
     """
     require_prime(q)
-    if type_.n != n:
+    if type_.n != check_int("n", n):
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
     try:
         rows = tuple(tuple([e % q for e in r]) for r in rows)
@@ -160,8 +159,7 @@ def _recheck_nesting(flag: Flag) -> None:
 
 def projection(f: Flag, i: int) -> Subspace:
     """The i-th subspace p_i(F) = F_i (1-based in the type vector)."""
-    if not within(1, i, f.type.length):
-        raise IndexOutOfRange(f"i={i} not in [1, {f.type.length}]")
+    check_int("i", i, 1, f.type.length, IndexOutOfRange)
     return f.subspaces[i - 1]
 
 
@@ -314,8 +312,7 @@ def codistance(c: FlagCode) -> int:
 
 def projected_code(c: FlagCode, i: int) -> tuple[Subspace, ...]:
     """C_i = {p_i(F) : F in C}, deduplicated (first-seen order)."""
-    if not within(1, i, c.type.length):
-        raise IndexOutOfRange(f"i={i} not in [1, {c.type.length}]")
+    check_int("i", i, 1, c.type.length, IndexOutOfRange)
     seen: dict[Subspace, None] = {}
     for fl in c:
         seen.setdefault(fl.subspaces[i - 1])
@@ -330,8 +327,7 @@ def projected_table(c: FlagCode) -> tuple[tuple[int, int], ...]:
 def projected_parameters(c: FlagCode, i: int) -> tuple[int, int]:
     """(|C_i|, d_I(C_i)) for the i-th dimension of the type, read off
     projected_table; d_I is 0 for a singleton."""
-    if not within(1, i, c.type.length):
-        raise IndexOutOfRange(f"i={i} not in [1, {c.type.length}]")
+    check_int("i", i, 1, c.type.length, IndexOutOfRange)
     return projected_table(c)[i - 1]
 
 
@@ -368,8 +364,9 @@ def random_full_flag_code(q: int, n: int, size: int,
     raises ValueError.
     """
     require_prime(q)
-    available = prod((q ** i - 1) // (q - 1) for i in range(1, n + 1))
-    if size > available:
+    available = prod((q ** i - 1) // (q - 1)
+                     for i in range(1, check_int("n", n, 2) + 1))
+    if check_int("size", size, 1) > available:
         raise ValueError(f"F_{q}^{n} has {available} full flags, "
                          f"not {size}")
     unique: dict[Flag, None] = {}

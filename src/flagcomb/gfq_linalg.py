@@ -13,7 +13,7 @@ from itertools import chain, combinations, product
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AmbientMismatch, ColumnCountMismatch
+from .errors import AmbientMismatch, ColumnCountMismatch, check_int
 
 Row = tuple[int, ...]
 
@@ -59,9 +59,9 @@ def is_prime(q: int) -> bool:
 
 
 def require_prime(q: int) -> None:
-    """Raise ValueError unless q is prime, before anything is drawn or
+    """Raise ValueError unless q is a prime int, before anything is drawn or
     allocated for F_q."""
-    if not is_prime(q):
+    if not is_prime(check_int("q", q)):
         raise ValueError(f"q = {q} is not prime")
 
 
@@ -121,8 +121,8 @@ class Subspace:
     pivot bits, column 0 in the top bit, so the row at pivot bit b is
     rows[(mask & -b).bit_count() - 1].  A basis is taken only if RowSpace
     gives it back unchanged, the one definition of canonical form; else, a
-    wrong width or a non-int entry too, ValueError.  Equality and hashing
-    read the rows; a packed basis is unpacked on first read."""
+    wrong width, a non-int entry, q or ambient_n too, ValueError.  Equality
+    and hashing read the rows; a packed basis is unpacked on first read."""
 
     __slots__ = ("q", "ambient_n", "rows", "mask", "_basis")
 
@@ -133,7 +133,7 @@ class Subspace:
         self._basis = None if q in PACKED_Q else rows
         if rows is None:
             require_prime(q)
-            space = RowSpace(q, ambient_n)
+            space = RowSpace(q, check_int("ambient_n", ambient_n, 0))
             try:
                 basis = tuple(map(tuple, basis))
                 canonical = all(map(space.add, basis)) and space.basis() == basis
@@ -181,7 +181,7 @@ def subspace_from_rows(q: int, n: int,
     Subspace.extend are tested against.  Every row must have n
     entries; RowSpace.add reduces them mod q."""
     require_prime(q)
-    space = RowSpace(q, n)
+    space = RowSpace(q, check_int("n", n, 0))
     for r in rows:
         space.add(r)
     return Subspace(q, n, space.basis())
@@ -425,8 +425,7 @@ def grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     Enumerates RREF matrices directly: choose the pivot columns, then fill
     every free entry (right of its pivot, outside pivot columns).
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_int("k", k, 0, check_int("n", n, 0))
     require_prime(q)
     for pivots in combinations(range(n), k):
         free = [(r, c)

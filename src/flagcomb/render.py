@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import FORMATS, TARGETS, check_n
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_int
 from .ferrers import BLACK, EmbeddedPartition, cell_color, staircase_of_partition
 from .support_paths import DistancePath
 
@@ -184,8 +184,7 @@ def render(spec: RenderSpec) -> str:
         raise InvalidSpec(f"unknown target {spec.target!r}")
     if spec.fmt not in FORMATS:
         raise InvalidSpec(f"unknown format {spec.fmt!r}")
-    if spec.n < 2:
-        raise InvalidSpec(f"need n >= 2, got {spec.n}")
+    check_int("n", spec.n, 2, error=InvalidSpec)
     check_n(spec.n)
 
     shape = None

@@ -15,15 +15,15 @@ from typing import Iterator, Optional, Sequence
 from . import config
 from .counting import max_distance
 from .errors import (IndexOutOfRange, InvalidPath, NotFullFlag,
-                     RealizationNotFound, within)
+                     RealizationNotFound, check_int)
 from .flags import (Flag, FlagCode, TypeVector, flag_from_matrix,
                     pair_distance_profile, pair_pass)
 
 
 def range_r(i: int, n: int) -> frozenset[int]:
     """R(i, n) = {0, ..., min(i, n-i)}: attainable distances in G_q(i, n)."""
-    if not within(0, i, n):
-        raise IndexOutOfRange(f"i={i} not in [0, {n}]")
+    check_int("n", n, error=IndexOutOfRange)
+    check_int("i", i, 0, n, IndexOutOfRange)
     return frozenset(range(min(i, n - i) + 1))
 
 
@@ -150,6 +150,8 @@ def iter_paths(n: int, distance_filter: Optional[int] = None, *,
     a distance filter, since the deltas are non-negative.
     """
     config.check_n(n, max_n)
+    if distance_filter is not None:
+        check_int("distance_filter", distance_filter)
     stack = [((0,), 0)]
     while stack:
         deltas, acc = stack.pop()

@@ -19,7 +19,7 @@ from .ferrers import (BLACK, bijection_table, black_cells, cell_color,
                       partition_of_staircase, skeleton_of_staircase,
                       splitting_value, staircase_class,
                       staircase_of_partition)
-from .errors import InvalidPath, RealizationNotFound
+from .errors import InvalidPath, RealizationNotFound, check_int
 from .flags import (pair_distance_profile, pair_pass, random_full_flag,
                     random_full_flag_code)
 from .gfq_linalg import (grassmannian, injection_distance, require_prime,
@@ -266,8 +266,10 @@ CHECKS: list[tuple[str, Check]] = [
 
 def run_verification(n_max: int = 7, qs: Sequence[int] = (2, 3),
                      trials: int = 1000, seed: int = 0) -> tuple[str, bool]:
-    """Run every check; returns (report text, all passed).  Every q is
-    checked before any check runs (ValueError if one is not prime)."""
+    """Run every check; returns (report text, all passed).  n_max, trials
+    and every q are checked before any check runs (ValueError if bad)."""
+    check_int("n_max", n_max, 2)
+    check_int("trials", trials, 0)
     for q in qs:
         require_prime(q)
     lines = [f"verification: n_max={n_max} q={list(qs)} trials={trials} "

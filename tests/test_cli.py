@@ -153,6 +153,9 @@ def test_render_rejects_bad_specs():
     from flagcomb.errors import EnumerationLimitExceeded, InvalidSpec
     with pytest.raises(InvalidSpec, match="need n >= 2"):
         render(RenderSpec("support", "svg", 1))
+    for n in (5.0, "5", None):
+        with pytest.raises(InvalidSpec, match=f"n must be an int, got {n!r}"):
+            render(RenderSpec("support", "ascii", n))
     with pytest.raises(EnumerationLimitExceeded, match="the cap 14"):
         render(RenderSpec("support", "svg", 15))
     with pytest.raises(InvalidSpec):

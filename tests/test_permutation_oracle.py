@@ -73,7 +73,9 @@ def _oracle(perms, n):
     orders *perms*, and Γ(C), from the prefix sets alone.  The Durfee sets
     follow from the paths by the class law: every staircase of a path has
     rectangle size min(i, n - i) - δ_i at dimension i, and D_k holds the
-    sizes at i = (n - k)/2."""
+    sizes at i = (n - k)/2.  The bounds are the closed forms: with d_i =
+    d_I(C_i), [d_i², D^n - ⌈(i - d_i)(n - i - d_i)/2⌉] where |C_i| = |C|,
+    else [0, D^n - ⌈i(n - i)/2⌉]."""
     size = len(perms)
     prefixes = [[frozenset(w[:i]) for i in range(n + 1)] for w in perms]
     paths = [tuple(i - len(a[i] & b[i]) for i in range(n + 1))
@@ -85,20 +87,24 @@ def _oracle(perms, n):
                  for i in range(1, n)}
     laws = {tuple(min(i, n - i) - d[i] for i in range(1, n)) for d in paths}
     rects = [tuple(sorted(set(col), reverse=True)) for col in zip(*laws)]
+    bounds = {i: (d * d, n * n // 4 - -(-(i - d) * (n - i - d) // 2))
+              if c == size else (0, n * n // 4 - -(-i * (n - i) // 2))
+              for i, (c, d) in projected.items()}
     return set(paths), {
         "size": size, "d_f": d_f, "codistance": dbar, "projected": projected,
         "derived": {i: (c == size, d) for i, (c, d) in projected.items()},
         "durfee_sets": {n - 2 * i: rects[i - 1] for i in range(1, n // 2 + 1)},
         "separability": {i: 2 * dbar < i * (n - i)
                          for i in range(1, n // 2 + 1)},
-        "optimum": d_f == n * n // 4,
+        "bounds": bounds, "optimum": d_f == n * n // 4,
+        "no_pairs": False, "consistent": True,
     }
 
 
 def _check(q, perms, rng):
     """analyze and Γ(C) of the code {F^w A : w in perms} for one random
-    invertible A, against the oracle; returns the oracle's paths and
-    fields."""
+    invertible A, against the oracle, every field; returns the oracle's
+    paths and fields."""
     n = len(perms[0])
     a = _invertible(q, n, rng)
     code = FlagCode([flag_from_matrix(q, n, TypeVector.full(n),
@@ -106,7 +112,7 @@ def _check(q, perms, rng):
     gamma, want = _oracle(perms, n)
     report = analyze(code)
     assert {p.deltas for p in paths_of_code(code)} == gamma
-    assert {key: getattr(report, key) for key in want} == want
+    assert vars(report) == {"q": q, "n": n, **want}
     return gamma, want
 
 
