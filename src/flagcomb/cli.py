@@ -5,11 +5,11 @@ Exit codes: 0 success (also when the reader closes stdout early), 1 usage
 cross-check or verification failed).
 
 main(argv) may be called many times in one process: the parser is built
-on the first call and reused after, and argparse keeps no state from one
-parse to the next, so each call pays only for its own command.  Of the
-package, only config, errors and counting are imported at module level;
-each command imports the other modules it runs in its body, so a shell
-call loads only what its command needs.
+on the first call and reused after, as argparse keeps no state from one
+parse to the next.  A call parses once, with the command's subparser alone
+unless the top-level parser must answer, and each table command writes its
+text in one call.  Of the package, only config, errors and counting load
+with cli; a command imports the rest of what it runs in its own body.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ def _cap(n: int, cap: int, force: bool, what: str) -> int:
     return cap
 
 
+def _write(lines: list[str]) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -70,27 +74,25 @@ def cmd_analyze(args) -> int:
             # the fields in order; the read-only maps are dumped as dicts
             print(json.dumps(vars(report), indent=2, default=dict))
             return 0
-        print(f"full flag code on F_{report.q}^{report.n}")
-        print(f"|C| = {report.size}")
-        print(f"d_f = {report.d_f}   codistance = {report.codistance}   "
-              f"D^n = {max_distance(report.n)}")
-        print("projected codes (direct / theorem-derived):")
-        for i in range(1, report.n):
-            card, di = report.projected[i]
+        lines = [f"full flag code on F_{report.q}^{report.n}",
+                 f"|C| = {report.size}",
+                 f"d_f = {report.d_f}   codistance = {report.codistance}   "
+                 f"D^n = {max_distance(report.n)}",
+                 "projected codes (direct / theorem-derived):"]
+        for i, (card, di) in report.projected.items():
+            tail = ""
             if report.derived:
                 eq, ddi = report.derived[i]
                 tail = f"   derived: |C_i|{'=' if eq else '<'}|C|, d_I={ddi}"
-            else:
-                tail = ""
-            print(f"  i={i}: |C_{i}|={card}, d_I(C_{i})={di}{tail}")
+            lines.append(f"  i={i}: |C_{i}|={card}, d_I(C_{i})={di}{tail}")
         if report.no_pairs:
-            print("no flag pairs: Durfee sets are empty")
+            lines.append("no flag pairs: Durfee sets are empty")
         else:
-            print("Durfee rectangle sets:")
-            for k, rows in sorted(report.durfee_sets.items()):
-                print(f"  k={k}: rows {list(rows)}")
-            print(f"optimum distance: {report.optimum}")
-        print("all cross-checks passed")
+            lines += ["Durfee rectangle sets:",
+                      *(f"  k={k}: rows {list(rows)}"
+                        for k, rows in sorted(report.durfee_sets.items())),
+                      f"optimum distance: {report.optimum}"]
+        _write(lines + ["all cross-checks passed"])
         return 0
 
     # general type: projected parameters only
@@ -101,12 +103,11 @@ def cmd_analyze(args) -> int:
                           "size": len(code), "d_f": flags.min_distance(code),
                           "projected": projected}, indent=2))
         return 0
-    print(f"flag code of type {dims} on F_{code.q}^{code.n}")
-    print(f"|C| = {len(code)}")
-    print(f"d_f = {flags.min_distance(code)}")
-    for (idx, (card, di)), t in zip(projected.items(), dims):
-        print(f"  i={idx} (dim {t}): |C_i|={card}, d_I(C_i)={di}")
-    print("combinatorial sections skipped: full flags only")
+    _write([f"flag code of type {dims} on F_{code.q}^{code.n}",
+            f"|C| = {len(code)}", f"d_f = {flags.min_distance(code)}",
+            *(f"  i={idx} (dim {t}): |C_i|={card}, d_I(C_i)={di}"
+              for (idx, (card, di)), t in zip(projected.items(), dims)),
+            "combinatorial sections skipped: full flags only"])
     return 0
 
 
@@ -115,14 +116,13 @@ def cmd_paths(args) -> int:
     cap = _cap(args.n, cfg.max_n_combinatorics, args.force, "path enumeration")
     by_d = {d: count for d, count in enumerate(count_paths_by_distance(args.n))
             if count and (args.distance is None or d == args.distance)}
-    print(f"distance paths on S({args.n})"
-          + (f" with d={args.distance}" if args.distance is not None else ""))
-    print("d  count")
-    for d, count in by_d.items():
-        print(f"{d:<2} {count}")
+    with_d = "" if args.distance is None else f" with d={args.distance}"
+    lines = [f"distance paths on S({args.n}){with_d}", "d  count",
+             *(f"{d:<2} {count}" for d, count in by_d.items())]
     if args.list:
         from . import support_paths
-        print("deltas  d  area")
+        _write(lines + ["deltas  d  area"])
+        lines = []
         listed = Counter()
         for p, d in support_paths.iter_paths(args.n, args.distance, max_n=cap):
             area = support_paths.pick_area(p)
@@ -130,7 +130,7 @@ def cmd_paths(args) -> int:
             listed[d] += 1
         if listed != by_d:
             raise ConsistencyError("path list disagrees with the DP")
-    print(f"total {sum(by_d.values())}")
+    _write(lines + [f"total {sum(by_d.values())}"])
     return 0
 
 
@@ -140,12 +140,11 @@ def cmd_bijection(args) -> int:
     # two counting DPs that share no code (verify compares the enumerations)
     paths, splits = count_paths_by_distance(n), count_splittings_by_value(n)
     table = [(d, count, splits[-1 - d]) for d, count in enumerate(paths)]
-    print(f"n={n}: paths of distance d vs splittings of codistance "
-          f"{max_distance(n)}-d")
-    print("d   #paths  #splittings  match")
-    for d, n_paths, n_split in table:
-        tag = "yes" if n_paths == n_split else "NO"
-        print(f"{d:<3} {n_paths:<7} {n_split:<12} {tag}")
+    _write([f"n={n}: paths of distance d vs splittings of codistance "
+            f"{max_distance(n)}-d", "d   #paths  #splittings  match",
+            *(f"{d:<3} {n_paths:<7} {n_split:<12} "
+              f"{'yes' if n_paths == n_split else 'NO'}"
+              for d, n_paths, n_split in table)])
     if any(n_paths != n_split for _, n_paths, n_split in table):
         raise ConsistencyError("bijection table mismatch")
     return 0
@@ -205,10 +204,12 @@ def cmd_partitions(args) -> int:
                "partition enumeration")
     by_u, u = count_partitions_by_value(args.n), args.splitting
     total = sum(by_u) if u is None else by_u[u] if 0 <= u < len(by_u) else 0
-    print(f"embedded partitions of FF({args.n})"
-          + (f" with splitting value {u}" if u is not None else ""))
+    lines = [f"embedded partitions of FF({args.n})"
+             + (f" with splitting value {u}" if u is not None else "")]
     if args.list:
         from . import ferrers
+        _write(lines)
+        lines = []
         listed = 0
         for parts, counts, value in ferrers.iter_partitions(args.n, u,
                                                             max_n=cap):
@@ -217,7 +218,7 @@ def cmd_partitions(args) -> int:
             listed += 1
         if listed != total:
             raise ConsistencyError("partition list disagrees with the DP")
-    print(f"total {total}")
+    _write(lines + [f"total {total}"])
     return 0
 
 
@@ -231,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Combinatorics of full flag codes: distances, paths, "
                     "Ferrers frames, splittings and Durfee rectangles.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices           # command name -> its subparser
 
     p = sub.add_parser("analyze", help="analyze a code file")
     p.add_argument("codefile")
@@ -288,8 +290,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _parser().commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if rest or not sub:     # no command first, or arguments left over
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

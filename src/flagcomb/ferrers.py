@@ -64,6 +64,7 @@ class EmbeddedPartition:
         object.__setattr__(self, "parts", tuple(self.parts))
         if not is_embedded(self.parts, self.n):
             raise NotEmbedded(f"{self.parts} does not fit in FF({self.n})")
+        object.__setattr__(self, "parts", tuple(map(int, self.parts)))
 
     @property
     def weight(self) -> int:
@@ -161,6 +162,7 @@ class StaircasePath:
             if not (isinstance(lam, int) and 0 <= lam <= min(prev, n - i)):
                 raise ValueError(f"profile row {i} out of range: {self.profile}")
             prev = lam
+        object.__setattr__(self, "profile", tuple(map(int, self.profile)))
 
 
 def trace_staircase(s: StaircasePath) -> list[tuple[int, int]]:

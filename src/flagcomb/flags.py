@@ -47,6 +47,7 @@ class TypeVector:
             prev = t
         if self.dims[0] < 1 or self.dims[-1] > self.n - 1:
             raise ValueError(f"type {self.dims} out of range for n={self.n}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
 
     @classmethod
     def full(cls, n: int) -> "TypeVector":

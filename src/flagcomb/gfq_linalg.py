@@ -427,15 +427,15 @@ def grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     """
     check_int("k", k, 0, check_int("n", n, 0))
     require_prime(q)
-    for pivots in combinations(range(n), k):
-        free = [(r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivots]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), val in zip(free, values):
-                rows[r][c] = val
-            yield Subspace(q, n, tuple(tuple(r) for r in rows))
+    def subspaces() -> Iterator[Subspace]:    # checked above, at the call
+        for pivots in combinations(range(n), k):
+            free = [(r, c) for r in range(k)
+                    for c in range(pivots[r] + 1, n) if c not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = 1
+                for (r, c), val in zip(free, values):
+                    rows[r][c] = val
+                yield Subspace(q, n, tuple(tuple(r) for r in rows))
+    return subspaces()

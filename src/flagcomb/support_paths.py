@@ -66,6 +66,7 @@ class DistancePath:
         bad = first_violation(self.deltas, self.n)
         if bad is not None:
             raise InvalidPath(bad[1], index=bad[0])
+        object.__setattr__(self, "deltas", tuple(map(int, self.deltas)))
 
     def reversed(self) -> "DistancePath":
         return DistancePath(self.n, tuple(reversed(self.deltas)))

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -505,6 +507,139 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
     assert [rc for rc, _, _ in fresh] == [1, 0, 2, 2, 0, 0]
     cli._parser.cache_clear()
     assert [run(argv) for argv in calls + calls] == fresh + fresh
+
+
+# ---------------------------------------------------------------------------
+# One parse and one write per call
+# ---------------------------------------------------------------------------
+
+FULL_CODE = "2 3 full\n\n1 0 0\n0 1 0\n0 0 1\n\n0 0 1\n0 1 0\n1 0 0\n"
+
+PARITY_ARGV = [
+    [], ["-h"], ["--help"], ["nope"], ["nope", "5"],
+    ["-x", "paths", "5"], ["--", "paths", "5"],
+    ["analyze", "-h"], ["analyze"], ["analyze", "FILE", "extra"],
+    ["analyze", "FILE"], ["analyze", "--json", "FILE"],
+    ["analyze", "--js", "FILE"], ["analyze", "GENERAL"],
+    ["paths", "5"], ["paths", "5", "--bogus"], ["paths", "x"],
+    ["paths", "--", "5"], ["paths", "5", "--he"], ["paths", "4", "--list"],
+    ["paths", "5", "-d", "3", "-h"], ["partitions", "6", "-u"],
+    ["partitions", "6", "-u", "3"], ["partitions", "4", "--list"],
+    ["bijection", "6"], ["bijection"], ["realize", "2", "--", "0", "1", "1",
+                                        "0"],
+    ["realize", "2", "0,1,1,0", "--json"], ["render", "nope", "4"],
+    ["render", "frame", "4"], ["verify", "--n-max", "2", "--trials", "1"],
+    ["verify", "--n-max", "x"],
+]
+
+
+@pytest.fixture
+def fill(tmp_path, type_135_text):
+    """argv with FILE and GENERAL replaced by a full and a type-(1,3,5)
+    code file."""
+    general = tmp_path / "general.txt"
+    general.write_text(type_135_text)
+    files = {"FILE": _code_file(tmp_path, FULL_CODE), "GENERAL": str(general)}
+    return lambda argv: [files.get(a, a) for a in argv]
+
+
+def test_one_parse_answers_like_the_top_level_parser(monkeypatch, capsys,
+                                                      fill):
+    """main gives the exit code, stdout and stderr that a parse by the top
+    level parser alone gives (help, usage errors, options before the
+    command, "--", abbreviations), with a fresh and with a reused parser."""
+    calls = [fill(argv) for argv in PARITY_ARGV]
+
+    def run(argv):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    cli._parser.cache_clear()
+    with monkeypatch.context() as m:       # no command table: top level only
+        m.setattr(cli._parser(), "commands", {})
+        top_level = [run(argv) for argv in calls]
+    assert [rc for rc, _, _ in top_level].count(0) == 19
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh == top_level
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls + calls] == top_level + top_level
+
+
+def _count_parse_passes(monkeypatch):
+    passes = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *a, **k):
+        passes.append(self.prog)
+        return real(self, *a, **k)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return passes
+
+
+def test_a_valid_call_parses_once(monkeypatch, capsys, fill):
+    """A call whose argv starts with a command and leaves nothing over makes
+    one parse_known_args pass, with that command's subparser."""
+    passes = _count_parse_passes(monkeypatch)
+    valid = 0
+    for argv in map(fill, PARITY_ARGV):
+        del passes[:]
+        if main(argv) == 0 and argv and argv[0] in cli._parser().commands:
+            assert passes == [f"flagcomb {argv[0]}"], argv
+            valid += 1
+    capsys.readouterr()
+    assert valid == 17
+
+
+class _CountedStdout(io.StringIO):
+    """A stdout that keeps each write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "FILE"], ["analyze", "GENERAL"], ["paths", "9"],
+    ["paths", "9", "-d", "20"], ["partitions", "9", "-u", "3"],
+    ["partitions", "9"], ["bijection", "9"]])
+def test_a_table_command_writes_once(argv, monkeypatch, fill):
+    out = _CountedStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(fill(argv)) == 0
+    assert len(out.writes) == 1 and out.writes[0] == out.getvalue()
+    assert out.getvalue().endswith("\n") and "\n\n" not in out.getvalue()
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["paths", "4", "--list"], support_paths, "iter_paths"),
+    (["partitions", "5", "--list"], ferrers, "iter_partitions")])
+def test_list_rows_are_written_as_they_are_reached(argv, module, name,
+                                                   monkeypatch):
+    """Each row is written before the next one is drawn from the walk, and
+    the header before the first."""
+    out = _CountedStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    seen = []
+    real = getattr(module, name)
+
+    def walk(*a, **k):
+        for item in real(*a, **k):
+            seen.append(len(out.writes))
+            yield item
+    monkeypatch.setattr(module, name, walk)
+    assert main(argv) == 0
+    assert out.getvalue().endswith(f"\ntotal {len(seen)}\n")
+    assert seen[0] > 0
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+    assert len(out.writes) > len(seen) + 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -200,6 +200,16 @@ def test_grassmannian_count_and_canonical_form(q, n, k):
         assert subspace_from_rows(q, n, s.basis) == s
 
 
+@pytest.mark.parametrize("q, n, k, match", [
+    (2, 5.0, 2, "n must be an int"), (2, 5, -1, "k=-1 not in"),
+    (4, 3, 1, "q = 4 is not prime")])
+def test_grassmannian_checks_its_arguments_at_the_call(q, n, k, match):
+    """The checks run when grassmannian is called, not at the first step
+    of the generator it returns."""
+    with pytest.raises(ValueError, match=match):
+        grassmannian(q, n, k)
+
+
 def test_equal_rows_over_other_fields_are_other_subspaces():
     """A Subspace hashes its rows alone, so subspaces of F_5^n and F_7^n
     with the same rows hash equal; they still compare unequal, and a set

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -79,6 +80,23 @@ def test_value_types_reject_non_integer_entries(cls, n, bad, good, error):
     with pytest.raises(error):
         cls(n, bad)
     assert cls(n, good) == cls(n, tuple(map(int, good)))
+
+
+@pytest.mark.parametrize("cls, n, entries", [
+    (DistancePath, 3, (0, True, _Int(1), 0)),
+    (EmbeddedPartition, 4, (_Int(2), True)),
+    (StaircasePath, 4, (_Int(2), True, False)),
+    (TypeVector, 5, (True, _Int(3))),
+], ids=["DistancePath", "EmbeddedPartition", "StaircasePath", "TypeVector"])
+def test_value_types_store_plain_ints(cls, n, entries):
+    """A bool or int-subclass entry is accepted and stored as a plain int,
+    so the value prints 1 where it was given True."""
+    value = cls(n, entries)
+    stored = getattr(value, dataclasses.fields(cls)[1].name)
+    assert stored == tuple(map(int, entries))
+    assert all(type(x) is int for x in stored)
+    assert f"={tuple(map(int, entries))})" in repr(value)
+    assert "True" not in repr(value) and "False" not in repr(value)
 
 
 @pytest.mark.parametrize("cls, n, entries, error", [
