@@ -90,13 +90,17 @@ def _parse_json(text: str) -> FlagCode:
     return _build_flags(q, n, doc.get("type", "full"), blocks)
 
 
+_DIGITS = {str(d): d for d in range(10)}   # a row with another token: int()
+
+
 def _parse_text(text: str) -> FlagCode:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [("" if ln.startswith("#") else ln) for ln in lines]
-    # int() also reads "1_0" and non-ASCII digits such as "١"
-    for lineno, ln in enumerate(lines, start=1):
-        if not ln.isascii() or "_" in ln:
-            raise ParseError(f"line {lineno}: bad row {ln!r}")
+    lines = [("" if ln.startswith("#") else ln)
+             for ln in map(str.strip, text.splitlines())]
+    # int() also reads "1_0" and "١": lines are scanned if the text holds one
+    if not text.isascii() or "_" in text:
+        for lineno, ln in enumerate(lines, start=1):
+            if not ln.isascii() or "_" in ln:
+                raise ParseError(f"line {lineno}: bad row {ln!r}")
 
     body_start = next((idx + 1 for idx, ln in enumerate(lines) if ln), 0)
     if not body_start:
@@ -110,21 +114,19 @@ def _parse_text(text: str) -> FlagCode:
     except ValueError as exc:
         raise ParseError(f"bad header numbers in {header!r}") from exc
 
-    blocks: list[list[list[int]]] = []
-    current: list[list[int]] = []
+    blocks: list[list[list[int]]] = [[]]    # a blank line opens a block
     for lineno, ln in enumerate(lines[body_start:], start=body_start + 1):
         if not ln:
-            if current:
-                blocks.append(current)
-                current = []
+            blocks.append([])
             continue
         try:
-            current.append(list(map(int, ln.split())))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
-    if current:
-        blocks.append(current)
-    return _build_flags(q, n, parts[2], blocks)
+            blocks[-1].append([_DIGITS[t] for t in ln.split()])
+        except KeyError:
+            try:
+                blocks[-1].append(list(map(int, ln.split())))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
+    return _build_flags(q, n, parts[2], [rows for rows in blocks if rows])
 
 
 def serialize_code(c: FlagCode) -> str:

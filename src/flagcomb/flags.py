@@ -73,10 +73,10 @@ def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple:
     one int per row; for q = 3 a (ones, twos) pair of bit-planes per row;
     for larger q the rows as they are."""
     if q == 2:
-        return tuple(int(bytes(r).translate(_BITS), 2) for r in rows)
+        return tuple([int(bytes(r).translate(_BITS), 2) for r in rows])
     if q == 3:
-        return tuple((int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
-                     for b in map(bytes, rows))
+        return tuple([(int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
+                      for b in map(bytes, rows)])
     return tuple(rows)
 
 
@@ -127,7 +127,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     if type_.n != check_int("n", n):
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
     try:
-        rows = tuple(tuple([e % q for e in r]) for r in rows)
+        rows = tuple([tuple([e % q for e in r]) for r in rows])
         for r in rows:
             if len(r) != n:
                 raise TypeMismatch(f"expected {n} columns, got {len(r)}")
@@ -142,7 +142,7 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     if len(chain) < len(rows):
         raise RankDeficient(len(chain) + 1)
 
-    flag = Flag(q, n, type_, rows, tuple(chain[t - 1] for t in type_.dims))
+    flag = Flag(q, n, type_, rows, tuple([chain[t - 1] for t in type_.dims]))
     _recheck_nesting(flag)
     return flag
 
@@ -152,10 +152,10 @@ def _recheck_nesting(flag: Flag) -> None:
     only check at construction time that the prefix spans nest, by
     is_contained, which shares no code with span_chain."""
     for small, big in zip(flag.subspaces, flag.subspaces[1:]):
-        if small.dim >= big.dim:
-            raise RankDeficient(big.dim, "dimensions do not strictly increase")
+        if len(small.rows) >= len(big.rows):
+            raise RankDeficient(len(big.rows), "dimensions do not strictly increase")
         if not is_contained(small, big):
-            raise RankDeficient(big.dim, "subspaces are not nested")
+            raise RankDeficient(len(big.rows), "subspaces are not nested")
 
 
 def projection(f: Flag, i: int) -> Subspace:

@@ -260,7 +260,36 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
     for row in rows:
         if len(row) != n:
             raise ColumnCountMismatch(f"expected {n} columns, got {len(row)}")
-        if q not in PACKED_Q:   # each kept row leads with 1 at its pivot
+        building = spans is None or len(chain) < spans
+        if q == 2:
+            x = _pack_row(2, row)
+            while m := x & mask:
+                x ^= kept[(mask & -(1 << m.bit_length() >> 1)).bit_count() - 1]
+            if not x:
+                break
+            b = 1 << x.bit_length() >> 1
+            at = (mask & -b).bit_count()    # the rows above b come first
+            if building:                    # clear bit b from them
+                kept[:at] = [p ^ x if p & b else p for p in kept[:at]]
+        elif q == 3:
+            lo, hi = _pack_row(3, row)
+            while m := (lo | hi) & mask:
+                b = 1 << m.bit_length() >> 1
+                p = kept[(mask & -b).bit_count() - 1]
+                plo, phi = p if lo & b else p[::-1]
+                s = (lo | plo) ^ (hi | phi)
+                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
+            if not lo | hi:
+                break
+            b = 1 << (lo | hi).bit_length() >> 1
+            x, at = (lo, hi) if lo & b else (hi, lo), (mask & -b).bit_count()
+            for i in range(at) if building else ():
+                plo, phi = kept[i]
+                if (plo | phi) & b:
+                    xlo, xhi = x if plo & b else x[::-1]
+                    s = (plo | xlo) ^ (phi | xhi)
+                    kept[i] = (phi | xlo) ^ s, (plo | xhi) ^ s
+        else:                   # each kept row leads with 1 at its pivot
             x = [index(e) % q for e in row]
             for p in kept:
                 if c := x[p.index(1)]:
@@ -268,40 +297,15 @@ def span_chain(u: Subspace, rows: Iterable[Sequence[int]],
             col = next((i for i, e in enumerate(x) if e), n)
             if col == n:
                 break
-            inv = pow(x[col], q - 2, q)
-            x, b = tuple([e * inv % q for e in x]), 1 << (n - 1 - col)
-        else:
-            lo, hi = (_pack_row(q, row), 0) if q == 2 else _pack_row(q, row)
-            while m := (lo | hi) & mask:
-                b = 1 << m.bit_length() >> 1
-                p = kept[(mask & -b).bit_count() - 1]
-                if q == 2:
-                    lo ^= p
-                    continue
-                plo, phi = p if lo & b else p[::-1]
-                s = (lo | plo) ^ (hi | phi)
-                lo, hi = (hi | plo) ^ s, (lo | phi) ^ s
-            if not lo | hi:
-                break
-            b = 1 << (lo | hi).bit_length() >> 1
-            x = lo if q == 2 else (lo, hi) if lo & b else (hi, lo)
-        at = (mask & -b).bit_count()    # the rows above b come first
-        building = spans is None or len(chain) < spans
-        for i in range(at) if building else ():     # clear bit b from them
-            p = kept[i]
-            if q == 2:
-                if p & b:
-                    kept[i] = p ^ x
-            elif q == 3:
-                if (p[0] | p[1]) & b:
-                    (plo, phi), (xlo, xhi) = p, x if p[0] & b else x[::-1]
-                    s = (plo | xlo) ^ (phi | xhi)
-                    kept[i] = (phi | xlo) ^ s, (plo | xhi) ^ s
-            elif c := p[col]:
-                kept[i] = tuple([(a - c * e) % q for a, e in zip(p, x)])
+            inv, b = pow(x[col], q - 2, q), 1 << (n - 1 - col)
+            x, at = tuple([e * inv % q for e in x]), (mask & -b).bit_count()
+            for i in range(at) if building else ():
+                p = kept[i]
+                if c := p[col]:
+                    kept[i] = tuple([(a - c * e) % q for a, e in zip(p, x)])
         kept.insert(at, x)
         mask |= b
-        chain.append(Subspace(q, n, rows=tuple(kept), mask=mask)
+        chain.append(Subspace(q, n, None, tuple(kept), mask)
                      if building else None)
     return chain
 
@@ -329,8 +333,7 @@ def is_contained(u: Subspace, v: Subspace) -> bool:
         m ^= b
         e, ys = own.pop((mask & -b).bit_count() - 1), []
         if q == 2:
-            for x in xs:
-                ys.append(x ^ e if x & b else x)
+            ys = [x ^ e if x & b else x for x in xs]
         elif q == 3:
             for lo, hi in xs:
                 if (lo | hi) & b:

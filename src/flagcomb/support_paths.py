@@ -153,22 +153,24 @@ def iter_paths(n: int, distance_filter: Optional[int] = None, *,
     config.check_n(n, max_n)
     if distance_filter is not None:
         check_int("distance_filter", distance_filter)
-    stack = [((0,), 0)]
-    while stack:
-        deltas, acc = stack.pop()
-        i = len(deltas)
-        if i == n:
-            if deltas[-1] <= 1 and (distance_filter is None
-                                    or acc == distance_filter):
-                p = object.__new__(DistancePath)    # checked: skip __post_init__
-                p.__dict__.update(n=n, deltas=deltas + (0,))
-                yield p, acc
-            continue
-        # the least delta goes on the stack last, so the walk is lexicographic
-        for d in range(min(deltas[-1] + 1, i, n - i),
-                       max(0, deltas[-1] - 1) - 1, -1):
-            if distance_filter is None or acc + d <= distance_filter:
-                stack.append((deltas + (d,), acc + d))
+    def paths() -> Iterator[tuple[DistancePath, int]]:    # checked above
+        stack = [((0,), 0)]
+        while stack:
+            deltas, acc = stack.pop()
+            i = len(deltas)
+            if i == n:
+                if deltas[-1] <= 1 and (distance_filter is None
+                                        or acc == distance_filter):
+                    p = object.__new__(DistancePath)    # checked: skip __post_init__
+                    p.__dict__.update(n=n, deltas=deltas + (0,))
+                    yield p, acc
+                continue
+            # the least delta goes on the stack last, so the walk is lexicographic
+            for d in range(min(deltas[-1] + 1, i, n - i),
+                           max(0, deltas[-1] - 1) - 1, -1):
+                if distance_filter is None or acc + d <= distance_filter:
+                    stack.append((deltas + (d,), acc + d))
+    return paths()
 
 
 def _find_permutation(deltas: Sequence[int], n: int) -> list[int]:

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,54 @@ def test_text_code_file_takes_only_ascii_decimal_tokens(token, ok, where,
         with pytest.raises(ParseError, match="line 3: bad row"
                            if where == "row" else "line 1|type"):
             parse_code(text)
+
+
+def _token(v, rng):
+    """v written as int() reads it: plain, zero-padded or signed."""
+    if v < 0:
+        return str(v)
+    return rng.choice([str(v), f"{v:03d}", f"+{v}", f"+0{v}"])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tokens_equal_mod_q_read_as_the_plain_file(q):
+    """Every entry of a random full code rewritten as another token equal
+    to it mod q (e + k*q, k in -2..3) and the tokens split by tabs or runs
+    of spaces: the file gives the plain file's flags and generators.  Each
+    block mixes rows of single digits, which the token table reads, with
+    rows that hold another token, which int() reads.  "1_0" and the
+    Arabic-Indic one still fail on their own line; in a comment either is
+    legal."""
+    rng = random.Random(3500 + q)
+    gaps = [" ", "  ", "\t", " \t", "\t\t", "   "]
+    for n in range(4, 13):
+        plain = serialize_code(flags.random_full_flag_code(q, n, 3, rng))
+        header, *blocks = plain.rstrip("\n").split("\n\n")
+        lines = ["# flag_codes \u0661", header]
+        for block in blocks:
+            lines.append("")
+            for idx, row in enumerate(block.split("\n")):
+                entries = list(map(int, row.split()))
+                if idx % 2:     # single digits only: the table
+                    tokens = [str(rng.choice([e + k * q for k in range(4)
+                                              if e + k * q <= 9]))
+                              for e in entries]
+                else:           # at least one other token: int()
+                    tokens = [_token(e + rng.randrange(-2, 4) * q, rng)
+                              for e in entries]
+                    tokens[0] = f"0{entries[0] + 2 * q}"
+                lines.append(rng.choice(gaps).join(tokens)
+                             + rng.choice(["", " ", "\t"]))
+        text = "\n".join(lines) + "\n"
+        got, want = parse_code(text), parse_code(plain)
+        assert got.flags == want.flags
+        assert [f.generator for f in got] == [f.generator for f in want]
+        for bad in ("1_0", "\u0661"):
+            k = rng.choice([i for i, ln in enumerate(lines) if ln and i > 1])
+            broken = lines[:k] + [lines[k].replace(lines[k].split()[0],
+                                                   bad, 1)] + lines[k + 1:]
+            with pytest.raises(ParseError, match=f"line {k + 1}: bad row"):
+                parse_code("\n".join(broken) + "\n")
 
 
 # ---------------------------------------------------------------------------

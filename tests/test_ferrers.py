@@ -19,12 +19,24 @@ from flagcomb.errors import (CellOutsideFrame, EnumerationLimitExceeded,
 from flagcomb.counting import (count_partitions_by_value,
                                count_paths_by_distance,
                                count_splittings_by_value)
-from flagcomb.ferrers import (BLACK, RED, black_cells, splittings_by_value,
-                              trace_staircase)
+from flagcomb.ferrers import (BLACK, RED, black_cells, iter_partitions,
+                              splittings_by_value, trace_staircase)
 
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((5, "x"), ValueError, "splitting_filter"),
+    ((5.0,), ValueError, "n"),
+    ((40,), EnumerationLimitExceeded, "cap 14"),
+])
+def test_iter_partitions_checks_its_arguments_at_the_call(args, error, match):
+    """The checks run when iter_partitions is called, not at the first step
+    of the generator it returns; 14 is the default cap."""
+    with pytest.raises(error, match=match):
+        iter_partitions(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""The four kernels that check one another share no code.
+"""The four kernels that check one another, and the sweep's packer, share
+no code.
 
 Written on the standard library's ast, as a lint step of its own, in the
 style of test_dead_code.py.  The profile sweep (pair_distance_profile) is
 checked against the direct path (chain_path), and the chain (span_chain)
 against the nesting recheck (is_contained); a helper two of them shared
-could let a bug agree with itself.  For each kernel the lint takes the
-closure of the module-level functions and classes of src/flagcomb that it
-names, following imports between the modules: a class pulls in all of its
-methods, annotations are not uses, and the error classes of errors.py are
-ignored.  The four closures must be pairwise disjoint."""
+could let a bug agree with itself.  The sweep reads Flag._packed and never
+calls the packer that built it, so that packer (flags._pack) is a fifth
+root, kept apart from the chain's packer (gfq_linalg._pack_row) too.  For
+each root the lint takes the closure of the module-level functions and
+classes of src/flagcomb that it names, following imports between the
+modules: a class pulls in all of its methods, annotations are not uses,
+and the error classes of errors.py are ignored.  The five closures must be
+pairwise disjoint."""
 
 import ast
 from itertools import combinations
@@ -17,7 +21,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagcomb"
 
 KERNELS = (("flags", "pair_distance_profile"), ("gfq_linalg", "chain_path"),
-           ("gfq_linalg", "is_contained"), ("gfq_linalg", "span_chain"))
+           ("gfq_linalg", "is_contained"), ("gfq_linalg", "span_chain"),
+           ("flags", "_pack"))
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -74,6 +79,20 @@ def test_the_four_kernels_share_no_code():
     reach = closures(sources, KERNELS)
     assert all(kernel in reach[kernel] for kernel in KERNELS)
     assert shared(sources, KERNELS) == []
+
+
+def test_sweep_packer_built_on_the_chain_packer_is_caught():
+    """flags._pack rewritten to call gfq_linalg._pack_row, which span_chain
+    also reaches, makes the lint report the shared packer."""
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    start = sources["flags"].index("def _pack(")
+    end = sources["flags"].index("\nclass Flag")
+    sources["flags"] = (sources["flags"][:start]
+                        + "def _pack(q, rows):\n"
+                        + "    return tuple(_pack_row(q, r) for r in rows)\n"
+                        + sources["flags"][end:]).replace(
+        "from .gfq_linalg import (", "from .gfq_linalg import (_pack_row, ")
+    assert ("span_chain", "_pack", ["_pack_row"]) in shared(sources, KERNELS)
 
 
 def test_checker_finds_a_planted_shared_helper():

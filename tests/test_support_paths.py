@@ -203,6 +203,18 @@ def test_enumeration_cap():
         enumerate_paths(6, max_n=5)
 
 
+@pytest.mark.parametrize("args, error, match", [
+    ((5.0,), ValueError, "n"),
+    ((5, "x"), ValueError, "distance_filter"),
+    ((40,), EnumerationLimitExceeded, "cap 14"),
+])
+def test_iter_paths_checks_its_arguments_at_the_call(args, error, match):
+    """The checks run when iter_paths is called, not at the first step of
+    the generator it returns; 14 is the default cap."""
+    with pytest.raises(error, match=match):
+        iter_paths(*args)
+
+
 def _recursive_paths(n, distance_filter=None):
     """The reference enumerator: a recursive closure over one delta list,
     every path built by the validating constructor."""
