@@ -44,7 +44,7 @@ def _parse_type(token: str | list, n: int) -> TypeVector:
 
 
 def _build_flags(q: int, n: int, type_token: str | list,
-                 blocks: list[list[list[int]]]) -> FlagCode:
+                 blocks: list[list[bytes | list[int]]]) -> FlagCode:
     """Validate the header against the rows, then build the flags.
 
     q and n come from the file, so both are bounded before anything is
@@ -90,7 +90,8 @@ def _parse_json(text: str) -> FlagCode:
     return _build_flags(q, n, doc.get("type", "full"), blocks)
 
 
-_DIGITS = {str(d): d for d in range(10)}   # a row with another token: int()
+# a row of single digits and spaces: "0"-"9" to 0-9; another one: int()
+_DIGIT_BYTES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _parse_text(text: str) -> FlagCode:
@@ -114,18 +115,18 @@ def _parse_text(text: str) -> FlagCode:
     except ValueError as exc:
         raise ParseError(f"bad header numbers in {header!r}") from exc
 
-    blocks: list[list[list[int]]] = [[]]    # a blank line opens a block
+    blocks: list[list[bytes | list[int]]] = [[]]    # a blank line opens one
     for lineno, ln in enumerate(lines[body_start:], start=body_start + 1):
         if not ln:
             blocks.append([])
             continue
+        if (digits := ln[::2]).isdigit() and not ln[1::2].strip(" "):
+            blocks[-1].append(digits.encode().translate(_DIGIT_BYTES))
+            continue
         try:
-            blocks[-1].append([_DIGITS[t] for t in ln.split()])
-        except KeyError:
-            try:
-                blocks[-1].append(list(map(int, ln.split())))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
+            blocks[-1].append(list(map(int, ln.split())))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad row {ln!r}") from exc
     return _build_flags(q, n, parts[2], [rows for rows in blocks if rows])
 
 

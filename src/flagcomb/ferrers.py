@@ -325,8 +325,8 @@ def iter_partitions(n: int, splitting_filter: Optional[int] = None, *,
     u = splitting_filter
     if u is not None:
         check_int("splitting_filter", u)
-    config.check_n(n, max_n)    # at the call, not at the walk's first step
-    return (node for node in _walk(n, u, max_n) if u is None or node[2] == u)
+    cap = config.check_n(n, max_n)  # at the call, not at the walk's first step
+    return (node for node in _walk(n, u, cap) if u is None or node[2] == u)
 
 
 def enumerate_embedded_partitions(

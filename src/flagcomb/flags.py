@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, compress
 from math import prod
 from operator import not_
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .counting import max_distance
 from .errors import (ConsistencyError, IndexOutOfRange, NotFullFlag,
                      RankDeficient, TypeMismatch, check_int)
-from .gfq_linalg import (Row, Subspace, chain_levels, chain_path, is_contained,
+from .gfq_linalg import (Subspace, chain_levels, chain_path, is_contained,
                          require_prime, span_chain)
 
 
@@ -68,33 +69,40 @@ _BITS = b"01".ljust(256, b".")
 _ONES, _TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
 
 
-def _pack(q: int, rows: Sequence[Sequence[int]]) -> tuple:
-    """Rows packed for the profile sweep, column 0 in the top bit: for q = 2
-    one int per row; for q = 3 a (ones, twos) pair of bit-planes per row;
-    for larger q the rows as they are."""
+def _pack(q: int, rows: Sequence[bytes | Sequence[int]]) -> tuple:
+    """Rows, bytes as they are, packed for the profile sweep, column 0 in the
+    top bit: for q = 2 one int per row; for q = 3 a (ones, twos) pair of
+    bit-planes per row; for larger q the rows as int tuples."""
     if q == 2:
         return tuple([int(bytes(r).translate(_BITS), 2) for r in rows])
     if q == 3:
         return tuple([(int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
                       for b in map(bytes, rows)])
-    return tuple(rows)
+    return tuple(map(tuple, rows))
+
+
+@cache
+def _mod_table(q: int) -> bytes:
+    """b -> b mod q as a bytes.translate table, for a prime q < 256."""
+    return bytes([b % q for b in range(256)])
 
 
 class Flag:
     """A nested sequence of subspaces of F_q^n of a given type.
 
     Construct through flag_from_matrix or random_full_flag; direct
-    construction assumes the caller already validated nesting.
+    construction assumes the caller already validated nesting.  Generator
+    rows may be bytes, which are packed as they are and kept as int tuples.
     """
 
     __slots__ = ("q", "n", "type", "generator", "subspaces", "_packed", "_key")
 
     def __init__(self, q: int, n: int, type_: TypeVector,
-                 generator: tuple[Row, ...], subspaces: tuple[Subspace, ...]):
+                 generator: Sequence, subspaces: tuple[Subspace, ...]):
         self.q = q
         self.n = n
         self.type = type_
-        self.generator = generator
+        self.generator = tuple(map(tuple, generator))
         self.subspaces = subspaces
         self._packed = _pack(q, generator)
         self._key = (q, n, type_.dims, subspaces)
@@ -117,8 +125,9 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
                      rows: Iterable[Iterable[int]]) -> Flag:
     """Build a flag whose i-th subspace is the span of the first t_i rows.
 
-    Entries are reduced mod q, and every row must have n integer entries
-    (TypeMismatch otherwise); the reduced rows are the flag's generator.
+    Entries are reduced mod q, a bytes row's by one translate, and every row
+    must have n integer entries (TypeMismatch otherwise); the reduced rows,
+    bytes or tuples, go to span_chain and to the flag, as its generator.
     Every row is read: they must be independent and at most n, and
     RankDeficient(k) names the first row k that is not.  F_i is where the
     one span_chain over the rows stands at row t_i, at every q.
@@ -126,8 +135,10 @@ def flag_from_matrix(q: int, n: int, type_: TypeVector,
     require_prime(q)
     if type_.n != check_int("n", n):
         raise TypeMismatch(f"type vector is for n={type_.n}, flag for n={n}")
+    table = _mod_table(q) if q < 256 else None     # every byte is below q
     try:
-        rows = tuple([tuple([e % q for e in r]) for r in rows])
+        rows = [r.translate(table) if type(r) is bytes
+                else tuple([e % q for e in r]) for r in rows]
         for r in rows:
             if len(r) != n:
                 raise TypeMismatch(f"expected {n} columns, got {len(r)}")

@@ -236,9 +236,9 @@ _GF3_ONES, _GF3_TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
 
 
 def _pack_row(q: int, row: Sequence[int]):
-    """*row* packed; ValueError unless each entry is in range(q), TypeError
-    on an entry that is not an int.  bytes() rejects an entry outside
-    range(256), and the table every other entry outside range(q)."""
+    """*row* packed, a bytes row as it is; ValueError unless each entry is
+    in range(q), TypeError on an entry that is not an int.  bytes() rejects
+    an entry outside range(256), and the table every other outside range(q)."""
     b = bytes(row)
     if q == 2:
         return int(b.translate(_GF2_BITS), 2)

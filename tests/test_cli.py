@@ -13,10 +13,12 @@ import flagcomb
 from flagcomb import (DistancePath, cli, config, enumerate_embedded_partitions,
                       ferrers, flags, max_distance, support_paths,
                       underlying_distribution, verify)
+from flagcomb import codefile
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
-from flagcomb.errors import InvalidFlag, InvalidPath, ParseError
+from flagcomb.errors import FlagcombError, InvalidFlag, InvalidPath, ParseError
+from flagcomb.flags import FlagCode, TypeVector, flag_from_matrix
 from flagcomb.render import RenderSpec, render
 
 
@@ -165,6 +167,139 @@ def test_tokens_equal_mod_q_read_as_the_plain_file(q):
                                                    bad, 1)] + lines[k + 1:]
             with pytest.raises(ParseError, match=f"line {k + 1}: bad row"):
                 parse_code("\n".join(broken) + "\n")
+
+
+def _flag_state(fl):
+    """Everything a flag holds: its generator, each subspace's rows and
+    mask, and the rows the sweep reads."""
+    return (fl.q, fl.n, fl.type.dims, fl.generator,
+            [(s.rows, s.mask) for s in fl.subspaces], fl._packed)
+
+
+def _assert_int_generator(fl):
+    assert type(fl.generator) is tuple
+    assert all(type(r) is tuple and all(type(e) is int for e in r)
+               for r in fl.generator)
+
+
+def _random_type(n, rng):
+    if rng.random() < 0.5:
+        return TypeVector.full(n)
+    dims = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    return TypeVector(n, tuple(dims))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 257])
+def test_byte_rows_build_the_flags_of_int_rows(q):
+    """A text of single-digit rows, digits at or past q among them, gives
+    through parse_code the flags that flag_from_matrix builds from the same
+    rows read by int(): the same generators, subspaces and packed rows."""
+    rng = random.Random(3600 + q)
+    seen_past_q = False
+    for n in range(2, 11):
+        for _ in range(4):
+            tv = _random_type(n, rng)
+            blocks = []
+            while len(blocks) < rng.randint(1, 4):
+                rows = [[rng.randrange(10) for _ in range(n)]
+                        for _ in range(rng.randint(tv.dims[-1], n))]
+                try:
+                    flag_from_matrix(q, n, tv, rows)
+                except FlagcombError:   # dependent rows: draw again
+                    continue
+                blocks.append(rows)
+                seen_past_q |= any(e >= q for r in rows for e in r)
+            token = "full" if tv.is_full else ",".join(map(str, tv.dims))
+            text = "\n\n".join([f"{q} {n} {token}"] + [
+                "\n".join(" ".join(map(str, r)) for r in rows)
+                for rows in blocks]) + "\n"
+            want = FlagCode(
+                flag_from_matrix(q, n, tv, [list(map(int, ln.split()))
+                                            for ln in block.split("\n")])
+                for block in text.rstrip("\n").split("\n\n")[1:])
+            got = parse_code(text)
+            assert list(map(_flag_state, got)) == list(map(_flag_state, want))
+            for fl in got:
+                _assert_int_generator(fl)
+    assert seen_past_q == (q <= 7)
+
+
+@pytest.mark.parametrize("q", [11, 13, 131, 257])
+def test_flag_from_matrix_reads_bytes_rows_as_lists(q):
+    """bytes rows with entries up to 255, reduced mod q by a table below
+    q = 256 and read as they are above it, give the flag (or the error)
+    that the same rows give as lists."""
+    rng = random.Random(3650 + q)
+    built = 0
+    for n in range(2, 13):
+        for _ in range(6):
+            tv = _random_type(n, rng)
+            rows = [bytes(rng.randrange(256) for _ in range(n))
+                    for _ in range(rng.randint(tv.dims[-1], n))]
+            outcomes = []
+            for form in (list, bytes):
+                try:
+                    fl = flag_from_matrix(q, n, tv, [form(r) for r in rows])
+                except FlagcombError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    _assert_int_generator(fl)
+                    outcomes.append(_flag_state(fl))
+            assert outcomes[0] == outcomes[1]
+            built += type(outcomes[0]) is tuple
+    assert built >= 50
+
+
+def _rows_reaching_flag_from_matrix(monkeypatch):
+    """The rows of each codefile call of flag_from_matrix, as passed."""
+    seen = []
+    real = codefile.flag_from_matrix
+
+    def spy(q, n, type_, rows):
+        seen.append(list(rows))
+        return real(q, n, type_, rows)
+    monkeypatch.setattr(codefile, "flag_from_matrix", spy)
+    return seen
+
+
+def test_serialized_rows_reach_flag_from_matrix_as_bytes(monkeypatch):
+    """serialize_code writes single digits with single spaces, the form
+    that parse_code reads as one bytes per row."""
+    seen = _rows_reaching_flag_from_matrix(monkeypatch)
+    rng = random.Random(3660)
+    for q in (2, 3, 5, 7):
+        code = flags.random_full_flag_code(q, 9, 3, rng)
+        seen.clear()
+        assert parse_code(serialize_code(code)).flags == code.flags
+        assert len(seen) == 3
+        assert all(type(r) is bytes for rows in seen for r in rows)
+        assert [[tuple(r) for r in rows] for rows in seen] == [
+            list(fl.generator) for fl in code]
+
+
+@pytest.mark.parametrize("row", [
+    "10 1", "1 01", "0\t1 1", "1  0", "+1 0", "-1 0", "1 0 12", "7 -0"])
+def test_other_rows_reach_flag_from_matrix_as_int_lists(row, monkeypatch):
+    """A row that is not single digits with single spaces reaches
+    flag_from_matrix as the list int() reads from it."""
+    seen = _rows_reaching_flag_from_matrix(monkeypatch)
+    entries = list(map(int, row.split()))
+    code = parse_code(f"3 {len(entries)} 1\n\n{row}\n")
+    assert len(seen) == 1 and len(seen[0]) == 1
+    assert type(seen[0][0]) is list and seen[0][0] == entries
+    assert code.flags[0].generator == (tuple(e % 3 for e in entries),)
+
+
+def test_a_comment_line_ends_a_flag(tmp_path, capsys):
+    """A full-line '#' comment reads as a blank line: inside a block it
+    ends the flag, so the rows after it start the next one."""
+    text = "2 3 full\n\n1 0 0\n# note\n0 1 0\n0 0 1\n"
+    with pytest.raises(InvalidFlag,
+                       match=r"^flag 1: only 1 rows for type \(1, 2\)$"):
+        parse_code(text)
+    assert main(["analyze", _code_file(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "error: flag 1: only 1 rows for type (1, 2)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +644,20 @@ def test_partitions_list_builds_no_distribution(monkeypatch, capsys):
     cap = load_config().max_n_combinatorics
     # -u is the walk's prune bound, not only a filter on its output
     assert (built, walks) == ([], [(8, None, cap), (8, 4, cap)])
+
+
+def test_a_library_walk_reads_the_config_once(monkeypatch):
+    """With no max_n, iter_partitions reads the cap once and hands it to
+    the walk, which does not read it again."""
+    calls = []
+    real = config.load_config
+    monkeypatch.setattr(config, "load_config",
+                        lambda: calls.append(1) or real())
+    assert len(list(ferrers.iter_partitions(6))) == 132     # Catalan(6)
+    assert len(calls) == 1
+    calls.clear()
+    assert enumerate_embedded_partitions(6, 3)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
