@@ -70,21 +70,13 @@ _ONES, _TWOS = b"010".ljust(256, b"."), b"001".ljust(256, b".")
 
 
 def _pack(q: int, rows: Sequence[bytes | Sequence[int]]) -> tuple:
-    """Rows, bytes as they are, packed for the profile sweep, column 0 in the
-    top bit: for q = 2 one int per row; for q = 3 a (ones, twos) pair of
-    bit-planes per row; for larger q the rows as int tuples."""
+    """Rows, bytes as they are, packed for the profile sweep at q = 2, 3,
+    column 0 in the top bit: for q = 2 one int per row; for q = 3 a (ones,
+    twos) pair of bit-planes per row."""
     if q == 2:
         return tuple([int(bytes(r).translate(_BITS), 2) for r in rows])
-    if q == 3:
-        return tuple([(int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
-                      for b in map(bytes, rows)])
-    return tuple(map(tuple, rows))
-
-
-@cache
-def _mod_table(q: int) -> bytes:
-    """b -> b mod q as a bytes.translate table, for a prime q < 256."""
-    return bytes([b % q for b in range(256)])
+    return tuple([(int(b.translate(_ONES), 2), int(b.translate(_TWOS), 2))
+                  for b in map(bytes, rows)])
 
 
 class Flag:
@@ -104,7 +96,7 @@ class Flag:
         self.type = type_
         self.generator = tuple(map(tuple, generator))
         self.subspaces = subspaces
-        self._packed = _pack(q, generator)
+        self._packed = _pack(q, generator) if q < 5 else self.generator
         self._key = (q, n, type_.dims, subspaces)
 
     def __eq__(self, other):
@@ -119,6 +111,12 @@ class Flag:
     @property
     def is_full(self) -> bool:
         return self.type.is_full
+
+
+@cache
+def _mod_table(q: int) -> bytes:
+    """b -> b mod q as a bytes.translate table, for a prime q < 256."""
+    return bytes([b % q for b in range(256)])
 
 
 def flag_from_matrix(q: int, n: int, type_: TypeVector,
