@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import flagcomb
-from flagcomb import (DistancePath, cli, config, enumerate_embedded_partitions,
-                      ferrers, flags, max_distance, support_paths,
-                      underlying_distribution, verify)
-from flagcomb import codefile
+from flagcomb import (DistancePath, cli, codefile, config,
+                      enumerate_embedded_partitions, ferrers, flags,
+                      max_distance, support_paths, underlying_distribution,
+                      verify)
 from flagcomb.cli import main
 from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
