@@ -169,14 +169,10 @@ def cmd_realize(args) -> int:
 
 def cmd_render(args) -> int:
     from . import render
-    spec = render.RenderSpec(
-        target=args.target,
-        fmt=args.format,
-        n=args.n,
-        deltas=_parse_deltas(args.deltas) if args.deltas else None,
-        partition=_parse_deltas(args.partition) if args.partition else None,
-    )
-    print(render.render(spec))
+    print(render.render(
+        args.target, args.format, args.n,
+        _parse_deltas(args.deltas) if args.deltas else None,
+        _parse_deltas(args.partition) if args.partition else None))
     return 0
 
 

@@ -53,13 +53,12 @@ def load_config() -> Config:
     return Config(**raw)
 
 
-def check_n(n: int, max_n: int | None = None) -> int:
-    """The cap n was checked against: max_n, or the configured
-    max_n_combinatorics if None.  Raise ValueError unless n is an int >= 2
-    and max_n an int, and EnumerationLimitExceeded if n is over the cap."""
+def check_n(n: int, max_n: int | None = None) -> None:
+    """Raise ValueError unless n is an int >= 2 and max_n an int, and
+    EnumerationLimitExceeded if n is over max_n (the configured
+    max_n_combinatorics if None)."""
     check_int("n", n, 2)
     if max_n is None:
         max_n = load_config().max_n_combinatorics
     if n > check_int("max_n", max_n):
         raise EnumerationLimitExceeded(f"n={n} exceeds the cap {max_n}")
-    return max_n

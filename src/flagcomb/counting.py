@@ -1,20 +1,19 @@
 """D^n and the counting DPs: distance paths on S(n) by distance, and the
 embedded partitions of FF(n) and their distinct splittings by value.
 
-This module imports no other flagcomb module, so that ``flagcomb paths``,
-``partitions`` and ``bijection``, which run only these, load nothing of
-the flags, the linear algebra or the enumerators.
+This module imports no other flagcomb module than errors, so that
+``flagcomb paths``, ``partitions`` and ``bijection``, which run only these,
+load nothing of the flags, the linear algebra or the enumerators.
 """
 
 from __future__ import annotations
 
+from .errors import check_int
+
 
 def max_distance(n: int) -> int:
     """D^n = floor(n^2 / 4), the maximum full-flag distance."""
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_int("n", n, 2)
     return n * n // 4
 
 

@@ -120,14 +120,11 @@ def _class_law(p: DistancePath) -> tuple[int, ...]:
     return tuple(min(i, p.n - i) - p.deltas[i] for i in range(1, p.n))
 
 
-class _LawTable(dict):
-    """The law table, and in .classes each class's law, rows and ends."""
-
-
-def _law_table(gamma: frozenset[DistancePath]) -> _LawTable:
-    """_rect_table(F(C)) read off Γ(C) by the class law, in O(|Γ(C)| n).
-    The first and the last staircase of each class (every plateau turned
-    right-down, every one down-right) must obey it, else ConsistencyError."""
+def _law_table(gamma: frozenset[DistancePath]) -> tuple[dict, list]:
+    """_rect_table(F(C)) read off Γ(C) by the class law, in O(|Γ(C)| n),
+    and each class's law, rows and ends.  The first and the last staircase
+    of each class (every plateau turned right-down, every one down-right)
+    must obey it, else ConsistencyError."""
     classes = []
     for p in gamma:
         n, law, rows, ends = p.n, _class_law(p), _class_rows(p), []
@@ -137,9 +134,7 @@ def _law_table(gamma: frozenset[DistancePath]) -> _LawTable:
                 raise ConsistencyError(f"staircase {s} of path {p.deltas} "
                                        f"breaks the class law {law}")
         classes.append((law, rows, ends))
-    table = _LawTable(_by_dimension({law for law, _, _ in classes}))
-    table.classes = classes
-    return table
+    return _by_dimension({law for law, _, _ in classes}), classes
 
 
 def durfee_sets_of_code(c: FlagCode) -> Mapping[int, tuple[int, ...]]:
@@ -217,7 +212,7 @@ def is_optimum_distance(c: FlagCode) -> tuple[bool, dict[str, bool]]:
 
 
 def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
-                        table: _LawTable, n: int) -> bool:
+                        classes: list, n: int) -> bool:
     f_opt = ({EmbeddedPartition(n, ())} if n % 2 == 0 else
              {EmbeddedPartition(n, ()), EmbeddedPartition(n, (1,))})
     conds = {
@@ -227,7 +222,7 @@ def _optimum_conditions(dbar: int, gamma: frozenset[DistancePath],
         # F(C) ⊆ f_opt: only a class whose two ends lie in f_opt is walked
         "ferrers_set": all(f_opt.issuperset(ends) and all(
             partition_of_staircase(StaircasePath(n, s)) in f_opt
-            for s in product(*rows)) for _, rows, ends in table.classes),
+            for s in product(*rows)) for _, rows, ends in classes),
     }
     votes = set(conds.values())
     if len(votes) > 1:
@@ -287,7 +282,7 @@ def analyze(c: FlagCode) -> CodeAnalysis:
         return c._analysis
 
     gamma = paths_of_code(c)
-    table = _law_table(gamma)
+    table, classes = _law_table(gamma)
     # D_k, k ascending, from the rectangle table: the sizes at i = (n - k)/2
     durfee = {n - 2 * i: table[i] for i in range(n // 2, 0, -1)}
     for k, rows in durfee.items():
@@ -329,6 +324,6 @@ def analyze(c: FlagCode) -> CodeAnalysis:
 
     c._analysis = CodeAnalysis(c.q, n, size, d_f, dbar, projected, derived,
                                durfee, separability, bounds,
-                               _optimum_conditions(dbar, gamma, table, n),
+                               _optimum_conditions(dbar, gamma, classes, n),
                                False)
     return c._analysis

@@ -126,10 +126,9 @@ def _row_black_count(n: int, i: int, lam: int) -> int:
 def underlying_distribution(p: EmbeddedPartition) -> UnderlyingDistribution:
     """Black cells per row: ceil(λ_i/2) and floor(λ_i/2) alternating,
     starting with ceil for n even and floor for n odd."""
-    n = p.n  # _row_black_count inlined: this runs once per partition
-    counts = tuple((lam + (n + i) % 2) // 2
+    counts = tuple(_row_black_count(p.n, i, lam)
                    for i, lam in enumerate(p.parts, start=1))
-    return UnderlyingDistribution(n, counts)
+    return UnderlyingDistribution(p.n, counts)
 
 
 def splitting_value(p: EmbeddedPartition) -> int:
@@ -295,14 +294,13 @@ def distance_equivalent(a: EmbeddedPartition, b: EmbeddedPartition) -> bool:
     return by_criterion
 
 
-def _walk(n: int, bound: Optional[int], max_n: Optional[int]
+def _walk(n: int, bound: Optional[int]
           ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """(parts, underlying distribution counts, their sum) for the null
     partition and each embedded partition of FF(n) of splitting value at
     most bound (any if None), lexicographic.  Each node grows from its
     parent by one row, in the range is_embedded leaves, and none grows past
-    bound, since values only grow."""
-    config.check_n(n, max_n)
+    bound, since values only grow.  The caller checks n and the cap."""
     stack = [((), (), 0)]
     while stack:
         parts, counts, value = node = stack.pop()
@@ -325,8 +323,8 @@ def iter_partitions(n: int, splitting_filter: Optional[int] = None, *,
     u = splitting_filter
     if u is not None:
         check_int("splitting_filter", u)
-    cap = config.check_n(n, max_n)  # at the call, not at the walk's first step
-    return (node for node in _walk(n, u, cap) if u is None or node[2] == u)
+    config.check_n(n, max_n)    # at the call, not at the walk's first step
+    return (node for node in _walk(n, u) if u is None or node[2] == u)
 
 
 def enumerate_embedded_partitions(
@@ -342,8 +340,9 @@ def splittings_by_value(n: int, *, max_n: Optional[int] = None
                         ) -> dict[int, frozenset[UnderlyingDistribution]]:
     """The distinct splittings of FF(n) by value u, in one walk: each is
     the distribution of the first partition that has it."""
+    config.check_n(n, max_n)
     groups = {u: set() for u in range(max_distance(n) + 1)}
-    for _, counts, value in _walk(n, None, max_n):
+    for _, counts, value in _walk(n, None):
         # a last count 0 repeats the splitting of the parent, which came
         # first; the counts of every other node are already stripped
         if not counts or counts[-1]:

@@ -7,22 +7,12 @@ ASCII legend: 'x' crossed (zero-distance) point, 'o' black circle point,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import FORMATS, TARGETS, check_n
 from .errors import InvalidSpec, check_int
 from .ferrers import BLACK, EmbeddedPartition, cell_color, staircase_of_partition
 from .support_paths import DistancePath
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    target: str
-    fmt: str
-    n: int
-    deltas: Optional[tuple[int, ...]] = None
-    partition: Optional[tuple[int, ...]] = None
 
 
 def _support_points(n: int, enriched: bool) -> list[tuple[int, int, bool, bool]]:
@@ -163,7 +153,7 @@ def _svg_frame(n: int, part: Optional[EmbeddedPartition] = None) -> str:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# (target, format) -> drawer of (n, the spec's path or partition or None)
+# (target, format) -> drawer of (n, the path or partition drawn, or None)
 _DRAWERS = {
     ("support", "ascii"): lambda n, _: _ascii_support(n, enriched=False),
     ("enriched", "ascii"): lambda n, _: _ascii_support(n, enriched=True),
@@ -178,28 +168,31 @@ _DRAWERS = {
 }
 
 
-def render(spec: RenderSpec) -> str:
-    """Draw spec; n is capped by max_n_combinatorics (drawings are O(n^2))."""
-    if spec.target not in TARGETS:
-        raise InvalidSpec(f"unknown target {spec.target!r}")
-    if spec.fmt not in FORMATS:
-        raise InvalidSpec(f"unknown format {spec.fmt!r}")
-    check_int("n", spec.n, 2, error=InvalidSpec)
-    check_n(spec.n)
+def render(target: str, fmt: str, n: int,
+           deltas: Optional[tuple[int, ...]] = None,
+           partition: Optional[tuple[int, ...]] = None) -> str:
+    """Draw target in fmt at n: "path" needs deltas, "staircase" needs
+    partition.  n is capped by max_n_combinatorics (drawings are O(n^2))."""
+    if target not in TARGETS:
+        raise InvalidSpec(f"unknown target {target!r}")
+    if fmt not in FORMATS:
+        raise InvalidSpec(f"unknown format {fmt!r}")
+    check_int("n", n, 2, error=InvalidSpec)
+    check_n(n)
 
     shape = None
-    if spec.target == "path":
-        if spec.deltas is None:
+    if target == "path":
+        if deltas is None:
             raise InvalidSpec("path rendering needs deltas")
         try:
-            shape = DistancePath(spec.n, tuple(spec.deltas))
+            shape = DistancePath(n, tuple(deltas))
         except Exception as exc:
             raise InvalidSpec(f"bad deltas: {exc}") from exc
-    if spec.target == "staircase":
-        if spec.partition is None:
+    if target == "staircase":
+        if partition is None:
             raise InvalidSpec("staircase rendering needs a partition")
         try:
-            shape = EmbeddedPartition(spec.n, tuple(spec.partition))
+            shape = EmbeddedPartition(n, tuple(partition))
         except Exception as exc:
             raise InvalidSpec(f"bad partition: {exc}") from exc
-    return _DRAWERS[spec.target, spec.fmt](spec.n, shape)
+    return _DRAWERS[target, fmt](n, shape)

@@ -19,7 +19,7 @@ from flagcomb.codefile import parse_code, serialize_code, serialize_code_json
 from flagcomb.config import ENV_VAR, load_config
 from flagcomb.errors import FlagcombError, InvalidFlag, InvalidPath, ParseError
 from flagcomb.flags import FlagCode, TypeVector, flag_from_matrix
-from flagcomb.render import RenderSpec, render
+from flagcomb.render import render
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +307,12 @@ def test_a_comment_line_ends_a_flag(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_ascii_frame_golden():
-    out = render(RenderSpec("frame", "ascii", 5))
+    out = render("frame", "ascii", 5)
     assert out == "o*o*\n o*o\n  o*\n   o"
 
 
 def test_ascii_path_marks_endpoints():
-    out = render(RenderSpec("path", "ascii", 7,
-                            deltas=(0, 1, 2, 1, 1, 2, 1, 0)))
+    out = render("path", "ascii", 7, deltas=(0, 1, 2, 1, 1, 2, 1, 0))
     lines = out.splitlines()
     assert lines[-1].startswith("x") and lines[-1].rstrip().endswith("x")
     assert out.count("o") == 6  # six positive-height vertices
@@ -322,34 +321,33 @@ def test_ascii_path_marks_endpoints():
 def test_render_deterministic_and_svg_wellformed():
     import xml.etree.ElementTree as ET
     for target in ("support", "enriched", "frame"):
-        a = render(RenderSpec(target, "svg", 6))
-        assert a == render(RenderSpec(target, "svg", 6))
+        a = render(target, "svg", 6)
+        assert a == render(target, "svg", 6)
         ET.fromstring(a)
-    svg = render(RenderSpec("staircase", "svg", 8,
-                            partition=(5, 5, 1, 1, 1, 1)))
+    svg = render("staircase", "svg", 8, partition=(5, 5, 1, 1, 1, 1))
     ET.fromstring(svg)
 
 
 def test_ascii_staircase_silhouette():
-    out = render(RenderSpec("staircase", "ascii", 6, partition=(5, 4, 3, 1)))
+    out = render("staircase", "ascii", 6, partition=(5, 4, 3, 1))
     assert all("|" in line for line in out.splitlines())
 
 
 def test_render_rejects_bad_specs():
     from flagcomb.errors import EnumerationLimitExceeded, InvalidSpec
     with pytest.raises(InvalidSpec, match="need n >= 2"):
-        render(RenderSpec("support", "svg", 1))
+        render("support", "svg", 1)
     for n in (5.0, "5", None):
         with pytest.raises(InvalidSpec, match=f"n must be an int, got {n!r}"):
-            render(RenderSpec("support", "ascii", n))
+            render("support", "ascii", n)
     with pytest.raises(EnumerationLimitExceeded, match="the cap 14"):
-        render(RenderSpec("support", "svg", 15))
+        render("support", "svg", 15)
     with pytest.raises(InvalidSpec):
-        render(RenderSpec("nope", "ascii", 5))
+        render("nope", "ascii", 5)
     with pytest.raises(InvalidSpec):
-        render(RenderSpec("path", "ascii", 5))  # missing deltas
+        render("path", "ascii", 5)  # missing deltas
     with pytest.raises(InvalidSpec):
-        render(RenderSpec("path", "ascii", 5, deltas=(0, 2, 0, 0, 0, 0)))
+        render("path", "ascii", 5, deltas=(0, 2, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +639,8 @@ def test_partitions_list_builds_no_distribution(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("total 1430\n")    # Catalan(8)
     assert main(["partitions", "8", "-u", "4", "--list"]) == 0
     assert capsys.readouterr().out.endswith("total 38\n")
-    cap = load_config().max_n_combinatorics
     # -u is the walk's prune bound, not only a filter on its output
-    assert (built, walks) == ([], [(8, None, cap), (8, 4, cap)])
+    assert (built, walks) == ([], [(8, None), (8, 4)])
 
 
 def test_a_library_walk_reads_the_config_once(monkeypatch):

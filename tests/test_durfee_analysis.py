@@ -282,10 +282,10 @@ def test_a_rectangle_past_its_bound_is_a_consistency_failure(monkeypatch):
     real = durfee_analysis._law_table
 
     def planted(gamma):
-        table = real(gamma)
+        table, classes = real(gamma)
         assert max(table[2]) <= 2
         table[2] = (3, *table[2])
-        return table
+        return table, classes
 
     monkeypatch.setattr(durfee_analysis, "_law_table", planted)
     with pytest.raises(ConsistencyError, match="^rectangle with 3 rows "
@@ -503,11 +503,11 @@ def test_optimum_vote_walks_only_classes_inside_the_optimum_set(
     for code, optimum in ((_plateau_code(), False),
                           (_extremal_code(2, 7), True)):
         gamma = paths_of_code(code)
-        table = durfee_analysis._law_table(gamma)
+        _, classes = durfee_analysis._law_table(gamma)
         walked = [s.profile for p in gamma for s in staircase_class(p)
                   if optimum]
         built = _count_staircases(monkeypatch)
         assert durfee_analysis._optimum_conditions(
-            codistance(code), gamma, table, code.n) is optimum
+            codistance(code), gamma, classes, code.n) is optimum
         assert built == walked and len(walked) == 2 * optimum
         monkeypatch.undo()

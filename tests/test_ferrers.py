@@ -39,6 +39,18 @@ def test_iter_partitions_checks_its_arguments_at_the_call(args, error, match):
         iter_partitions(*args)
 
 
+def test_splittings_by_value_checks_the_cap_before_it_sizes_the_groups(
+        monkeypatch):
+    """n = 40 is refused before the D^n + 1 groups of its values are built,
+    so an n far past the cap allocates nothing."""
+    sized = []
+    monkeypatch.setattr(ferrers_module, "max_distance",
+                        lambda n: sized.append(n) or 0)
+    with pytest.raises(EnumerationLimitExceeded, match="cap 14"):
+        ferrers_module.splittings_by_value(40)
+    assert sized == []
+
+
 # ---------------------------------------------------------------------------
 # Frame geometry
 # ---------------------------------------------------------------------------
@@ -335,11 +347,11 @@ def test_equivalent_partitions_share_distribution(n, data):
 def test_splitting_filter_prunes_subtrees_past_u(monkeypatch):
     """The carried value never decreases down the walk, so the walk for u
     visits just the nodes of value at most u, not all Catalan(11) of them."""
-    visited = list(ferrers_module._walk(11, None, 11))
+    visited = list(ferrers_module._walk(11, None))
     assert len(visited) == catalan(11)
     by_u = count_partitions_by_value(11)
     for u in (0, 5, 12):
-        visited = list(ferrers_module._walk(11, u, 11))
+        visited = list(ferrers_module._walk(11, u))
         assert len(visited) == sum(by_u[:u + 1])
         assert all(value <= u for _, _, value in visited)
     everything = enumerate_embedded_partitions(11, max_n=11)
@@ -380,7 +392,7 @@ def _reference_walk(n):
 @pytest.mark.parametrize("n", range(2, 12))
 def test_grown_walk_matches_reference(n):
     reference = _reference_walk(n)
-    nodes = list(ferrers_module._walk(n, None, n))
+    nodes = list(ferrers_module._walk(n, None))
     assert [parts for parts, _, _ in nodes] == [q.parts for q in reference]
     for (_, counts, value), q in zip(nodes, reference):
         assert counts == underlying_distribution(q).counts
@@ -422,7 +434,7 @@ def _built(make):
 def test_grow_raises_exactly_when_the_constructor_raises(n):
     """The walk grows a node by the part v exactly when the full
     constructor accepts the longer partition."""
-    grown = {parts for parts, _, _ in ferrers_module._walk(n, None, n)}
+    grown = {parts for parts, _, _ in ferrers_module._walk(n, None)}
     for p in _reference_walk(n):
         for v in range(-1, n + 1):
             built = _built(lambda: EmbeddedPartition(n, p.parts + (v,)))
@@ -460,7 +472,7 @@ def test_partition_layer_needs_n_at_least_2(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_count_partitions_by_value_matches_the_walk(n):
     by_u = [0] * (max_distance(n) + 1)
-    for _, _, value in ferrers_module._walk(n, None, n):
+    for _, _, value in ferrers_module._walk(n, None):
         by_u[value] += 1
     assert count_partitions_by_value(n) == by_u
     assert sum(by_u) == catalan(n)

@@ -199,10 +199,6 @@ ALLOWED = {
         "the JSON rule: type(v) is int, since JSON true and 1.0 are no "
         "integers (config.load_config keeps it too, on a value it reads "
         "from the file, which is no parameter)",
-    "counting.max_distance":
-        "counting imports no flagcomb module (test_layering.py), so it "
-        "cannot reach errors; test_max_distance_says_what_the_checker_says "
-        "keeps its text the checker's",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -3,7 +3,7 @@
 A static lint, written on the standard library's ast in the style of
 test_imports.py, keeps three rules of the layering:
 
-- ``counting`` imports no flagcomb module, anywhere;
+- ``counting`` imports no flagcomb module but ``errors``, anywhere;
 - ``cli`` imports only ``config``, ``errors`` and ``counting`` at module
   level (each command imports what else it runs in its own body);
 - the package ``__init__`` imports no submodule at module level (its
@@ -27,6 +27,7 @@ import flagcomb
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagcomb"
 
 CLI_MODULE_LEVEL = {"config", "errors", "counting"}
+COUNTING_IMPORTS = {"errors"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -62,7 +63,8 @@ def violations(sources: dict[str, str]) -> list[str]:
     """One line per import that breaks a rule, in *sources* (module name
     -> source)."""
     out = [f"counting imports {m}"
-           for m in flagcomb_imports(sources["counting"], False)]
+           for m in flagcomb_imports(sources["counting"], False)
+           if m not in COUNTING_IMPORTS]
     out += [f"cli imports {m} at module level"
             for m in flagcomb_imports(sources["cli"], True)
             if m not in CLI_MODULE_LEVEL]
@@ -78,7 +80,8 @@ def test_the_layering_holds():
 
 def test_checker_finds_planted_violations():
     sources = {
-        "counting": ("def f():\n    from . import flags\n"
+        "counting": ("from .errors import check_int\n\n\n"
+                     "def f():\n    from . import flags\n"
                      "    return flags\n"),
         "cli": ("from . import config, render\nfrom .errors import E\n"
                 "import flagcomb.verify\n\n\n"

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from flagcomb.ferrers import iter_partitions
-from flagcomb.render import _PAD, FORMATS, TARGETS, RenderSpec, render
+from flagcomb.render import _PAD, FORMATS, TARGETS, render
 from flagcomb.support_paths import iter_paths
 
 N_RANGE = range(2, 15)
@@ -61,23 +61,23 @@ def _specs(target: str, fmt: str):
             if n > FULL_N:
                 paths = itertools.islice(paths, 0, None, PATH_STRIDE)
             for p, _ in paths:
-                yield RenderSpec(target, fmt, n, deltas=p.deltas)
+                yield target, fmt, n, p.deltas
         elif target == "staircase":
             if n > FULL_N:
                 parts_list = _drawn_partitions(n)
             else:
                 parts_list = [parts for parts, _, _ in iter_partitions(n)]
             for parts in parts_list:
-                yield RenderSpec(target, fmt, n, partition=parts)
+                yield target, fmt, n, None, parts
         else:
-            yield RenderSpec(target, fmt, n)
+            yield target, fmt, n
 
 
 def _digest(target: str, fmt: str) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
     for spec in _specs(target, fmt):
-        h.update(render(spec).encode())
+        h.update(render(*spec).encode())
         h.update(b"\0")
         count += 1
     return count, h.hexdigest()
@@ -106,6 +106,6 @@ def _dot_xs(svg: str) -> list[int]:
 def test_support_svg_ends_one_pad_right_of_its_rightmost_dot(target):
     for n in N_RANGE:
         deltas = (0,) * (n + 1) if target == "path" else None
-        svg = render(RenderSpec(target, "svg", n, deltas=deltas))
+        svg = render(target, "svg", n, deltas=deltas)
         width = int(ET.fromstring(svg).get("width"))
         assert width == max(_dot_xs(svg)) + _PAD
